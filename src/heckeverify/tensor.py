@@ -4,9 +4,20 @@ Convention: factor 0 of a layout is the leftmost tensor slot; composite
 basis index is row-major (``idx = i0*d1*...*dk + i1*d2*... + ...``).  The
 auxiliary space of a transfer-matrix construction is always factor 0, so
 its partial trace is a leading-block sum.
+
+Storage: one positive ``int`` common denominator ``den`` per matrix plus
+sparse rows of LaurentPoly entries with Python-``int`` coefficients; entry
+``(r, c)`` is ``rows[r][c] / den``.  The form is canonical: ``den`` is the
+least common denominator of the entries (its gcd with every coefficient is
+1), so equal matrices have equal ``den`` and equal rows.  Every kernel works
+on the integers and normalizes once per result; rationals are formed only
+where an entry is read (``get``, ``entries``, ``to_dump_dict``).  Entry
+objects are never mutated once stored, so embeddings share them.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .rings import LaurentPoly, LaurentRatio, Rational, lp_ratio, rat, _mul_into
@@ -27,18 +38,93 @@ def _strides(layout) -> list[int]:
     return st
 
 
-class PolyMatrix:
-    """Square sparse matrix with LaurentPoly entries and a factor layout."""
+def _poly(terms: dict) -> LaurentPoly:
+    """Wrap a term dict (no zero values) without coercing its coefficients."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.terms = terms
+    return p
 
-    __slots__ = ("dim", "layout", "rows")
+
+def _split(val) -> tuple[dict, int]:
+    """Integer terms and least common denominator of a rational scalar or
+    LaurentPoly: ``val == terms / den``."""
+    terms = val.terms if isinstance(val, LaurentPoly) else {0: val}
+    den = 1
+    for c in terms.values():
+        den = lcm(den, int(c.denominator))
+    return {d: int(c.numerator) * (den // int(c.denominator))
+            for d, c in terms.items() if c}, den
+
+
+def _mul(a: dict, b: dict) -> dict:
+    t: dict = {}
+    _mul_into(t, a, b)
+    return t
+
+
+def _scaled(p: LaurentPoly, f: int) -> LaurentPoly:
+    return p if f == 1 else _poly({d: c * f for d, c in p.terms.items()})
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    t = dict(a)
+    for d, c in b.items():
+        s = t.get(d, 0) + c
+        if s:
+            t[d] = s
+        else:
+            del t[d]
+    return t
+
+
+def _reduced(rows: dict, den: int) -> tuple[dict, int]:
+    """Divide ``rows`` and ``den`` by their common content (usually 1, found
+    after a few coefficients)."""
+    g = den
+    for row in rows.values():
+        for p in row.values():
+            for c in p.terms.values():
+                g = gcd(g, c)
+                if g == 1:
+                    return rows, den
+    return ({r: {c: _poly({d: v // g for d, v in p.terms.items()}) for c, p in row.items()}
+             for r, row in rows.items()}, den // g)
+
+
+class PolyMatrix:
+    """Square sparse matrix with LaurentPoly entries and a factor layout,
+    stored as integer rows over one common denominator."""
+
+    __slots__ = ("dim", "layout", "rows", "den")
 
     def __init__(self, layout, entries=None):
         self.layout = tuple(int(d) for d in layout)
         self.dim = _prod(self.layout)
         self.rows: dict[int, dict[int, LaurentPoly]] = {}
+        self.den = 1
         if entries:
+            split = {}
             for (r, c), val in entries.items():
-                self._set(r, c, val)
+                self._check_index(r, c)
+                split[r, c] = _split(val)
+            self.den = lcm(*(d for _, d in split.values()))
+            for (r, c), (terms, d) in split.items():
+                if terms:
+                    f = self.den // d
+                    self.rows.setdefault(r, {})[c] = _poly({k: v * f for k, v in terms.items()})
+
+    @classmethod
+    def _make(cls, layout, rows: dict, den: int) -> "PolyMatrix":
+        """A matrix from integer rows over ``den``, brought to canonical form."""
+        out = cls(layout)
+        out.rows, out.den = _reduced(rows, den)
+        return out
+
+    def _like(self, rows: dict) -> "PolyMatrix":
+        """Same layout and denominator, rows already canonical over it."""
+        out = PolyMatrix(self.layout)
+        out.rows, out.den = rows, self.den
+        return out
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -48,45 +134,53 @@ class PolyMatrix:
     @classmethod
     def identity(cls, layout) -> "PolyMatrix":
         m = cls(layout)
-        one = LaurentPoly.const(1)
+        one = _poly({0: 1})
         for i in range(m.dim):
             m.rows[i] = {i: one}
         return m
 
-    @classmethod
-    def from_dense(cls, rows, layout) -> "PolyMatrix":
-        m = cls(layout)
-        for r, row in enumerate(rows):
-            for c, val in enumerate(row):
-                m._set(r, c, val)
-        return m
-
-    def _set(self, r: int, c: int, val) -> None:
-        if not isinstance(val, LaurentPoly):
-            val = LaurentPoly.const(val)
+    def _check_index(self, r: int, c: int) -> None:
         if r >= self.dim or c >= self.dim or r < 0 or c < 0:
             raise DimensionMismatch(f"entry ({r},{c}) outside dim {self.dim}")
-        if val.is_zero:
-            row = self.rows.get(r)
-            if row and c in row:
-                del row[c]
-                if not row:
-                    del self.rows[r]
+
+    def _set(self, r: int, c: int, val) -> None:
+        self._check_index(r, c)
+        terms, d = _split(val)
+        den = lcm(self.den, d)
+        rows = self.rows
+        if den != self.den:
+            f = den // self.den
+            rows = {rr: {cc: _scaled(p, f) for cc, p in row.items()}
+                    for rr, row in rows.items()}
+        row = rows.setdefault(r, {})
+        if terms:
+            row[c] = _scaled(_poly(terms), den // d)
         else:
-            self.rows.setdefault(r, {})[c] = val
+            row.pop(c, None)
+            if not row:
+                del rows[r]
+        self.rows, self.den = _reduced(rows, den)
+
+    def _rational(self, p: LaurentPoly) -> LaurentPoly:
+        den = self.den
+        return _poly({d: rat(c, den) for d, c in p.terms.items()})
 
     def get(self, r: int, c: int) -> LaurentPoly:
-        row = self.rows.get(r)
-        if row is None:
-            return LaurentPoly.zero()
-        return row.get(c, LaurentPoly.zero())
+        """Entry ``(r, c)`` with reduced rational coefficients."""
+        p = self.rows.get(r, {}).get(c)
+        return LaurentPoly.zero() if p is None else self._rational(p)
 
-    def entries(self):
-        """Iterate ``(r, c, value)`` sorted by (r, c)."""
+    def _sorted(self):
+        """Iterate ``(r, c, integer entry)`` sorted by (r, c)."""
         for r in sorted(self.rows):
             row = self.rows[r]
             for c in sorted(row):
                 yield r, c, row[c]
+
+    def entries(self):
+        """Iterate ``(r, c, value)`` sorted by (r, c), values rational."""
+        for r, c, p in self._sorted():
+            yield r, c, self._rational(p)
 
     @property
     def nnz(self) -> int:
@@ -100,27 +194,29 @@ class PolyMatrix:
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch("matrix addition needs equal dims")
-        out = PolyMatrix(self.layout)
-        for r, row in self.rows.items():
-            out.rows[r] = dict(row)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        rows = {r: {c: _scaled(p, fa) for c, p in row.items()} for r, row in self.rows.items()}
         for r, row in other.rows.items():
-            orow = out.rows.setdefault(r, {})
-            for c, v in row.items():
+            orow = rows.setdefault(r, {})
+            for c, p in row.items():
+                p = _scaled(p, fb)
                 s = orow.get(c)
-                s = v if s is None else s + v
-                if s.is_zero:
-                    del orow[c]
+                if s is None:
+                    orow[c] = p
                 else:
-                    orow[c] = s
+                    t = _add_terms(s.terms, p.terms)
+                    if t:
+                        orow[c] = _poly(t)
+                    else:
+                        del orow[c]
             if not orow:
-                del out.rows[r]
-        return out
+                del rows[r]
+        return PolyMatrix._make(self.layout, rows, den)
 
     def __neg__(self) -> "PolyMatrix":
-        out = PolyMatrix(self.layout)
-        for r, row in self.rows.items():
-            out.rows[r] = {c: -v for c, v in row.items()}
-        return out
+        return self._like({r: {c: _poly({d: -v for d, v in p.terms.items()})
+                               for c, p in row.items()} for r, row in self.rows.items()})
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + (-other)
@@ -135,19 +231,17 @@ class PolyMatrix:
         return self.scale(other)
 
     def scale(self, s) -> "PolyMatrix":
-        if not isinstance(s, LaurentPoly):
-            s = LaurentPoly.const(s)
-        out = PolyMatrix(self.layout)
-        if s.is_zero:
-            return out
-        for r, row in self.rows.items():
-            out.rows[r] = {c: v * s for c, v in row.items()}
-        return out
+        terms, d = _split(s)
+        if not terms:
+            return PolyMatrix(self.layout)
+        rows = {r: {c: _poly(_mul(p.terms, terms)) for c, p in row.items()}
+                for r, row in self.rows.items()}
+        return PolyMatrix._make(self.layout, rows, self.den * d)
 
     def _matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch("matrix product needs equal dims")
-        out = PolyMatrix(self.layout)
+        rows = {}
         orows = other.rows
         for r, arow in self.rows.items():
             acc: dict[int, dict] = {}
@@ -161,31 +255,27 @@ class PolyMatrix:
                     if tgt is None:
                         tgt = acc[c] = {}
                     _mul_into(tgt, at, b.terms)
-            orow = {}
-            for c, terms in acc.items():
-                if terms:
-                    p = LaurentPoly.__new__(LaurentPoly)
-                    p.terms = terms
-                    orow[c] = p
+            orow = {c: _poly(terms) for c, terms in acc.items() if terms}
             if orow:
-                out.rows[r] = orow
-        return out
+                rows[r] = orow
+        return PolyMatrix._make(self.layout, rows, self.den * other.den)
 
     def __eq__(self, other):
+        # both sides canonical: equal values have equal denominators and rows
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self.den == other.den and self.rows == other.rows
 
     def __hash__(self):  # pragma: no cover - matrices rarely hashed
-        return hash((self.dim, frozenset((r, c, v) for r, c, v in self.entries())))
+        return hash((self.dim, self.den, frozenset((r, c, v) for r, c, v in self._sorted())))
 
     # -- structural operations ---------------------------------------------
     def transpose(self) -> "PolyMatrix":
-        out = PolyMatrix(self.layout)
+        rows: dict = {}
         for r, row in self.rows.items():
             for c, v in row.items():
-                out.rows.setdefault(c, {})[r] = v
-        return out
+                rows.setdefault(c, {})[r] = v
+        return self._like(rows)
 
     def partial_transpose(self, factor: int) -> "PolyMatrix":
         """Transpose the indices of one tensor factor only."""
@@ -193,21 +283,21 @@ class PolyMatrix:
             raise DimensionMismatch(f"factor {factor} outside layout {self.layout}")
         st = _strides(self.layout)[factor]
         d = self.layout[factor]
-        out = PolyMatrix(self.layout)
+        rows: dict = {}
         for r, row in self.rows.items():
             a = (r // st) % d
             base_r = r - a * st
             for c, v in row.items():
                 b = (c // st) % d
-                out.rows.setdefault(base_r + b * st, {})[c - b * st + a * st] = v
-        return out
+                rows.setdefault(base_r + b * st, {})[c - b * st + a * st] = v
+        return self._like(rows)
 
     def partial_trace_first(self) -> "PolyMatrix":
         """Trace out factor 0; the result lives on the remaining factors."""
         if len(self.layout) < 2:
             raise DimensionMismatch("partial trace needs at least two factors")
         rest = self.dim // self.layout[0]
-        out = PolyMatrix(self.layout[1:])
+        rows: dict = {}
         for r, row in self.rows.items():
             i, rr = divmod(r, rest)
             base = i * rest
@@ -215,49 +305,58 @@ class PolyMatrix:
             for c, v in row.items():
                 if base <= c < base + rest:
                     if orow is None:
-                        orow = out.rows.setdefault(rr, {})
+                        orow = rows.setdefault(rr, {})
                     cc = c - base
                     s = orow.get(cc)
-                    s = v if s is None else s + v
-                    if s.is_zero:
-                        del orow[cc]
+                    if s is None:
+                        orow[cc] = v
                     else:
-                        orow[cc] = s
+                        t = _add_terms(s.terms, v.terms)
+                        if t:
+                            orow[cc] = _poly(t)
+                        else:
+                            del orow[cc]
             if orow is not None and not orow:
-                del out.rows[rr]
-        return out
+                del rows[rr]
+        return PolyMatrix._make(self.layout[1:], rows, self.den)
 
     def evaluate(self, x) -> "PolyMatrix":
         """Specialize the formal variable at a rational point."""
-        out = PolyMatrix(self.layout)
+        x = x if isinstance(x, Rational) else rat(x)
+        xn, xd = int(x.numerator), int(x.denominator)
+        degs = {d for row in self.rows.values() for p in row.values() for d in p.terms}
+        lo, hi = min(degs | {0}), max(degs | {0})
+        if not xn and lo < 0:
+            raise ZeroDivisionError("negative degrees evaluated at zero")
+        # x^d = xn^(d-lo) xd^(hi-d) / (xd^hi xn^-lo), all exponents >= 0
+        den = self.den * xd**hi * xn**-lo
+        sign = -1 if den < 0 else 1
+        weight = {d: sign * xn**(d - lo) * xd**(hi - d) for d in degs}
+        rows = {}
         for r, row in self.rows.items():
             orow = {}
-            for c, v in row.items():
-                val = v.evaluate(x)
+            for c, p in row.items():
+                val = sum(v * weight[d] for d, v in p.terms.items())
                 if val:
-                    orow[c] = LaurentPoly.const(val)
+                    orow[c] = _poly({0: val})
             if orow:
-                out.rows[r] = orow
-        return out
+                rows[r] = orow
+        return PolyMatrix._make(self.layout, rows, abs(den))
 
     def min_degree(self) -> int:
-        return min(v.min_deg() for _, _, v in self.entries())
+        return min(p.min_deg() for row in self.rows.values() for p in row.values())
 
     def max_degree(self) -> int:
-        return max(v.max_deg() for _, _, v in self.entries())
+        return max(p.max_deg() for row in self.rows.values() for p in row.values())
 
     def coefficient(self, deg: int) -> "PolyMatrix":
         """Constant matrix of the ``u^deg`` coefficients."""
-        out = PolyMatrix(self.layout)
+        rows = {}
         for r, row in self.rows.items():
-            orow = {}
-            for c, v in row.items():
-                coef = v.coeff(deg)
-                if coef:
-                    orow[c] = LaurentPoly.const(coef)
+            orow = {c: _poly({0: p.terms[deg]}) for c, p in row.items() if deg in p.terms}
             if orow:
-                out.rows[r] = orow
-        return out
+                rows[r] = orow
+        return PolyMatrix._make(self.layout, rows, self.den)
 
     def to_dump_dict(self) -> dict:
         """Canonical dump form: entries sorted by (row, col), degrees ascending."""
@@ -274,15 +373,15 @@ class PolyMatrix:
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product; composite index ``i_a * dim(b) + i_b``."""
-    out = PolyMatrix(a.layout + b.layout)
+    rows: dict = {}
     db = b.dim
     for ra, rowa in a.rows.items():
         for ca, va in rowa.items():
             for rb, rowb in b.rows.items():
-                orow = out.rows.setdefault(ra * db + rb, {})
+                orow = rows.setdefault(ra * db + rb, {})
                 for cb, vb in rowb.items():
-                    orow[ca * db + cb] = va * vb
-    return out
+                    orow[ca * db + cb] = _poly(_mul(va.terms, vb.terms))
+    return PolyMatrix._make(a.layout + b.layout, rows, a.den * b.den)
 
 
 def embed_pair(op: PolyMatrix, i: int, j: int, layout) -> PolyMatrix:
@@ -298,6 +397,7 @@ def embed_pair(op: PolyMatrix, i: int, j: int, layout) -> PolyMatrix:
     si, sj = st[i], st[j]
     dim = _prod(layout)
     out = PolyMatrix(layout)
+    out.den = op.den
     # enumerate composite indices with the (i, j) digits stripped out
     others = [k for k in range(len(layout)) if k not in (i, j)]
 
@@ -331,6 +431,7 @@ def embed_site(op: PolyMatrix, i: int, layout) -> PolyMatrix:
     st = _strides(layout)
     si = st[i]
     out = PolyMatrix(layout)
+    out.den = op.den
     others = [k for k in range(len(layout)) if k != i]
 
     def rec(pos: int, base: int):
@@ -369,7 +470,7 @@ def permutation_pair(i: int, j: int, layout) -> PolyMatrix:
     if layout[j] != d:
         raise DimensionMismatch("can only flip equal-dimension factors")
     p = PolyMatrix((d, d))
-    one = LaurentPoly.const(1)
+    one = _poly({0: 1})
     for a in range(d):
         for b in range(d):
             p.rows.setdefault(a * d + b, {})[b * d + a] = one
@@ -388,23 +489,30 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentRatio | None:
     if b.is_zero:
         return lp_ratio(LaurentPoly.zero(), LaurentPoly.zero()) if a.is_zero else None
     ratio = None
-    for r, c, v in b.entries():
-        av = a.get(r, c)
-        if not av.is_zero:
-            ratio = lp_ratio(av, v)
+    for r, c, _ in b._sorted():
+        if c in a.rows.get(r, ()):
+            ratio = lp_ratio(a.get(r, c), b.get(r, c))
             break
     if ratio is None:
         # a vanishes wherever b does not; if a == 0 the ratio is 0
         ratio = lp_ratio(LaurentPoly.zero(), LaurentPoly.const(1))
-    num, den = ratio.num, ratio.den
-    seen = set()
-    for r, c, v in b.entries():
-        seen.add((r, c))
-        if a.get(r, c) * den != v * num:
-            return None
-    for r, c, v in a.entries():
-        if (r, c) not in seen and not v.is_zero:
+    # a == (num/den) * b  <=>  A * den * db * nd == B * num * da * dd on the
+    # integer rows A, B, with num = N/nd and den = D/dd
+    num, nd = _split(ratio.num)
+    den, dd = _split(ratio.den)
+    lhs = _mul(den, {0: b.den * nd})
+    rhs = _mul(num, {0: a.den * dd})
+    empty: dict = {}
+    for r, brow in b.rows.items():
+        arow = a.rows.get(r, empty)
+        for c, v in brow.items():
+            av = arow.get(c)
+            if _mul(av.terms if av else empty, lhs) != _mul(v.terms, rhs):
+                return None
+        if any(c not in brow for c in arow):
             return None  # a has support outside b
+    if any(r not in b.rows for r in a.rows):
+        return None
     return ratio
 
 

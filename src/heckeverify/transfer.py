@@ -468,9 +468,7 @@ def hamiltonian(rep: HeckeRep, n: int) -> HamiltonianResult:
         raise DimensionMismatch("the Hamiltonian needs at least two sites")
     t = t_open_factorized(rep, n)
     layout = t.layout
-    h = PolyMatrix(layout)
-    for r, c, v in t.entries():
-        h._set(r, c, v.derivative_at_one())
+    h = PolyMatrix(layout, {(r, c): v.derivative_at_one() for r, c, v in t.entries()})
 
     basis = [("identity", PolyMatrix.identity(layout))]
     for i in range(1, n):
