@@ -262,8 +262,9 @@ def _suite_explore_generic(ctx: SuiteContext) -> list[CheckReport]:
         kit = ctx.kit(0)
     except CalibrationFailure as exc:
         return [info("explore/lattice", note=f"calibration unavailable: {exc}")]
+    candidates = transfer.murphy_candidates(rep)
     for n in range(1, rep.sites + 1):
-        out.extend(transfer.explore_generic(rep, kit, n))
+        out.extend(transfer.explore_generic(rep, kit, n, candidates))
     return out
 
 
@@ -355,7 +356,6 @@ def _cmd_dump(args) -> int:
     if args.object == "t_open":
         m = transfer.build_t_one_boundary(rep, rep.sites, cross_check=False).matrix
     else:
-        kit = baxter.build_kit(rep)
         mode = "minus" if args.object == "t_minus" else "plus"
         m = transfer.t_two_boundary_factorized(rep, mode)
     text = render_matrix_dump(m)

@@ -1,9 +1,10 @@
 """Exact rational scalars and univariate Laurent polynomials.
 
 All spectral-parameter dependence in the library lives in one formal
-multiplicative variable ``u``.  Coefficients are exact rationals; a Laurent
-polynomial is a finite map ``degree -> coefficient`` with no stored zeros,
-so equality of polynomials is equality of dicts.
+multiplicative variable ``u``.  Coefficients are exact rationals (or, inside
+a ``tensor.PolyMatrix``, integer numerators over the matrix's common
+denominator); a Laurent polynomial is a finite map ``degree -> coefficient``
+with no stored zeros, so equality of polynomials is equality of dicts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from fractions import Fraction
 
 from .errors import NotAUnit
 
-try:  # gmpy2.mpq is an order of magnitude faster than Fraction at this workload
+# Matrix kernels run on integer numerators over a common denominator; a
+# Rational is formed only where a value is read, where the optional
+# gmpy2.mpq is faster than Fraction.
+try:
     from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     Rational = Fraction
@@ -232,8 +236,8 @@ def _coerce(x):
 
 def _mul_into(acc: dict, a: dict, b: dict) -> None:
     """acc += a*b on raw term dicts (hot path for matrix products)."""
-    if not a or not b:
-        return
+    if len(a) > len(b):  # the shorter loop outside
+        a, b = b, a
     for da, ca in a.items():
         for db, cb in b.items():
             d = da + db

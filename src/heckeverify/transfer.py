@@ -550,17 +550,28 @@ def check_commuting_family(rep: HeckeRep, n: int, seed: int = 0) -> CheckReport:
 # exploratory lattice sweep
 # ---------------------------------------------------------------------------
 
-def explore_generic(rep: HeckeRep, kit: BaxterKit, n: int) -> list[CheckReport]:
-    """Evaluate the dressed family at the intermediate lattice points
-    ``u = v^{+-n}`` and tabulate which Murphy elements (if any) appear at
-    the expansion edges.  Informational only; nothing is asserted."""
-    echo = _echo(rep)
-    echo["n"] = str(n)
-    out = []
+def murphy_candidates(rep: HeckeRep) -> dict[str, PolyMatrix]:
+    """Every C-type Murphy element and its inverse, by report name."""
     candidates = {}
     for k in range(rep.sites):
         candidates[f"J_C[{k}]"] = murphy(rep, "C", k)
         candidates[f"J_C[{k}]^-1"] = murphy_inverse(rep, "C", k)
+    return candidates
+
+
+def explore_generic(rep: HeckeRep, kit: BaxterKit, n: int,
+                    candidates: dict[str, PolyMatrix] | None = None) -> list[CheckReport]:
+    """Evaluate the dressed family at the intermediate lattice points
+    ``u = v^{+-n}`` and tabulate which Murphy elements (if any) appear at
+    the expansion edges.  Informational only; nothing is asserted.
+
+    ``candidates`` (from ``murphy_candidates``) lets a sweep over ``n``
+    build the Murphy elements once."""
+    echo = _echo(rep)
+    echo["n"] = str(n)
+    out = []
+    if candidates is None:
+        candidates = murphy_candidates(rep)
     for p in (n, -n):
         with Timer() as t:
             direct = t_two_boundary_direct(rep, kit, p)

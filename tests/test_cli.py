@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
+from heckeverify import baxter
 from heckeverify.cli import SUITE_NAMES, config_from_dict, main, run_suite
-from heckeverify.errors import ConfigError
+from heckeverify.errors import CalibrationFailure, ConfigError
 from heckeverify.reporting import CheckReport, emit_report, render_report
 
 
@@ -38,7 +40,10 @@ def test_config_family_tower():
 
 
 def test_toml_config(tmp_path):
-    pytest.importorskip("tomli")
+    try:
+        import tomllib  # noqa: F401
+    except ImportError:
+        pytest.importorskip("tomli")
     cfgfile = tmp_path / "cfg.toml"
     cfgfile.write_text('local_dim = 2\nsites = 2\nsuites = ["relations"]\nq = "4/7"\n')
     out = tmp_path / "r.json"
@@ -145,6 +150,23 @@ def test_cli_murphy_and_dump(tmp_path):
         for e in payload["entries"]:
             degs = [t[0] for t in e[2]]
             assert degs == sorted(degs)
+
+
+def test_cli_dump_needs_no_kit(tmp_path, monkeypatch):
+    # the factorized transfer matrices use no calibrated data, so a failing
+    # calibration must not stop their dump or change its bytes
+    plain = tmp_path / "plain.json"
+    assert main(["dump", "--object", "t_minus", "--sites", "2", "--out", str(plain)]) == 0
+
+    def no_kit(rep):
+        raise CalibrationFailure("calibration unavailable")
+
+    monkeypatch.setattr(baxter, "build_kit", no_kit)
+    out = tmp_path / "t_minus.json"
+    assert main(["dump", "--object", "t_minus", "--sites", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6a7354af4f673fdf1fb79286882ac89c57fd7de95f7968045fcbe320263f18d0")
 
 
 def test_cli_calibrate(capsys):

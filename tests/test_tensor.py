@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
@@ -188,3 +192,166 @@ def test_nullspace_and_solve():
     sol = lin_solve([[rat(1), rat(1)], [rat(1), rat(-1)]], [rat(3), rat(1)])
     assert sol == [rat(2), rat(1)]
     assert lin_solve([[rat(1)], [rat(1)]], [rat(0), rat(1)]) is None
+
+
+# ---------------------------------------------------------------------------
+# the integer layer against a naive Fraction dict-of-dicts reference
+# ---------------------------------------------------------------------------
+
+LAYOUT = (2, 3)
+DIM = 6
+
+
+def _clean(ref):
+    """Drop zero coefficients and empty entries of a reference matrix."""
+    out = {}
+    for key, poly in ref.items():
+        poly = {d: c for d, c in poly.items() if c}
+        if poly:
+            out[key] = poly
+    return out
+
+
+def _ref_poly_add(a, b):
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, Fraction(0)) + c
+    return out
+
+
+def _ref_poly_mul(a, b):
+    out = {}
+    for da, ca in a.items():
+        for db, cb in b.items():
+            out[da + db] = out.get(da + db, Fraction(0)) + ca * cb
+    return out
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, poly in b.items():
+        out[key] = _ref_poly_add(out.get(key, {}), poly)
+    return _clean(out)
+
+
+def _ref_matmul(a, b):
+    out = {}
+    for (r, k), pa in a.items():
+        for (k2, c), pb in b.items():
+            if k == k2:
+                out[r, c] = _ref_poly_add(out.get((r, c), {}), _ref_poly_mul(pa, pb))
+    return _clean(out)
+
+
+def _ref_scale(a, s):
+    return _clean({key: _ref_poly_mul(poly, s) for key, poly in a.items()})
+
+
+def _ref_trace_first(a):
+    rest = DIM // LAYOUT[0]
+    out = {}
+    for (r, c), poly in a.items():
+        if r // rest == c // rest:
+            key = (r % rest, c % rest)
+            out[key] = _ref_poly_add(out.get(key, {}), poly)
+    return _clean(out)
+
+
+def _ref_evaluate(a, x):
+    return _clean({key: {0: sum(c * x**d for d, c in poly.items())}
+                   for key, poly in a.items()})
+
+
+def _ref_coefficient(a, deg):
+    return _clean({key: {0: poly.get(deg, Fraction(0))} for key, poly in a.items()})
+
+
+def _from_ref(ref):
+    return PolyMatrix(LAYOUT, {key: LaurentPoly(poly) for key, poly in ref.items()})
+
+
+def _to_ref(m):
+    out = {(r, c): dict(v.terms) for r, c, v in m.entries()}
+    # values are read back as reduced rationals, and stored canonically
+    for poly in out.values():
+        for c in poly.values():
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    content = m.den
+    for row in m.rows.values():
+        for poly in row.values():
+            for c in poly.terms.values():
+                assert type(c) is int
+                content = gcd(content, c)
+    assert content == 1
+    return out
+
+
+_coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 4, 6, 9)))
+_polys = st.dictionaries(st.integers(-2, 2), _coeffs, max_size=3)
+_refs = st.dictionaries(st.tuples(st.integers(0, DIM - 1), st.integers(0, DIM - 1)),
+                        _polys, max_size=10).map(_clean)
+
+
+@st.composite
+def _pairs(draw):
+    """Two reference matrices; ``b`` often repeats entries of ``a`` negated,
+    so that sums and products cancel."""
+    a = draw(_refs)
+    b = draw(_refs)
+    if a and draw(st.booleans()):
+        keys = sorted(a)
+        for key in draw(st.lists(st.sampled_from(keys), max_size=len(keys))):
+            b[key] = {d: -c for d, c in a[key].items()}
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs(), _polys.map(lambda p: {d: c for d, c in p.items() if c}),
+       _coeffs.filter(bool), st.integers(-2, 2), st.integers(-3, 3))
+def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift):
+    a, b = pair
+    ma, mb = _from_ref(a), _from_ref(b)
+    assert _to_ref(ma) == a and _to_ref(mb) == b
+    assert _to_ref(ma * mb) == _ref_matmul(a, b)
+    assert _to_ref(ma + mb) == _ref_add(a, b)
+    assert _to_ref(ma - mb) == _ref_add(a, _ref_scale(b, {0: Fraction(-1)}))
+    assert _to_ref(ma.scale(LaurentPoly(s))) == _ref_scale(a, s)
+    assert _to_ref(ma.partial_trace_first()) == _ref_trace_first(a)
+    # the shift varies the parity of the lowest degree, and so the sign of
+    # the evaluation's common denominator at negative points
+    shifted = ma.scale(U(shift)).evaluate(rat(x.numerator, x.denominator))
+    assert _to_ref(shifted) == _ref_evaluate(_ref_scale(a, {shift: Fraction(1)}), x)
+    assert _to_ref(ma.coefficient(deg)) == _ref_coefficient(a, deg)
+    assert (ma == mb) == (a == b)
+    assert ma * mb - ma * mb == PolyMatrix(LAYOUT)
+    # entry-by-entry construction gives the same canonical form
+    built = PolyMatrix(LAYOUT)
+    for (r, c), poly in sorted(b.items()):
+        built._set(r, c, LaurentPoly(poly))
+    for (r, c), poly in sorted(a.items()):
+        built._set(r, c, LaurentPoly(poly))
+    assert built == _from_ref({**b, **a})
+
+
+@settings(max_examples=80, deadline=None)
+@given(_refs, _polys.map(lambda p: {d: c for d, c in p.items() if c}).filter(bool),
+       st.data())
+def test_mat_proportional_matches_fraction_reference(b, s, data):
+    scaled = _ref_scale(b, s)
+    r = mat_proportional(_from_ref(scaled), _from_ref(b))
+    if not b:
+        assert r is not None
+        return
+    assert r is not None
+    num, den = dict(r.num.terms), dict(r.den.terms)
+    # scaled * den == b * num entry by entry, in reference arithmetic
+    assert _ref_scale(scaled, den) == _ref_scale(b, num)
+    if len(b) < 2:
+        return
+    # a perturbation of one entry breaks proportionality
+    key = data.draw(st.sampled_from(sorted(b)))
+    bumped = _ref_add(scaled, {key: {3: Fraction(1)}})
+    assert mat_proportional(_from_ref(bumped), _from_ref(b)) is None
+    outside = [(r, c) for r in range(DIM) for c in range(DIM) if (r, c) not in b]
+    key = data.draw(st.sampled_from(outside))
+    assert mat_proportional(_from_ref({**scaled, key: {0: Fraction(1)}}), _from_ref(b)) is None
