@@ -103,15 +103,8 @@ class PolyMatrix:
         self.rows: dict[int, dict[int, LaurentPoly]] = {}
         self.den = 1
         if entries:
-            split = {}
             for (r, c), val in entries.items():
-                self._check_index(r, c)
-                split[r, c] = _split(val)
-            self.den = lcm(*(d for _, d in split.values()))
-            for (r, c), (terms, d) in split.items():
-                if terms:
-                    f = self.den // d
-                    self.rows.setdefault(r, {})[c] = _poly({k: v * f for k, v in terms.items()})
+                self._set(r, c, val)
 
     @classmethod
     def _make(cls, layout, rows: dict, den: int) -> "PolyMatrix":
@@ -139,12 +132,9 @@ class PolyMatrix:
             m.rows[i] = {i: one}
         return m
 
-    def _check_index(self, r: int, c: int) -> None:
+    def _set(self, r: int, c: int, val) -> None:
         if r >= self.dim or c >= self.dim or r < 0 or c < 0:
             raise DimensionMismatch(f"entry ({r},{c}) outside dim {self.dim}")
-
-    def _set(self, r: int, c: int, val) -> None:
-        self._check_index(r, c)
         terms, d = _split(val)
         den = lcm(self.den, d)
         rows = self.rows
@@ -496,12 +486,12 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentRatio | None:
     if ratio is None:
         # a vanishes wherever b does not; if a == 0 the ratio is 0
         ratio = lp_ratio(LaurentPoly.zero(), LaurentPoly.const(1))
-    # a == (num/den) * b  <=>  A * den * db * nd == B * num * da * dd on the
-    # integer rows A, B, with num = N/nd and den = D/dd
-    num, nd = _split(ratio.num)
-    den, dd = _split(ratio.den)
-    lhs = _mul(den, {0: b.den * nd})
-    rhs = _mul(num, {0: a.den * dd})
+    # with a = A/da, b = B/db and ratio = (N/nd) / (D/dd) over integer polys,
+    # a == ratio * b  <=>  A * D * (db * nd) == B * N * (da * dd)
+    big_n, nd = _split(ratio.num)
+    big_d, dd = _split(ratio.den)
+    lhs = _mul(big_d, {0: b.den * nd})
+    rhs = _mul(big_n, {0: a.den * dd})
     empty: dict = {}
     for r, brow in b.rows.items():
         arow = a.rows.get(r, empty)
