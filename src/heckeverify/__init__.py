@@ -16,7 +16,7 @@ from .reporting import CheckReport, emit_report, render_report
 from .rings import LaurentPoly, LaurentRatio, Rational, lp_proportional, lp_ratio, rat
 from .tensor import (PolyMatrix, embed, embed_pair, embed_site, kron,
                      mat_proportional, permutation_pair)
-from .transfer import (ExpansionEdge, TransferSpec, build_t_one_boundary,
+from .transfer import (ExpansionEdge, TwoBoundaryLattice, build_t_one_boundary,
                        build_t_two_boundary, check_aux_trace,
                        check_commuting_family, check_degeneration,
                        explore_generic, extract_edges, hamiltonian,

@@ -118,12 +118,14 @@ def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 class SuiteContext:
-    """Reps and calibrated kits per specialization, built lazily and shared."""
+    """Reps, calibrated kits and two-boundary lattices per specialization,
+    built lazily and shared."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self._reps: dict[int, hecke.HeckeRep] = {}
         self._kits: dict[int, baxter.BaxterKit] = {}
+        self._lattices: dict[int, transfer.TwoBoundaryLattice] = {}
 
     def spec_seed(self, idx: int) -> int:
         return self.config.seed * 1000 + idx
@@ -139,6 +141,11 @@ class SuiteContext:
         if idx not in self._kits:
             self._kits[idx] = baxter.build_kit(self.rep(idx))
         return self._kits[idx]
+
+    def lattice(self, idx: int) -> transfer.TwoBoundaryLattice:
+        if idx not in self._lattices:
+            self._lattices[idx] = transfer.TwoBoundaryLattice(self.rep(idx), self.kit(idx))
+        return self._lattices[idx]
 
 
 def _suite_relations(ctx: SuiteContext) -> list[CheckReport]:
@@ -230,12 +237,12 @@ def _suite_prop2(ctx: SuiteContext) -> list[CheckReport]:
     for idx in range(SPECIALIZATIONS):
         rep = ctx.rep(idx)
         try:
-            kit = ctx.kit(idx)
+            lattice = ctx.lattice(idx)
         except CalibrationFailure as exc:
             out.append(failed("prop2/calibration", params=rep.params.echo(),
                               failure={"relation": str(exc)}))
             continue
-        out.extend(transfer.verify_murphy_two_boundary(rep, kit))
+        out.extend(transfer.verify_murphy_two_boundary(lattice))
     return out
 
 
@@ -259,12 +266,12 @@ def _suite_explore_generic(ctx: SuiteContext) -> list[CheckReport]:
     out = []
     rep = ctx.rep(0)
     try:
-        kit = ctx.kit(0)
+        lattice = ctx.lattice(0)
     except CalibrationFailure as exc:
         return [info("explore/lattice", note=f"calibration unavailable: {exc}")]
     candidates = transfer.murphy_candidates(rep)
     for n in range(1, rep.sites + 1):
-        out.extend(transfer.explore_generic(rep, kit, n, candidates))
+        out.extend(transfer.explore_generic(lattice, n, candidates))
     return out
 
 

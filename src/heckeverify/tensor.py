@@ -250,6 +250,31 @@ class PolyMatrix:
                 rows[r] = orow
         return PolyMatrix._make(self.layout, rows, self.den * other.den)
 
+    def band(self, lo: int | None = None, hi: int | None = None) -> "PolyMatrix":
+        """The terms of degree ``lo <= d <= hi``; a bound left out is open."""
+        rows = {}
+        for r, row in self.rows.items():
+            orow = {}
+            for c, p in row.items():
+                t = {d: v for d, v in p.terms.items()
+                     if (lo is None or d >= lo) and (hi is None or d <= hi)}
+                if t:
+                    orow[c] = p if len(t) == len(p.terms) else _poly(t)
+            if orow:
+                rows[r] = orow
+        return PolyMatrix._make(self.layout, rows, self.den)
+
+    def relabel(self, rows=None, cols=None) -> "PolyMatrix":
+        """Move entry ``(r, c)`` to ``(rows[r], cols[c])`` (a map left out is
+        the identity).  For an involutive index permutation ``s`` with matrix
+        ``P``, ``relabel(rows=s)`` is ``P * self`` and ``relabel(cols=s)`` is
+        ``self * P``."""
+        out = {}
+        for r, row in self.rows.items():
+            out[rows[r] if rows else r] = ({cols[c]: v for c, v in row.items()}
+                                           if cols else dict(row))
+        return self._like(out)
+
     def __eq__(self, other):
         # both sides canonical: equal values have equal denominators and rows
         if not isinstance(other, PolyMatrix):

@@ -10,7 +10,10 @@ Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
 inhomogeneity lattice ``u = v^p`` it telescopes: at ``p = +-N`` the lowest
 expansion coefficient is the last Murphy element of the two-boundary family
-(or its inverse), at ``p = +-1`` the zeroth one (or its inverse).
+(or its inverse), at ``p = +-1`` the zeroth one (or its inverse).  The
+suites read only those expansion edges, so ``TwoBoundaryLattice`` computes
+them by exact truncated products; ``t_two_boundary_direct`` gives the full
+matrix.
 """
 
 from __future__ import annotations
@@ -37,40 +40,6 @@ class ExpansionEdge:
     high_coeff: PolyMatrix
 
 
-@dataclass
-class TransferSpec:
-    """Description of one transfer-matrix evaluation.
-
-    Modes: ``one_boundary`` (diagonal point, needs ``n``),
-    ``two_boundary_minus`` / ``two_boundary_plus`` (lattice endpoints of the
-    dressed family), ``generic_n`` (exploratory intermediate lattice point,
-    needs ``n``).  The evaluation point is implied by the mode; opposite
-    points are selected with ``opposite=True``.
-    """
-
-    mode: str
-    rep: HeckeRep
-    kit: BaxterKit | None = None
-    n: int | None = None
-    opposite: bool = False
-
-    def build(self) -> PolyMatrix:
-        if self.mode == "one_boundary":
-            return build_t_one_boundary(self.rep, self.n or self.rep.sites).matrix
-        if self.mode in ("two_boundary_minus", "two_boundary_plus"):
-            if self.kit is None:
-                raise DimensionMismatch("two-boundary modes need a calibrated kit")
-            base = self.rep.sites if self.mode.endswith("minus") else 1
-            power = -base if self.opposite else base
-            return t_two_boundary_direct(self.rep, self.kit, power)
-        if self.mode == "generic_n":
-            if self.kit is None or self.n is None:
-                raise DimensionMismatch("generic mode needs a kit and a lattice index")
-            power = -self.n if self.opposite else self.n
-            return t_two_boundary_direct(self.rep, self.kit, power)
-        raise ValueError(f"unknown mode {self.mode!r}")
-
-
 def extract_edges(t: PolyMatrix) -> ExpansionEdge:
     """Coefficient matrices at the minimal and maximal degree present."""
     if t.is_zero:
@@ -89,7 +58,8 @@ class AuxWorkspace:
     The auxiliary space is factor 0.  ``r_left(k, w)`` is the flip times the
     baxterized pair operator on factors (0, k); ``r_right(k, w)`` puts the
     flip on the other side.  Both use the bulk generator with its first slot
-    on the auxiliary factor.
+    on the auxiliary factor.  The flip is applied as a relabel of the row
+    (left) or column (right) indices, not as a product.
     """
 
     def __init__(self, rep: HeckeRep, n: int):
@@ -98,20 +68,21 @@ class AuxWorkspace:
         self.layout = (rep.local_dim,) * (n + 1)
         self.gk = {}
         self.gki = {}
-        self.pk = {}
+        self.flip = {}
         for k in range(1, n + 1):
             self.gk[k] = embed_pair(rep.g_local, 0, k, self.layout)
             self.gki[k] = embed_pair(rep.g_inv_local, 0, k, self.layout)
-            self.pk[k] = permutation_pair(0, k, self.layout)
+            self.flip[k] = {r: next(iter(row))
+                            for r, row in permutation_pair(0, k, self.layout).rows.items()}
 
     def pair(self, k: int, w: LaurentPoly) -> PolyMatrix:
         return self.gk[k] - self.gki[k].scale(w)
 
     def r_left(self, k: int, w: LaurentPoly) -> PolyMatrix:
-        return self.pk[k] * self.pair(k, w)
+        return self.pair(k, w).relabel(rows=self.flip[k])
 
     def r_right(self, k: int, w: LaurentPoly) -> PolyMatrix:
-        return self.pair(k, w) * self.pk[k]
+        return self.pair(k, w).relabel(cols=self.flip[k])
 
     def aux_op(self, local: PolyMatrix) -> PolyMatrix:
         return embed_site(local, 0, self.layout)
@@ -291,22 +262,101 @@ def verify_murphy_edges_one_boundary(rep: HeckeRep, n: int, *,
 # two-boundary pipeline
 # ---------------------------------------------------------------------------
 
+def _two_boundary_factors(ws: AuxWorkspace, kit: BaxterKit, p: int) -> list[PolyMatrix]:
+    """The factors of ``T(u = v^p; v)`` before the auxiliary trace, in order:
+    the calibrated dual operator (twist included), the left pair operators
+    ``N..1``, the left boundary, the right pair operators ``1..N``."""
+    n = ws.n
+    uarg = LaurentPoly.unit(p)
+    return ([ws.aux_op(kit.aplus_at(uarg))]
+            + [ws.r_left(k, LaurentPoly.unit(p + k)) for k in range(n, 0, -1)]
+            + [ws.aux_op(k_minus_hat(ws.rep, uarg))]
+            + [ws.r_right(k, LaurentPoly.unit(p - k)) for k in range(1, n + 1)])
+
+
 def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
-    """The dressed double-row family ``T(u = v^p; v)`` as a Laurent matrix.
+    """The dressed family member ``T(u = v^p; v)`` as a full Laurent matrix.
 
     The calibrated dual operator (twist included) leads the trace; the left
     boundary is dressed by the full inhomogeneity lattice.
     """
-    n = rep.sites
-    ws = AuxWorkspace(rep, n)
-    uarg = LaurentPoly.unit(p)
-    x = ws.aux_op(kit.aplus_at(uarg))
-    for k in range(n, 0, -1):
-        x = x * ws.r_left(k, LaurentPoly.unit(p + k))
-    x = x * ws.aux_op(k_minus_hat(rep, uarg))
-    for k in range(1, n + 1):
-        x = x * ws.r_right(k, LaurentPoly.unit(p - k))
+    x, *rest = _two_boundary_factors(AuxWorkspace(rep, rep.sites), kit, p)
+    for f in rest:
+        x = x * f
     return x.partial_trace_first()
+
+
+def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
+    """Degree and coefficient of the lowest (``low``) or highest term of
+    ``tr_aux(F_1 ... F_m)``.
+
+    Degrees are signed (negated for the highest term), so both cases look
+    for a lowest term.  A term of ``F_1 ... F_j`` above degree ``W - 1`` plus
+    the lowest degrees of ``F_1..F_j`` only reaches degrees ``>= L + W`` of
+    the product, ``L`` the sum of all lowest degrees.  Dropping such terms
+    after every step (and, before it, the terms of ``F_j`` that cannot stay
+    below that bound) leaves the product mod ``v^(L+W)`` exactly.  ``W``
+    doubles while that remainder traces to zero; once it covers the whole
+    degree span nothing is dropped, and zero means zero.
+    """
+    sign = 1 if low else -1
+
+    def lowest(m: PolyMatrix) -> int:
+        return m.min_degree() if low else -m.max_degree()
+
+    def upto(m: PolyMatrix, top: int) -> PolyMatrix:   # signed degrees <= top
+        return m.band(hi=top) if low else m.band(lo=-top)
+
+    ext = [lowest(f) for f in factors]
+    span = sum(f.max_degree() - f.min_degree() for f in factors)
+    w = 1
+    while True:
+        top = ext[0] + w - 1
+        x = upto(factors[0], top)
+        for f, e in zip(factors[1:], ext[1:]):
+            if x.is_zero:
+                break
+            top += e
+            x = upto(x * upto(f, top - lowest(x)), top)
+        t = x.partial_trace_first()
+        if not t.is_zero:
+            deg = sign * lowest(t)
+            return deg, t.coefficient(deg)
+        if w > span:
+            raise DimensionMismatch("cannot extract edges of the zero matrix")
+        w *= 2
+
+
+def trace_edges(factors: list[PolyMatrix]) -> ExpansionEdge:
+    """Expansion edges of ``tr_aux(F_1 ... F_m)`` (auxiliary space factor 0)
+    from exact truncated products; equal to ``extract_edges`` of the full
+    traced product, which is never formed."""
+    if any(f.is_zero for f in factors):
+        raise DimensionMismatch("cannot extract edges of the zero matrix")
+    low_deg, low = _trace_edge(factors, True)
+    high_deg, high = _trace_edge(factors, False)
+    return ExpansionEdge(low_deg, low, high_deg, high)
+
+
+class TwoBoundaryLattice:
+    """Expansion edges of the dressed family ``T(u = v^p; v)`` of one
+    representation and kit along the inhomogeneity lattice, each ``p``
+    evaluated once.  Only the edges are computed (``trace_edges``); the
+    full matrix is ``t_two_boundary_direct``."""
+
+    def __init__(self, rep: HeckeRep, kit: BaxterKit):
+        self.rep = rep
+        self.kit = kit
+        self.ws = AuxWorkspace(rep, rep.sites)
+        self._edges: dict[int, ExpansionEdge] = {}
+
+    def factors(self, p: int) -> list[PolyMatrix]:
+        return _two_boundary_factors(self.ws, self.kit, p)
+
+    def edges(self, p: int) -> ExpansionEdge:
+        if p not in self._edges:
+            self._edges[p] = trace_edges(self.factors(p))
+        return self._edges[p]
 
 
 def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
@@ -348,20 +398,14 @@ def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-LATTICE_POINTS = {
-    "minus": ("sites", "C", None, False),       # u = v^N  -> J_{N-1}
-    "minus-opposite": ("-sites", "C", None, True),
-    "plus": (1, "C", 0, False),                 # u = v    -> J_0
-    "plus-opposite": (-1, "C", 0, True),
-}
-
-
-def _lattice_power(rep: HeckeRep, spec) -> int:
-    if spec == "sites":
-        return rep.sites
-    if spec == "-sites":
-        return -rep.sites
-    return int(spec)
+def _lattice_points(rep: HeckeRep) -> list[tuple[str, int, PolyMatrix]]:
+    """The four checked lattice points ``(name, p, target)``: the lowest
+    coefficient at ``u = v^p`` is proportional to ``target``."""
+    n = rep.sites
+    return [("minus", n, murphy(rep, "C", n - 1)),
+            ("minus-opposite", -n, murphy_inverse(rep, "C", n - 1)),
+            ("plus", 1, murphy(rep, "C", 0)),
+            ("plus-opposite", -1, murphy_inverse(rep, "C", 0))]
 
 
 @dataclass
@@ -403,24 +447,15 @@ def build_t_two_boundary(rep: HeckeRep, kit: BaxterKit, mode: str) -> TwoBoundar
                              internal_ratio=internal, edge_ratio=edge_ratio)
 
 
-def verify_murphy_two_boundary(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
+def verify_murphy_two_boundary(lattice: TwoBoundaryLattice) -> list[CheckReport]:
     """The four lattice evaluations of the dressed family against the
     boundary Murphy elements and their inverses."""
-    echo = _echo(rep)
-    n = rep.sites
+    echo = _echo(lattice.rep)
     out = []
-    targets = {
-        "minus": murphy(rep, "C", n - 1),
-        "minus-opposite": murphy_inverse(rep, "C", n - 1),
-        "plus": murphy(rep, "C", 0),
-        "plus-opposite": murphy_inverse(rep, "C", 0),
-    }
-    for name, (pspec, _fam, _idx, _inv) in LATTICE_POINTS.items():
+    for name, p, target in _lattice_points(lattice.rep):
         with Timer() as t:
-            p = _lattice_power(rep, pspec)
-            direct = t_two_boundary_direct(rep, kit, p)
-            edges = extract_edges(direct)
-            ratio = mat_proportional(edges.low_coeff, targets[name])
+            edges = lattice.edges(p)
+            ratio = mat_proportional(edges.low_coeff, target)
         if ratio is None or ratio.num.is_zero:
             out.append(failed(f"prop2/{name}", params=echo, elapsed_ms=t.ms,
                               failure={"relation": "low edge not proportional",
@@ -559,7 +594,7 @@ def murphy_candidates(rep: HeckeRep) -> dict[str, PolyMatrix]:
     return candidates
 
 
-def explore_generic(rep: HeckeRep, kit: BaxterKit, n: int,
+def explore_generic(lattice: TwoBoundaryLattice, n: int,
                     candidates: dict[str, PolyMatrix] | None = None) -> list[CheckReport]:
     """Evaluate the dressed family at the intermediate lattice points
     ``u = v^{+-n}`` and tabulate which Murphy elements (if any) appear at
@@ -567,6 +602,7 @@ def explore_generic(rep: HeckeRep, kit: BaxterKit, n: int,
 
     ``candidates`` (from ``murphy_candidates``) lets a sweep over ``n``
     build the Murphy elements once."""
+    rep = lattice.rep
     echo = _echo(rep)
     echo["n"] = str(n)
     out = []
@@ -574,8 +610,7 @@ def explore_generic(rep: HeckeRep, kit: BaxterKit, n: int,
         candidates = murphy_candidates(rep)
     for p in (n, -n):
         with Timer() as t:
-            direct = t_two_boundary_direct(rep, kit, p)
-            edges = extract_edges(direct)
+            edges = lattice.edges(p)
             hits = []
             for name, cand in candidates.items():
                 r = mat_proportional(edges.low_coeff, cand)

@@ -13,8 +13,9 @@ from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient)
 from heckeverify.params import sample_params
 from heckeverify.reporting import render_report
-from heckeverify.transfer import (check_aux_trace, check_commuting_family,
-                                  check_degeneration, check_hamiltonian,
+from heckeverify.transfer import (TwoBoundaryLattice, check_aux_trace,
+                                  check_commuting_family, check_degeneration,
+                                  check_hamiltonian,
                                   verify_murphy_edges_one_boundary,
                                   verify_murphy_two_boundary)
 
@@ -91,7 +92,7 @@ def test_criterion_05_two_boundary():
         for rep in reps_for(dim, n):
             kit = build_kit(rep)
             ok = ok and all(r.status == "pass" for r in check_condition2(rep, kit))
-            reports = verify_murphy_two_boundary(rep, kit)
+            reports = verify_murphy_two_boundary(TwoBoundaryLattice(rep, kit))
             ok = ok and len(reports) == 4
             ok = ok and all(r.status == "pass" for r in reports)
     record(5, ok, "two-boundary trace conditions and all four edge evaluations")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from heckeverify import baxter
+from heckeverify import baxter, transfer
 from heckeverify.cli import SUITE_NAMES, config_from_dict, main, run_suite
 from heckeverify.errors import CalibrationFailure, ConfigError
 from heckeverify.reporting import CheckReport, emit_report, render_report
@@ -89,6 +89,37 @@ def test_run_suite_prop2_has_four_subchecks():
     per_spec = [n for n in names if n != "prop2/calibration"]
     assert len(per_spec) == 4 * 3  # four edge checks per specialization
     assert all(r.status == "pass" for r in reports)
+
+
+def test_lattice_points_evaluated_once(monkeypatch):
+    seen = []
+    factors = transfer.TwoBoundaryLattice.factors
+
+    def counting(self, p):
+        seen.append((self.rep.params, p))
+        return factors(self, p)
+
+    monkeypatch.setattr(transfer.TwoBoundaryLattice, "factors", counting)
+    cfg = config_from_dict({"sites": 3, "suites": ["prop2", "explore-generic"]})
+    reports = run_suite(cfg)
+    assert not [r for r in reports if r.status == "fail"]
+    # four per specialization for prop2; explore adds only p = +-2 (2N - 4)
+    assert len(seen) == 4 * 3 + 2
+    assert len(set(seen)) == len(seen)
+
+
+def test_largest_lattice_config():
+    cfg = config_from_dict({"local_dim": 2, "sites": 6,
+                            "suites": ["prop2", "explore-generic"]})
+    reports = run_suite(cfg)
+    assert sum(r.status == "pass" for r in reports) == 4 * 3
+    assert not [r for r in reports if r.status == "fail"]
+    notes = {r.check_name: r.note.split("; ") for r in reports
+             if r.check_name.startswith("explore/")}
+    assert len(notes) == 2 * 6
+    for n in range(1, 7):
+        assert f"low~J_C[{n - 1}]" in notes[f"explore/lattice[p={n}]"]
+        assert f"low~J_C[{n - 1}]^-1" in notes[f"explore/lattice[p=-{n}]"]
 
 
 def test_emit_report_empty(tmp_path):

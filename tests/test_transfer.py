@@ -8,14 +8,14 @@ from heckeverify.errors import DimensionMismatch, InternalMismatch
 from heckeverify.hecke import murphy, murphy_inverse
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import PolyMatrix, embed_site, mat_proportional
-from heckeverify.transfer import (build_t_one_boundary,
+from heckeverify.tensor import PolyMatrix, embed_site, kron, mat_proportional
+from heckeverify.transfer import (TwoBoundaryLattice, build_t_one_boundary,
                                   build_t_two_boundary, check_aux_trace,
                                   check_commuting_family, check_degeneration,
                                   check_hamiltonian, explore_generic,
                                   extract_edges, hamiltonian,
                                   t_two_boundary_direct,
-                                  t_two_boundary_factorized,
+                                  t_two_boundary_factorized, trace_edges,
                                   verify_murphy_edges_one_boundary,
                                   verify_murphy_two_boundary)
 
@@ -164,9 +164,68 @@ def test_two_boundary_internal_mismatch_detected(rep22, kit22):
 def test_murphy_two_boundary_four_points(dim, sites):
     rep = build_glN_rep(dim, sites, FIXED)
     kit = build_kit(rep)
-    reports = verify_murphy_two_boundary(rep, kit)
+    reports = verify_murphy_two_boundary(TwoBoundaryLattice(rep, kit))
     assert len(reports) == 4
     assert all(r.status == "pass" for r in reports)
+
+
+@pytest.mark.parametrize("which", ["22", "23", "32"])
+def test_truncated_edges_match_full_matrix(request, which):
+    rep = request.getfixturevalue(f"rep{which}")
+    kit = request.getfixturevalue(f"kit{which}")
+    lattice = TwoBoundaryLattice(rep, kit)
+    for n in range(1, rep.sites + 1):
+        for p in (n, -n):
+            full = extract_edges(t_two_boundary_direct(rep, kit, p))
+            edges = lattice.edges(p)
+            assert (edges.low_deg, edges.high_deg) == (full.low_deg, full.high_deg)
+            assert edges.low_coeff == full.low_coeff
+            assert edges.high_coeff == full.high_coeff
+
+
+def _cancelling_factors(case):
+    # aux factor 0 carries the nilpotent E (E*E = 0, tr E = 0), so the
+    # products of the extreme coefficients vanish or trace to zero
+    v = LaurentPoly.unit(1)
+    e = PolyMatrix((2,), {(0, 1): 1})
+    et = e.transpose()
+    i2 = PolyMatrix.identity((2,))
+    s = PolyMatrix((2,), {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): -1})
+    t = PolyMatrix((2,), {(0, 0): 5, (1, 1): 7, (1, 0): -1})
+    if case == "inner":
+        f1 = kron(e, s) + kron(i2, i2).scale(v) + kron(e, i2).scale(v * v)
+        f2 = (kron(e, i2) + kron(i2, s).scale(v)
+              + kron(e, s).scale(v * v)).scale(LaurentPoly.unit(-3))
+        return [f1, f2], (-1, -1)
+    # the edge sits at the last degree kept by the second truncation: its
+    # coefficient E E^T (x) s t + E^T E (x) t s needs both cross terms
+    f1 = kron(e, s) + kron(et, t).scale(v)
+    f2 = kron(e, s) + kron(et, t).scale(v)
+    return [f1, f2], (1, 1)
+
+
+@pytest.mark.parametrize("case", ["inner", "boundary"])
+def test_truncated_edges_grow_past_cancelling_extremes(case):
+    factors, degrees = _cancelling_factors(case)
+    full = factors[0] * factors[1]
+    edges = trace_edges(factors)
+    assert edges == extract_edges(full.partial_trace_first())
+    # both edges lie strictly inside the span of the factor degrees, so the
+    # first truncation (one degree per edge) traced to zero
+    assert edges.low_deg > sum(f.min_degree() for f in factors)
+    assert edges.high_deg < sum(f.max_degree() for f in factors)
+    assert (edges.low_deg, edges.high_deg) == degrees
+
+
+def test_truncated_edges_of_zero_product():
+    e = PolyMatrix((2,), {(0, 1): 1})
+    ee = kron(e, PolyMatrix.identity((2,)))
+    with pytest.raises(DimensionMismatch):
+        trace_edges([ee.scale(LaurentPoly.unit(1)), ee])     # product is zero
+    with pytest.raises(DimensionMismatch):
+        trace_edges([ee + ee.scale(LaurentPoly.unit(2))])    # traces to zero
+    with pytest.raises(DimensionMismatch):
+        trace_edges([ee, PolyMatrix.zeros(ee.layout)])
 
 
 def test_two_boundary_direct_family_commutes(rep22, kit22):
@@ -229,14 +288,14 @@ def test_commuting_family_needs_reflection_solution(rep23):
 # ---------------------------------------------------------------------------
 
 def test_explore_boundary_case_equals_t_minus(rep23, kit23):
-    reports = explore_generic(rep23, kit23, rep23.sites)
+    reports = explore_generic(TwoBoundaryLattice(rep23, kit23), rep23.sites)
     notes = {r.check_name: r.note for r in reports}
     assert "low~J_C[2]" in notes["explore/lattice[p=3]"]
     assert "low~J_C[2]^-1" in notes["explore/lattice[p=-3]"]
 
 
 def test_explore_intermediate_point_finds_middle_element(rep23, kit23):
-    reports = explore_generic(rep23, kit23, 2)
+    reports = explore_generic(TwoBoundaryLattice(rep23, kit23), 2)
     notes = {r.check_name: r.note for r in reports}
     assert "low~J_C[1]" in notes["explore/lattice[p=2]"]
     assert "low~J_C[1]^-1" in notes["explore/lattice[p=-2]"]
