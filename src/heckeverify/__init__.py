@@ -6,15 +6,15 @@ from .baxter import (BaxterKit, build_kit, calibrate_crossing, check_condition2,
                      k_minus_hat, r_hat)
 from .errors import (CalibrationFailure, ConditionFailure, ConfigError,
                      ConstraintViolation, DimensionMismatch, HeckeVerifyError,
-                     IndexOutOfRange, InternalMismatch, MurphyMismatch, NotAUnit,
-                     NotInvertible, RelationFailure, SpanFailure)
+                     IndexOutOfRange, InternalMismatch, NotAUnit, NotInvertible,
+                     RelationFailure, SpanFailure)
 from .hecke import (HeckeRep, aux_string_image, build_glN_rep, check_murphy_commutation,
                     check_relations, check_symmetric_commutant, check_tl_quotient,
                     generator_inverse, murphy, murphy_inverse)
 from .params import Params, parse_rational, sample_params
-from .reporting import CheckReport, emit_report, render_report
+from .reporting import CheckReport, render_report
 from .rings import LaurentPoly, LaurentRatio, Rational, lp_proportional, lp_ratio, rat
-from .tensor import (PolyMatrix, embed, embed_pair, embed_site, kron,
+from .tensor import (PolyMatrix, embed_pair, embed_site, kron,
                      mat_proportional, permutation_pair)
 from .transfer import (ExpansionEdge, TwoBoundaryLattice, build_t_one_boundary,
                        build_t_two_boundary, check_aux_trace,

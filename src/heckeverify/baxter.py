@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, LaurentRatio, Rational, rat, rat_str
-from .reporting import CheckReport, Timer, failed, passed
+from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, embed_pair, embed_site, mat_proportional,
                      nullspace, permutation_pair)
 
@@ -27,10 +27,6 @@ def r_hat(rep: HeckeRep, pair: tuple[int, int]) -> PolyMatrix:
     if j != i + 1:
         raise ValueError("bulk matrices act on adjacent site pairs")
     return rep.braid[i] - rep.braid_inv[i].scale(LaurentPoly.unit(1))
-
-
-def r_hat_local(rep: HeckeRep, arg: LaurentPoly) -> PolyMatrix:
-    return rep.g_local - rep.g_inv_local.scale(arg)
 
 
 def k_minus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
@@ -81,19 +77,15 @@ def check_ybe(rep: HeckeRep, seed: int = 0) -> CheckReport:
 
     u = LaurentPoly.unit(1)
     echo = _echo(rep)
-    with Timer() as t:
-        for r in _sample_points(seed, 3):
-            udivr = LaurentPoly.unit(1, rat(1) / r)
-            rc = LaurentPoly.const(r)
-            lhs = r12(udivr) * r23(u) * r12(rc)
-            rhs = r23(rc) * r12(u) * r23(udivr)
-            if lhs != rhs:
-                diff = lhs - rhs
-                row, col, val = next(diff.entries())
-                return failed("baxter/ybe", params=echo, elapsed_ms=t.ms,
-                              failure={"specialization": rat_str(r), "row": row,
-                                       "col": col, "value": str(val)})
-    return passed("baxter/ybe", params=echo, elapsed_ms=t.ms)
+    for r in _sample_points(seed, 3):
+        udivr = LaurentPoly.unit(1, rat(1) / r)
+        rc = LaurentPoly.const(r)
+        lhs = r12(udivr) * r23(u) * r12(rc)
+        rhs = r23(rc) * r12(u) * r23(udivr)
+        if lhs != rhs:
+            return failed("baxter/ybe", params=echo,
+                          failure={"specialization": rat_str(r), **entry_failure(lhs - rhs)})
+    return passed("baxter/ybe", params=echo)
 
 
 def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
@@ -118,20 +110,16 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
     u = LaurentPoly.unit(1)
     echo = _echo(rep)
     echo["end"] = end
-    with Timer() as t:
-        for r in _sample_points(seed, 3):
-            udivr = LaurentPoly.unit(1, rat(1) / r)
-            umulr = LaurentPoly.unit(1, r)
-            rc = LaurentPoly.const(r)
-            lhs = rr(udivr) * kk(u) * rr(umulr) * kk(rc)
-            rhs = kk(rc) * rr(umulr) * kk(u) * rr(udivr)
-            if lhs != rhs:
-                diff = lhs - rhs
-                row, col, val = next(diff.entries())
-                return failed(f"baxter/re-{end}", params=echo, elapsed_ms=t.ms,
-                              failure={"specialization": rat_str(r), "row": row,
-                                       "col": col, "value": str(val)})
-    return passed(f"baxter/re-{end}", params=echo, elapsed_ms=t.ms)
+    for r in _sample_points(seed, 3):
+        udivr = LaurentPoly.unit(1, rat(1) / r)
+        umulr = LaurentPoly.unit(1, r)
+        rc = LaurentPoly.const(r)
+        lhs = rr(udivr) * kk(u) * rr(umulr) * kk(rc)
+        rhs = kk(rc) * rr(umulr) * kk(u) * rr(udivr)
+        if lhs != rhs:
+            return failed(f"baxter/re-{end}", params=echo,
+                          failure={"specialization": rat_str(r), **entry_failure(lhs - rhs)})
+    return passed(f"baxter/re-{end}", params=echo)
 
 
 def check_unitarity(rep: HeckeRep) -> list[CheckReport]:
@@ -141,33 +129,18 @@ def check_unitarity(rep: HeckeRep) -> list[CheckReport]:
     ident2 = PolyMatrix.identity((d, d))
     ident1 = PolyMatrix.identity((d,))
     echo = _echo(rep)
-    out = []
-    with Timer() as t:
-        # (g - u g^-1)(u g - g^-1), the cleared product at inverted argument
-        prod = (rep.g_local - rep.g_inv_local.scale(u)) * \
-               (rep.g_local.scale(u) - rep.g_inv_local)
-        ratio = mat_proportional(prod, ident2)
-        if ratio is None:
-            row, col, val = next(prod.entries())
-            out.append(failed("baxter/unitarity-r", params=echo, elapsed_ms=t.ms,
-                              failure={"row": row, "col": col, "value": str(val)}))
-        else:
-            out.append(passed("baxter/unitarity-r", params=echo, ratio=str(ratio),
-                              elapsed_ms=t.ms))
+    # (g - u g^-1)(u g - g^-1), the cleared product at inverted argument
+    prod = (rep.g_local - rep.g_inv_local.scale(u)) * \
+           (rep.g_local.scale(u) - rep.g_inv_local)
+    out = [ratio_report("baxter/unitarity-r", mat_proportional(prod, ident2),
+                        entry_failure(prod), params=echo)]
     for name, kfun in (("k", k_minus_hat), ("kbar", k_bar_plus_hat)):
-        with Timer() as t:
-            low = kfun(rep, u)
-            # u^2 * K(1/u) has polynomial entries again
-            high = kfun(rep, LaurentPoly.unit(-1)).scale(u * u)
-            prod = low * high
-            ratio = mat_proportional(prod, ident1)
-            if ratio is None:
-                row, col, val = next(prod.entries())
-                out.append(failed(f"baxter/unitarity-{name}", params=echo, elapsed_ms=t.ms,
-                                  failure={"row": row, "col": col, "value": str(val)}))
-            else:
-                out.append(passed(f"baxter/unitarity-{name}", params=echo,
-                                  ratio=str(ratio), elapsed_ms=t.ms))
+        low = kfun(rep, u)
+        # u^2 * K(1/u) has polynomial entries again
+        high = kfun(rep, LaurentPoly.unit(-1)).scale(u * u)
+        prod = low * high
+        out.append(ratio_report(f"baxter/unitarity-{name}", mat_proportional(prod, ident1),
+                                entry_failure(prod), params=echo))
     return out
 
 
@@ -342,39 +315,19 @@ def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
     u2 = LaurentPoly.unit(2)
     echo = _echo(rep)
     out = []
-
-    with Timer() as t:
-        lhs = (embed_site(kit.aplus_at(u), 0, layout)
-               * (gp - gpi.scale(u2))).partial_trace_first()
-        ratio = mat_proportional(lhs, k_bar_plus_hat(rep, u))
-        if ratio is None or ratio.num.is_zero:
-            row, col, val = next(lhs.entries())
-            out.append(failed("condition2/right-trace", params=echo, elapsed_ms=t.ms,
-                              failure={"row": row, "col": col, "value": str(val)}))
-        else:
-            out.append(passed("condition2/right-trace", params=echo,
-                              ratio=str(ratio), elapsed_ms=t.ms))
-    with Timer() as t:
-        lhs = (embed_site(kit.bminus_at(u), 0, layout)
-               * (gp.scale(u2) - gpi)).partial_trace_first()
-        ratio = mat_proportional(lhs, k_minus_hat(rep, u))
-        if ratio is None or ratio.num.is_zero:
-            row, col, val = next(lhs.entries())
-            out.append(failed("condition2/left-trace", params=echo, elapsed_ms=t.ms,
-                              failure={"row": row, "col": col, "value": str(val)}))
-        else:
-            out.append(passed("condition2/left-trace", params=echo,
-                              ratio=str(ratio), elapsed_ms=t.ms))
+    for name, dual, kernel, target in (
+            ("right", kit.aplus_at(u), gp - gpi.scale(u2), k_bar_plus_hat(rep, u)),
+            ("left", kit.bminus_at(u), gp.scale(u2) - gpi, k_minus_hat(rep, u))):
+        lhs = (embed_site(dual, 0, layout) * kernel).partial_trace_first()
+        out.append(ratio_report(f"condition2/{name}-trace", mat_proportional(lhs, target),
+                                entry_failure(lhs), params=echo))
     return out
 
 
 def check_crossing_report(rep: HeckeRep) -> CheckReport:
     echo = _echo(rep)
-    with Timer() as t:
-        try:
-            chi, ratio = calibrate_crossing(rep)
-        except CalibrationFailure as exc:
-            return failed("baxter/crossing", params=echo, elapsed_ms=t.ms,
-                          failure={"relation": str(exc)})
-    return passed("baxter/crossing", params=echo, elapsed_ms=t.ms,
-                  ratio=f"chi={rat_str(chi)}; {ratio}")
+    try:
+        chi, ratio = calibrate_crossing(rep)
+    except CalibrationFailure as exc:
+        return failed("baxter/crossing", params=echo, failure={"relation": str(exc)})
+    return passed("baxter/crossing", params=echo, ratio=f"chi={rat_str(chi)}; {ratio}")

@@ -41,10 +41,6 @@ class InternalMismatch(HeckeVerifyError):
     """Two independent constructions of the same object disagree."""
 
 
-class MurphyMismatch(HeckeVerifyError):
-    """Transfer-matrix edge coefficient is not proportional to the expected element."""
-
-
 class SpanFailure(HeckeVerifyError):
     """Exact linear solve found no representation in the requested span."""
 

@@ -14,7 +14,7 @@ from .errors import (ConstraintViolation, IndexOutOfRange, NotInvertible,
                      RelationFailure)
 from .params import Params
 from .rings import LaurentPoly, Rational, rat, rat_str
-from .reporting import CheckReport, Timer, failed, passed
+from .reporting import CheckReport, entry_failure, failed, passed
 from .tensor import PolyMatrix, embed_pair, embed_site, mat_proportional
 
 FAMILIES = ("A", "B", "C")
@@ -318,22 +318,12 @@ def check_relations(rep: HeckeRep, family: str) -> CheckReport:
     if family not in FAMILIES:
         raise IndexOutOfRange(f"unknown family {family!r}")
     echo = _echo(rep)
-    with Timer() as t:
-        for name, lhs, rhs in _relation_list(rep, family):
-            l, r = lhs(), rhs()
-            if l != r:
-                diff = l - r
-                row, col, val = next(diff.entries())
-                return failed(f"relations/{family}", params=echo, elapsed_ms=t.ms,
-                              failure={"relation": name, "row": row, "col": col,
-                                       "value": str(val)})
-    return passed(f"relations/{family}", params=echo, elapsed_ms=t.ms)
-
-
-def assert_relations(rep: HeckeRep, family: str) -> None:
-    report = check_relations(rep, family)
-    if not report.ok:
-        raise RelationFailure(f"{report.first_failure['relation']} fails")
+    for name, lhs, rhs in _relation_list(rep, family):
+        l, r = lhs(), rhs()
+        if l != r:
+            return failed(f"relations/{family}", params=echo,
+                          failure={"relation": name, **entry_failure(l - r)})
+    return passed(f"relations/{family}", params=echo)
 
 
 def _echo(rep: HeckeRep) -> dict[str, str]:
@@ -378,13 +368,11 @@ def check_tl_quotient(rep: HeckeRep) -> tuple[Rational, Rational]:
 
 def check_tl_report(rep: HeckeRep) -> CheckReport:
     echo = _echo(rep)
-    with Timer() as t:
-        try:
-            km, kp = check_tl_quotient(rep)
-        except (RelationFailure, ConstraintViolation) as exc:
-            return failed("tl/quotient", params=echo, elapsed_ms=t.ms,
-                          failure={"relation": str(exc)})
-    return passed("tl/quotient", params=echo, elapsed_ms=t.ms,
+    try:
+        km, kp = check_tl_quotient(rep)
+    except (RelationFailure, ConstraintViolation) as exc:
+        return failed("tl/quotient", params=echo, failure={"relation": str(exc)})
+    return passed("tl/quotient", params=echo,
                   ratio=f"kappa_minus={rat_str(km)} kappa_plus={rat_str(kp)}")
 
 
@@ -392,77 +380,61 @@ def check_tl_report(rep: HeckeRep) -> CheckReport:
 # Murphy elements
 # ---------------------------------------------------------------------------
 
-def murphy(rep: HeckeRep, family: str, i: int, *, b_variant: str = "recursive") -> PolyMatrix:
+def _murphy_word(rep: HeckeRep, family: str, i: int) -> list[tuple[int, int]]:
+    """The ``i``-th Murphy element of the family as a generator word of
+    ``(index, +-1)`` letters, read left to right.
+
+    Every family follows ``J_i = g_i J_{i-1} g_i``: A starts from
+    ``J_1 = g1^2``, B from ``J_0 = g0``, C from the conjugated right-boundary
+    word ``J_0 = g1^-1 .. g_{n-1}^-1 gN g_{n-1} .. g1 g0``.
+    """
+    if family not in FAMILIES:
+        raise IndexOutOfRange(f"unknown family {family!r}")
+    n = rep.sites
+    lo = 1 if family == "A" else 0
+    if not lo <= i <= n - 1:
+        raise IndexOutOfRange(f"{family}-type index {i} outside {lo}..{n - 1}")
+    if family == "A":
+        core = [(1, 1), (1, 1)]
+    elif family == "B":
+        core = [(0, 1)]
+    else:
+        core = ([(k, -1) for k in range(1, n)] + [(n, 1)]
+                + [(k, 1) for k in range(n - 1, 0, -1)] + [(0, 1)])
+    left = [(k, 1) for k in range(i, lo, -1)]
+    return left + core + left[::-1]
+
+
+def _word_product(rep: HeckeRep, word: list[tuple[int, int]]) -> PolyMatrix:
+    """Product of a generator word, left to right, after cancelling adjacent
+    ``g_k g_k^-1`` pairs."""
+    reduced: list[tuple[int, int]] = []
+    for k, e in word:
+        if reduced and reduced[-1] == (k, -e):
+            reduced.pop()
+        else:
+            reduced.append((k, e))
+    mats = [rep.generator(k) if e == 1 else rep.generator_inv(k) for k, e in reduced]
+    out = mats[0]
+    for m in mats[1:]:
+        out = out * m
+    return out
+
+
+def murphy(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
     """The ``i``-th Murphy element of the family.
 
     Families: A uses indices 1..n-1 starting from ``g1^2``; B uses 0..n-1
     starting from ``g0``; C uses 0..n-1 starting from the conjugated
-    right-boundary word times ``g0``.  For B, ``b_variant="a-fed"``
-    selects the alternative recursion that feeds on the A-type elements.
+    right-boundary word times ``g0``.
     """
-    n = rep.sites
-    gs, b0, bn = rep.braid, rep.b0, rep.bn
-    if family == "A":
-        if not 1 <= i <= n - 1:
-            raise IndexOutOfRange(f"A-type index {i} outside 1..{n - 1}")
-        j = gs[1] * gs[1]
-        for k in range(2, i + 1):
-            j = gs[k] * j * gs[k]
-        return j
-    if family == "B":
-        if not 0 <= i <= n - 1:
-            raise IndexOutOfRange(f"B-type index {i} outside 0..{n - 1}")
-        if b_variant == "recursive" or i <= 1:
-            j = b0
-            for k in range(1, i + 1):
-                j = gs[k] * j * gs[k]
-            return j
-        if b_variant == "a-fed":
-            # g_i J_{i-1}^{(A)} g_i with the i = 1 seed forced to g1 g0 g1
-            return gs[i] * murphy(rep, "A", i - 1) * gs[i]
-        raise IndexOutOfRange(f"unknown B variant {b_variant!r}")
-    if family == "C":
-        if not 0 <= i <= n - 1:
-            raise IndexOutOfRange(f"C-type index {i} outside 0..{n - 1}")
-        # J0 = g1^-1 ... g_{n-1}^-1  gN  g_{n-1} ... g1  g0
-        j = bn
-        for k in range(n - 1, 0, -1):
-            j = j * gs[k]
-        for k in range(n - 1, 0, -1):
-            j = rep.braid_inv[k] * j
-        j = j * b0
-        for k in range(1, i + 1):
-            j = gs[k] * j * gs[k]
-        return j
-    raise IndexOutOfRange(f"unknown family {family!r}")
+    return _word_product(rep, _murphy_word(rep, family, i))
 
 
 def murphy_inverse(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
-    """Exact inverse of a Murphy element, built from generator inverses."""
-    n = rep.sites
-    gsi = rep.braid_inv
-    if family == "A":
-        j = gsi[1] * gsi[1]
-        for k in range(2, i + 1):
-            j = gsi[k] * j * gsi[k]
-        return j
-    if family == "B":
-        j = rep.b0_inv
-        for k in range(1, i + 1):
-            j = gsi[k] * j * gsi[k]
-        return j
-    if family == "C":
-        # (J0)^-1 = g0^-1  g1^-1 .. g_{n-1}^-1  gN^-1  g_{n-1} .. g1
-        core = rep.bn_inv
-        for k in range(n - 1, 0, -1):
-            core = gsi[k] * core
-        for k in range(n - 1, 0, -1):
-            core = core * rep.braid[k]
-        j = rep.b0_inv * core
-        for k in range(1, i + 1):
-            j = gsi[k] * j * gsi[k]
-        return j
-    raise IndexOutOfRange(f"unknown family {family!r}")
+    """Exact inverse of a Murphy element: the reversed word of inverse
+    generators."""
+    return _word_product(rep, [(k, -e) for k, e in reversed(_murphy_word(rep, family, i))])
 
 
 def _family_indices(rep: HeckeRep, family: str) -> range:
@@ -472,17 +444,16 @@ def _family_indices(rep: HeckeRep, family: str) -> range:
 def check_murphy_commutation(rep: HeckeRep, family: str) -> CheckReport:
     """Pairwise commutation of the family's Murphy elements."""
     echo = _echo(rep)
-    with Timer() as t:
-        idx = list(_family_indices(rep, family))
-        js = {i: murphy(rep, family, i) for i in idx}
-        for a in idx:
-            for b in idx:
-                if b <= a:
-                    continue
-                if js[a] * js[b] != js[b] * js[a]:
-                    return failed(f"murphy-commute/{family}", params=echo, elapsed_ms=t.ms,
-                                  failure={"pair": f"({a},{b})"})
-    return passed(f"murphy-commute/{family}", params=echo, elapsed_ms=t.ms)
+    idx = list(_family_indices(rep, family))
+    js = {i: murphy(rep, family, i) for i in idx}
+    for a in idx:
+        for b in idx:
+            if b <= a:
+                continue
+            if js[a] * js[b] != js[b] * js[a]:
+                return failed(f"murphy-commute/{family}", params=echo,
+                              failure={"pair": f"({a},{b})"})
+    return passed(f"murphy-commute/{family}", params=echo)
 
 
 def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int) -> CheckReport:
@@ -492,27 +463,26 @@ def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int) -> Che
     sums are ``sum_i (J_i^m + J_i^-m)``.
     """
     echo = _echo(rep)
-    with Timer() as t:
-        idx = list(_family_indices(rep, family))
-        js = {i: murphy(rep, family, i) for i in idx}
-        jinvs = {i: murphy_inverse(rep, family, i) for i in idx} if family == "C" else {}
-        gens = list(range(1, rep.sites))
-        if family in ("B", "C"):
-            gens = [0] + gens
-        if family == "C":
-            gens = gens + [rep.sites]
-        for m in range(1, max_power + 1):
-            total = PolyMatrix.zeros(rep.layout)
-            for i in idx:
-                total = total + _power(js[i], m)
-                if family == "C":
-                    total = total + _power(jinvs[i], m)
-            for gidx in gens:
-                gmat = rep.generator(gidx)
-                if total * gmat != gmat * total:
-                    return failed(f"central/{family}", params=echo, elapsed_ms=t.ms,
-                                  failure={"power": m, "generator": gidx})
-    return passed(f"central/{family}", params=echo, elapsed_ms=t.ms)
+    idx = list(_family_indices(rep, family))
+    js = {i: murphy(rep, family, i) for i in idx}
+    jinvs = {i: murphy_inverse(rep, family, i) for i in idx} if family == "C" else {}
+    gens = list(range(1, rep.sites))
+    if family in ("B", "C"):
+        gens = [0] + gens
+    if family == "C":
+        gens = gens + [rep.sites]
+    for m in range(1, max_power + 1):
+        total = PolyMatrix.zeros(rep.layout)
+        for i in idx:
+            total = total + _power(js[i], m)
+            if family == "C":
+                total = total + _power(jinvs[i], m)
+        for gidx in gens:
+            gmat = rep.generator(gidx)
+            if total * gmat != gmat * total:
+                return failed(f"central/{family}", params=echo,
+                              failure={"power": m, "generator": gidx})
+    return passed(f"central/{family}", params=echo)
 
 
 def _power(m: PolyMatrix, n: int) -> PolyMatrix:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 REPORT_VERSION = "1"
@@ -14,9 +13,7 @@ class CheckReport:
     """Outcome of one verification.
 
     ``status`` is one of ``pass``, ``fail``, ``info``.  A failing report
-    always carries ``first_failure``; a passing one never does.  Elapsed
-    time is kept for console output but excluded from the canonical JSON
-    so reports stay byte-stable across runs.
+    always carries ``first_failure``; a passing one never does.
     """
 
     check_name: str
@@ -26,7 +23,6 @@ class CheckReport:
     degrees: str | None = None
     first_failure: dict | None = None
     note: str | None = None
-    elapsed_ms: float = 0.0
 
     def __post_init__(self):
         if self.status == "fail" and self.first_failure is None:
@@ -55,37 +51,34 @@ class CheckReport:
         return out
 
 
-class Timer:
-    """Context helper for ``elapsed_ms`` on constructed reports."""
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    @property
-    def ms(self) -> float:
-        return (time.perf_counter() - self.t0) * 1000.0
-
-
-def passed(name: str, params=None, ratio=None, degrees=None, note=None,
-           elapsed_ms: float = 0.0) -> CheckReport:
+def passed(name: str, params=None, ratio=None, degrees=None, note=None) -> CheckReport:
     return CheckReport(name, "pass", dict(params or {}), ratio=ratio,
-                       degrees=degrees, note=note, elapsed_ms=elapsed_ms)
+                       degrees=degrees, note=note)
 
 
-def failed(name: str, failure: dict, params=None, note=None,
-           elapsed_ms: float = 0.0) -> CheckReport:
-    return CheckReport(name, "fail", dict(params or {}), first_failure=failure,
-                       note=note, elapsed_ms=elapsed_ms)
+def failed(name: str, failure: dict, params=None, note=None) -> CheckReport:
+    return CheckReport(name, "fail", dict(params or {}), first_failure=failure, note=note)
 
 
-def info(name: str, note: str, params=None, ratio=None, degrees=None,
-         elapsed_ms: float = 0.0) -> CheckReport:
+def info(name: str, note: str, params=None, ratio=None, degrees=None) -> CheckReport:
     return CheckReport(name, "info", dict(params or {}), ratio=ratio,
-                       degrees=degrees, note=note, elapsed_ms=elapsed_ms)
+                       degrees=degrees, note=note)
+
+
+def ratio_report(name: str, ratio, failure: dict, params=None, degrees=None) -> CheckReport:
+    """Report of a proportionality claim from its ``mat_proportional`` ratio:
+    ``failed`` with ``failure`` when there is no ratio or it is zero, else
+    ``passed`` with the ratio."""
+    if ratio is None or ratio.num.is_zero:
+        return failed(name, failure, params=params)
+    return passed(name, params=params, ratio=str(ratio), degrees=degrees)
+
+
+def entry_failure(matrix) -> dict:
+    """Failure payload naming the first nonzero entry of ``matrix``."""
+    for row, col, val in matrix.entries():
+        return {"row": row, "col": col, "value": str(val)}
+    return {"value": "0"}
 
 
 def render_report(reports: list[CheckReport], config: dict) -> str:
@@ -96,12 +89,6 @@ def render_report(reports: list[CheckReport], config: dict) -> str:
         "reports": [r.canonical() for r in reports],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def emit_report(reports: list[CheckReport], config: dict, path: str) -> None:
-    text = render_report(reports, config)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def render_matrix_dump(matrix) -> str:

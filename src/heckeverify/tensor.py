@@ -399,83 +399,44 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix._make(a.layout + b.layout, rows, a.den * b.den)
 
 
+def _offsets(layout, st, factors) -> list[int]:
+    """Composite offsets of every digit tuple of ``factors``, row-major."""
+    out = [0]
+    for k in factors:
+        out = [o + digit * st[k] for o in out for digit in range(layout[k])]
+    return out
+
+
+def _embed(op: PolyMatrix, factors: tuple, layout) -> PolyMatrix:
+    """Embed ``op``, whose row-major slots sit at the distinct ``factors``,
+    with the identity on every other factor of ``layout``."""
+    layout = tuple(layout)
+    if len(set(factors)) != len(factors) or not all(0 <= k < len(layout) for k in factors):
+        raise DimensionMismatch(f"invalid factors {factors} for layout {layout}")
+    if op.dim != _prod(layout[k] for k in factors):
+        raise DimensionMismatch(f"operator dim {op.dim} does not fit factors {factors} "
+                                f"of layout {layout}")
+    st = _strides(layout)
+    off = _offsets(layout, st, factors)
+    ops = [(off[r], [(off[c], v) for c, v in row.items()]) for r, row in op.rows.items()]
+    rows = {}
+    for base in _offsets(layout, st, [k for k in range(len(layout)) if k not in factors]):
+        for r, row in ops:
+            rows[base + r] = {base + c: v for c, v in row}
+    out = PolyMatrix(layout)
+    out.rows, out.den = rows, op.den
+    return out
+
+
 def embed_pair(op: PolyMatrix, i: int, j: int, layout) -> PolyMatrix:
     """Embed a two-factor operator with its first slot at factor ``i`` and
     second slot at factor ``j`` (any distinct positions), identity elsewhere."""
-    layout = tuple(layout)
-    if i == j or i >= len(layout) or j >= len(layout):
-        raise DimensionMismatch(f"invalid factor pair ({i},{j}) for layout {layout}")
-    di, dj = layout[i], layout[j]
-    if op.dim != di * dj:
-        raise DimensionMismatch(f"operator dim {op.dim} != {di}*{dj}")
-    st = _strides(layout)
-    si, sj = st[i], st[j]
-    dim = _prod(layout)
-    out = PolyMatrix(layout)
-    out.den = op.den
-    # enumerate composite indices with the (i, j) digits stripped out
-    others = [k for k in range(len(layout)) if k not in (i, j)]
-
-    def rec(pos: int, base: int):
-        if pos == len(others):
-            for r, row in op.rows.items():
-                a, b = divmod(r, dj)
-                rr = base + a * si + b * sj
-                orow = out.rows.setdefault(rr, {})
-                for c, v in row.items():
-                    a2, b2 = divmod(c, dj)
-                    orow[base + a2 * si + b2 * sj] = v
-            return
-        k = others[pos]
-        for digit in range(layout[k]):
-            rec(pos + 1, base + digit * st[k])
-
-    rec(0, 0)
-    if dim and not out.rows and not op.is_zero:  # pragma: no cover - safety
-        raise DimensionMismatch("embedding produced an empty matrix")
-    return out
+    return _embed(op, (i, j), layout)
 
 
 def embed_site(op: PolyMatrix, i: int, layout) -> PolyMatrix:
     """Embed a one-factor operator at factor ``i``, identity elsewhere."""
-    layout = tuple(layout)
-    if i >= len(layout):
-        raise DimensionMismatch(f"factor {i} outside layout {layout}")
-    if op.dim != layout[i]:
-        raise DimensionMismatch(f"operator dim {op.dim} != factor dim {layout[i]}")
-    st = _strides(layout)
-    si = st[i]
-    out = PolyMatrix(layout)
-    out.den = op.den
-    others = [k for k in range(len(layout)) if k != i]
-
-    def rec(pos: int, base: int):
-        if pos == len(others):
-            for r, row in op.rows.items():
-                orow = out.rows.setdefault(base + r * si, {})
-                for c, v in row.items():
-                    orow[base + c * si] = v
-            return
-        k = others[pos]
-        for digit in range(layout[k]):
-            rec(pos + 1, base + digit * st[k])
-
-    rec(0, 0)
-    return out
-
-
-def embed(op: PolyMatrix, at_factors, layout) -> PolyMatrix:
-    """Embed a one- or two-site operator; two-site positions must be
-    contiguous.  Factor positions are 0-based."""
-    positions = list(at_factors)
-    if len(positions) == 1:
-        return embed_site(op, positions[0], layout)
-    if len(positions) == 2:
-        i, j = positions
-        if j != i + 1:
-            raise DimensionMismatch("two-site operators embed at contiguous factors")
-        return embed_pair(op, i, j, layout)
-    raise DimensionMismatch("embed supports one- or two-factor operators")
+    return _embed(op, (i,), layout)
 
 
 def permutation_pair(i: int, j: int, layout) -> PolyMatrix:
@@ -535,20 +496,17 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentRatio | None:
 # exact dense linear algebra over the rationals (small systems only)
 # ---------------------------------------------------------------------------
 
-def nullspace(rows: list[list]) -> list[list]:
-    """Basis of the right nullspace of a dense rational matrix."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    a = [list(map(lambda x: x if isinstance(x, Rational) else rat(x), row)) for row in rows]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pr = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                pr = i
-                break
+def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan reduction of a dense rational matrix on its first
+    ``ncols`` columns: the reduced rows and their pivot columns."""
+    a = [[x if isinstance(x, Rational) else rat(x) for x in row] for row in rows]
+    m = len(a)
+    pivots: list[int] = []
+    for col in range(ncols):
+        if len(pivots) == m:
+            break
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if a[i][col] != 0), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
@@ -559,12 +517,17 @@ def nullspace(rows: list[list]) -> list[list]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    return a, pivots
+
+
+def nullspace(rows: list[list]) -> list[list]:
+    """Basis of the right nullspace of a dense rational matrix."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    a, pivots = _rref(rows, n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [rat(0)] * n
         vec[fc] = rat(1)
         for prow, pcol in enumerate(pivots):
@@ -576,31 +539,9 @@ def nullspace(rows: list[list]) -> list[list]:
 def lin_solve(rows: list[list], rhs: list) -> list | None:
     """Exact solution of ``A x = b`` for consistent systems, else None."""
     n = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    m = len(aug)
-    a = [[x if isinstance(x, Rational) else rat(x) for x in row] for row in aug]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pr = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = rat(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None  # inconsistent
+    a, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if any(row[n] != 0 for row in a[len(pivots):]):
+        return None  # inconsistent
     x = [rat(0)] * n
     for prow, pcol in enumerate(pivots):
         x[pcol] = a[prow][n]

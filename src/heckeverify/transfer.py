@@ -25,7 +25,7 @@ from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
                      SpanFailure)
 from .hecke import HeckeRep, _echo, murphy, murphy_inverse
 from .rings import LaurentPoly, LaurentRatio, Rational, rat, rat_str
-from .reporting import CheckReport, Timer, failed, info, passed
+from .reporting import CheckReport, entry_failure, failed, info, passed, ratio_report
 from .tensor import (PolyMatrix, embed_pair, embed_site, lin_solve,
                      mat_proportional, permutation_pair)
 
@@ -111,17 +111,14 @@ def check_aux_trace(rep: HeckeRep, n: int) -> CheckReport:
     """The quantum-trace requirement gating the one-boundary factorization."""
     echo = _echo(rep)
     echo["n"] = str(n)
-    with Timer() as t:
-        f = aux_trace_scalar(rep)
+    f = aux_trace_scalar(rep)
     if f is None:
         d = rep.local_dim
         layout = (d, d)
         gp = embed_pair(rep.g_local, 1, 0, layout)
         tr = (embed_site(rep.m_local, 0, layout) * gp).partial_trace_first()
-        row, col, val = next(tr.entries())
-        return failed("transfer/aux-trace", params=echo, elapsed_ms=t.ms,
-                      failure={"row": row, "col": col, "value": str(val)})
-    return passed("transfer/aux-trace", params=echo, ratio=str(f), elapsed_ms=t.ms)
+        return failed("transfer/aux-trace", params=echo, failure=entry_failure(tr))
+    return passed("transfer/aux-trace", params=echo, ratio=str(f))
 
 
 def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False,
@@ -222,13 +219,10 @@ def verify_murphy_edges_one_boundary(rep: HeckeRep, n: int, *,
     family = "A" if trivial_k else "B"
     tag = "corollary" if trivial_k else "prop1"
     out = []
-    with Timer() as t:
-        try:
-            result = build_t_one_boundary(rep, n, trivial_k=trivial_k,
-                                          cross_check=cross_check)
-        except (ConditionFailure, InternalMismatch) as exc:
-            return [failed(f"{tag}/build[n={n}]", params=echo, elapsed_ms=t.ms,
-                           failure={"relation": str(exc)})]
+    try:
+        result = build_t_one_boundary(rep, n, trivial_k=trivial_k, cross_check=cross_check)
+    except (ConditionFailure, InternalMismatch) as exc:
+        return [failed(f"{tag}/build[n={n}]", params=echo, failure={"relation": str(exc)})]
     edges = extract_edges(result.matrix)
     expected_span = 2 * n if not trivial_k else 2 * (n - 1)
     span_ok = edges.low_deg == 0 and edges.high_deg == expected_span
@@ -237,24 +231,15 @@ def verify_murphy_edges_one_boundary(rep: HeckeRep, n: int, *,
         out.append(failed(f"{tag}/degree-span[n={n}]", params=echo,
                           failure={"span": degs, "expected": f"[0, {expected_span}]"}))
     else:
-        out.append(passed(f"{tag}/degree-span[n={n}]", params=echo, degrees=degs,
-                          elapsed_ms=t.ms))
+        out.append(passed(f"{tag}/degree-span[n={n}]", params=echo, degrees=degs))
 
-    low_target = murphy(rep, family, n - 1)
-    ratio = mat_proportional(edges.low_coeff, low_target)
-    if ratio is None or ratio.num.is_zero:
-        out.append(failed(f"{tag}/low-edge[n={n}]", params=echo,
-                          failure={"relation": "low edge not proportional to Murphy element"}))
-    else:
-        out.append(passed(f"{tag}/low-edge[n={n}]", params=echo, ratio=str(ratio)))
-
-    high_target = murphy_inverse(rep, family, n - 1)
-    ratio = mat_proportional(edges.high_coeff, high_target)
-    if ratio is None or ratio.num.is_zero:
-        out.append(failed(f"{tag}/high-edge[n={n}]", params=echo,
-                          failure={"relation": "high edge not proportional to inverse element"}))
-    else:
-        out.append(passed(f"{tag}/high-edge[n={n}]", params=echo, ratio=str(ratio)))
+    out.append(ratio_report(
+        f"{tag}/low-edge[n={n}]", mat_proportional(edges.low_coeff, murphy(rep, family, n - 1)),
+        {"relation": "low edge not proportional to Murphy element"}, params=echo))
+    out.append(ratio_report(
+        f"{tag}/high-edge[n={n}]",
+        mat_proportional(edges.high_coeff, murphy_inverse(rep, family, n - 1)),
+        {"relation": "high edge not proportional to inverse element"}, params=echo))
     return out
 
 
@@ -349,6 +334,7 @@ class TwoBoundaryLattice:
         self.kit = kit
         self.ws = AuxWorkspace(rep, rep.sites)
         self._edges: dict[int, ExpansionEdge] = {}
+        self._murphy: dict[tuple[int, bool], PolyMatrix] = {}
 
     def factors(self, p: int) -> list[PolyMatrix]:
         return _two_boundary_factors(self.ws, self.kit, p)
@@ -357,6 +343,14 @@ class TwoBoundaryLattice:
         if p not in self._edges:
             self._edges[p] = trace_edges(self.factors(p))
         return self._edges[p]
+
+    def murphy(self, k: int, inverse: bool) -> PolyMatrix:
+        """The C-type Murphy element ``J_C[k]`` (or its inverse), built once
+        for the lattice checks and the exploratory sweep."""
+        if (k, inverse) not in self._murphy:
+            build = murphy_inverse if inverse else murphy
+            self._murphy[k, inverse] = build(self.rep, "C", k)
+        return self._murphy[k, inverse]
 
 
 def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
@@ -398,14 +392,12 @@ def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _lattice_points(rep: HeckeRep) -> list[tuple[str, int, PolyMatrix]]:
-    """The four checked lattice points ``(name, p, target)``: the lowest
-    coefficient at ``u = v^p`` is proportional to ``target``."""
-    n = rep.sites
-    return [("minus", n, murphy(rep, "C", n - 1)),
-            ("minus-opposite", -n, murphy_inverse(rep, "C", n - 1)),
-            ("plus", 1, murphy(rep, "C", 0)),
-            ("plus-opposite", -1, murphy_inverse(rep, "C", 0))]
+def _lattice_points(n: int) -> list[tuple[str, int, int, bool]]:
+    """The four checked lattice points ``(name, p, k, inverse)``: the lowest
+    coefficient at ``u = v^p`` is proportional to ``J_C[k]`` (its inverse
+    with ``inverse``)."""
+    return [("minus", n, n - 1, False), ("minus-opposite", -n, n - 1, True),
+            ("plus", 1, 0, False), ("plus-opposite", -1, 0, True)]
 
 
 @dataclass
@@ -452,18 +444,12 @@ def verify_murphy_two_boundary(lattice: TwoBoundaryLattice) -> list[CheckReport]
     boundary Murphy elements and their inverses."""
     echo = _echo(lattice.rep)
     out = []
-    for name, p, target in _lattice_points(lattice.rep):
-        with Timer() as t:
-            edges = lattice.edges(p)
-            ratio = mat_proportional(edges.low_coeff, target)
-        if ratio is None or ratio.num.is_zero:
-            out.append(failed(f"prop2/{name}", params=echo, elapsed_ms=t.ms,
-                              failure={"relation": "low edge not proportional",
-                                       "low_deg": edges.low_deg}))
-        else:
-            out.append(passed(f"prop2/{name}", params=echo, ratio=str(ratio),
-                              degrees=f"[{edges.low_deg}, {edges.high_deg}]",
-                              elapsed_ms=t.ms))
+    for name, p, k, inverse in _lattice_points(lattice.rep.sites):
+        edges = lattice.edges(p)
+        out.append(ratio_report(
+            f"prop2/{name}", mat_proportional(edges.low_coeff, lattice.murphy(k, inverse)),
+            {"relation": "low edge not proportional", "low_deg": edges.low_deg},
+            params=echo, degrees=f"[{edges.low_deg}, {edges.high_deg}]"))
     return out
 
 
@@ -471,18 +457,13 @@ def check_degeneration(rep_deg: HeckeRep) -> CheckReport:
     """With the right boundary collapsed to a scalar, the two-boundary edge
     reduces exactly to the one-boundary (B-type) edge."""
     echo = _echo(rep_deg)
-    with Timer() as t:
-        fac = t_two_boundary_factorized(rep_deg, "minus")
-        edges = extract_edges(fac)
-        target = murphy(rep_deg, "B", rep_deg.sites - 1)
-        ratio = mat_proportional(edges.low_coeff, target)
-        one_b = t_open_factorized(rep_deg, rep_deg.sites)
-        edge_one = extract_edges(one_b)
-        ratio2 = mat_proportional(edges.low_coeff, edge_one.low_coeff)
-    if ratio is None or ratio.num.is_zero or ratio2 is None or ratio2.num.is_zero:
-        return failed("prop2/degeneration", params=echo, elapsed_ms=t.ms,
-                      failure={"relation": "degenerate edge does not reduce"})
-    return passed("prop2/degeneration", params=echo, ratio=str(ratio), elapsed_ms=t.ms)
+    edge = extract_edges(t_two_boundary_factorized(rep_deg, "minus")).low_coeff
+    ratio = mat_proportional(edge, murphy(rep_deg, "B", rep_deg.sites - 1))
+    edge_one = extract_edges(t_open_factorized(rep_deg, rep_deg.sites)).low_coeff
+    if mat_proportional(edge, edge_one) is None:
+        ratio = None   # with a nonzero ``ratio`` the edge is nonzero: no zero ratio here
+    return ratio_report("prop2/degeneration", ratio,
+                        {"relation": "degenerate edge does not reduce"}, params=echo)
 
 
 # ---------------------------------------------------------------------------
@@ -530,30 +511,27 @@ def check_hamiltonian(rep: HeckeRep, n: int, seed: int = 0) -> list[CheckReport]
     echo = _echo(rep)
     echo["n"] = str(n)
     out = []
-    with Timer() as t:
-        try:
-            res = hamiltonian(rep, n)
-        except SpanFailure as exc:
-            return [failed("hamiltonian/span", params=echo, elapsed_ms=t.ms,
-                           failure={"relation": str(exc)})]
+    try:
+        res = hamiltonian(rep, n)
+    except SpanFailure as exc:
+        return [failed("hamiltonian/span", params=echo, failure={"relation": str(exc)})]
     desc = " ".join(f"{k}={rat_str(v)}" for k, v in sorted(res.coefficients.items()))
-    out.append(passed("hamiltonian/span", params=echo, ratio=desc, elapsed_ms=t.ms))
+    out.append(passed("hamiltonian/span", params=echo, ratio=desc))
 
-    with Timer() as t:
-        family = t_open_inhomogeneous(rep, n, rat(1))
-        rng = _random.Random(seed ^ 0xA11CE)
-        ok = True
-        for _ in range(3):
-            r = rat(rng.randrange(1, 30), rng.randrange(1, 30))
-            tv = family.evaluate(r)
-            if res.matrix * tv != tv * res.matrix:
-                ok = False
-                break
-        if not ok:
-            out.append(failed("hamiltonian/commutes", params=echo, elapsed_ms=t.ms,
-                              failure={"specialization": rat_str(r)}))
-        else:
-            out.append(passed("hamiltonian/commutes", params=echo, elapsed_ms=t.ms))
+    family = t_open_inhomogeneous(rep, n, rat(1))
+    rng = _random.Random(seed ^ 0xA11CE)
+    ok = True
+    for _ in range(3):
+        r = rat(rng.randrange(1, 30), rng.randrange(1, 30))
+        tv = family.evaluate(r)
+        if res.matrix * tv != tv * res.matrix:
+            ok = False
+            break
+    if not ok:
+        out.append(failed("hamiltonian/commutes", params=echo,
+                          failure={"specialization": rat_str(r)}))
+    else:
+        out.append(passed("hamiltonian/commutes", params=echo))
     return out
 
 
@@ -565,54 +543,39 @@ def check_commuting_family(rep: HeckeRep, n: int, seed: int = 0) -> CheckReport:
     rng = _random.Random(seed ^ 0xFA111E5)
     u0 = rat(rng.randrange(1, 20), rng.randrange(1, 20))
     echo["inhomogeneity"] = rat_str(u0)
-    with Timer() as t:
-        family = t_open_inhomogeneous(rep, n, u0)
-        for _ in range(3):
-            r1 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
-            r2 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
-            if r1 == r2:
-                r2 = r2 + 1
-            a = family.evaluate(r1)
-            b = family.evaluate(r2)
-            if a * b != b * a:
-                return failed("integrability/commuting-family", params=echo,
-                              elapsed_ms=t.ms,
-                              failure={"specialization": f"({rat_str(r1)},{rat_str(r2)})"})
-    return passed("integrability/commuting-family", params=echo, elapsed_ms=t.ms)
+    family = t_open_inhomogeneous(rep, n, u0)
+    for _ in range(3):
+        r1 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
+        r2 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
+        if r1 == r2:
+            r2 = r2 + 1
+        a = family.evaluate(r1)
+        b = family.evaluate(r2)
+        if a * b != b * a:
+            return failed("integrability/commuting-family", params=echo,
+                          failure={"specialization": f"({rat_str(r1)},{rat_str(r2)})"})
+    return passed("integrability/commuting-family", params=echo)
 
 
 # ---------------------------------------------------------------------------
 # exploratory lattice sweep
 # ---------------------------------------------------------------------------
 
-def murphy_candidates(rep: HeckeRep) -> dict[str, PolyMatrix]:
-    """Every C-type Murphy element and its inverse, by report name."""
-    candidates = {}
-    for k in range(rep.sites):
-        candidates[f"J_C[{k}]"] = murphy(rep, "C", k)
-        candidates[f"J_C[{k}]^-1"] = murphy_inverse(rep, "C", k)
-    return candidates
-
-
-def explore_generic(lattice: TwoBoundaryLattice, n: int,
-                    candidates: dict[str, PolyMatrix] | None = None) -> list[CheckReport]:
+def explore_generic(lattice: TwoBoundaryLattice, n: int) -> list[CheckReport]:
     """Evaluate the dressed family at the intermediate lattice points
     ``u = v^{+-n}`` and tabulate which Murphy elements (if any) appear at
-    the expansion edges.  Informational only; nothing is asserted.
-
-    ``candidates`` (from ``murphy_candidates``) lets a sweep over ``n``
-    build the Murphy elements once."""
+    the expansion edges.  Informational only; nothing is asserted."""
     rep = lattice.rep
     echo = _echo(rep)
     echo["n"] = str(n)
     out = []
-    if candidates is None:
-        candidates = murphy_candidates(rep)
     for p in (n, -n):
-        with Timer() as t:
-            edges = lattice.edges(p)
-            hits = []
-            for name, cand in candidates.items():
+        edges = lattice.edges(p)
+        hits = []
+        for k in range(rep.sites):
+            for inverse in (False, True):
+                cand = lattice.murphy(k, inverse)
+                name = f"J_C[{k}]^-1" if inverse else f"J_C[{k}]"
                 r = mat_proportional(edges.low_coeff, cand)
                 if r is not None and not r.num.is_zero:
                     hits.append(f"low~{name}")
@@ -622,6 +585,5 @@ def explore_generic(lattice: TwoBoundaryLattice, n: int,
         note = "; ".join(hits) if hits else "no Murphy element at the edges"
         out.append(info(f"explore/lattice[p={p}]",
                         note=note, params=echo,
-                        degrees=f"[{edges.low_deg}, {edges.high_deg}]",
-                        elapsed_ms=t.ms))
+                        degrees=f"[{edges.low_deg}, {edges.high_deg}]"))
     return out

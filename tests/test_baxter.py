@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import pytest
 
@@ -143,6 +144,20 @@ def test_condition2_corrupted_kit_fails(rep22, kit22):
     kit.aplus = (a0.scale(rat(-1)), a1, a2)  # breaks the trace identity
     reports = check_condition2(rep22, kit)
     assert reports[0].status == "fail"
+
+
+def test_zero_sides_fail_without_raising(rep22, kit22):
+    z = PolyMatrix.zeros((2,))
+    reports = check_condition2(rep22, dataclasses.replace(kit22, aplus=(z, z, z)))
+    assert [r.status for r in reports] == ["fail", "pass"]
+    assert reports[0].first_failure == {"value": "0"}
+    # a zero boundary matrix makes K(u) K(1/u) zero: a zero ratio is no pass
+    rep = copy.copy(rep22)
+    rep.params = dataclasses.replace(rep22.params, c_minus=rat(0))
+    rep.g0_local = rep.g0_inv_local = PolyMatrix.zeros((2,))
+    names = {r.check_name: r.status for r in check_unitarity(rep)}
+    assert names == {"baxter/unitarity-r": "pass", "baxter/unitarity-k": "fail",
+                     "baxter/unitarity-kbar": "pass"}
 
 
 def test_dual_calibration_closed_form_dim2(rep22, kit22):

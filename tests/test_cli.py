@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from heckeverify import baxter, transfer
+from heckeverify import baxter, hecke, transfer
 from heckeverify.cli import SUITE_NAMES, config_from_dict, main, run_suite
 from heckeverify.errors import CalibrationFailure, ConfigError
-from heckeverify.reporting import CheckReport, emit_report, render_report
+from heckeverify.reporting import CheckReport, render_report
 
 
 def test_config_defaults():
@@ -108,6 +108,24 @@ def test_lattice_points_evaluated_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def test_murphy_targets_built_once(monkeypatch):
+    seen = []
+    for name in ("murphy", "murphy_inverse"):
+        build = getattr(hecke, name)
+
+        def counting(rep, family, i, build=build, name=name):
+            seen.append((rep.params, name, family, i))
+            return build(rep, family, i)
+
+        monkeypatch.setattr(transfer, name, counting)
+    cfg = config_from_dict({"sites": 3, "suites": ["prop2", "explore-generic"]})
+    assert not [r for r in run_suite(cfg) if r.status == "fail"]
+    # prop2 needs J_C[0], J_C[2] and inverses per specialization; explore adds
+    # J_C[1] and its inverse at specialization 0
+    assert len(seen) == 4 * 3 + 2
+    assert len(set(seen)) == len(seen)
+
+
 def test_largest_lattice_config():
     cfg = config_from_dict({"local_dim": 2, "sites": 6,
                             "suites": ["prop2", "explore-generic"]})
@@ -122,10 +140,8 @@ def test_largest_lattice_config():
         assert f"low~J_C[{n - 1}]^-1" in notes[f"explore/lattice[p=-{n}]"]
 
 
-def test_emit_report_empty(tmp_path):
-    path = tmp_path / "empty.json"
-    emit_report([], {"seed": 1}, str(path))
-    payload = json.loads(path.read_text())
+def test_render_report_empty():
+    payload = json.loads(render_report([], {"seed": 1}))
     assert payload["reports"] == []
 
 

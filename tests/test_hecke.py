@@ -166,11 +166,23 @@ def test_murphy_inverses(rep23):
             assert murphy(rep23, family, i) * murphy_inverse(rep23, family, i) == ident
 
 
-def test_murphy_b_alternative_variant(rep23):
-    # the alternative recursion feeds on A-type elements from index 2 on
-    expected = rep23.braid[2] * murphy(rep23, "A", 1) * rep23.braid[2]
-    assert murphy(rep23, "B", 2, b_variant="a-fed") == expected
-    assert murphy(rep23, "B", 1, b_variant="a-fed") == murphy(rep23, "B", 1)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_murphy_follows_recursion(dim):
+    # J_i = g_i J_{i-1} g_i from J_1 = g1^2 (A), J_0 = g0 (B) and
+    # J_0 = g1^-1 g2^-1 gN g2 g1 g0 (C, three sites); inverses likewise
+    rep = build_glN_rep(dim, 3, FIXED)
+    g, gi = rep.braid, rep.braid_inv
+    j = {"A": {1: g[1] * g[1]}, "B": {0: rep.b0},
+         "C": {0: gi[1] * gi[2] * rep.bn * g[2] * g[1] * rep.b0}}
+    ji = {"A": {1: gi[1] * gi[1]}, "B": {0: rep.b0_inv},
+          "C": {0: rep.b0_inv * gi[1] * gi[2] * rep.bn_inv * g[2] * g[1]}}
+    for family in ("A", "B", "C"):
+        for i in range(min(j[family]) + 1, 3):
+            j[family][i] = g[i] * j[family][i - 1] * g[i]
+            ji[family][i] = gi[i] * ji[family][i - 1] * gi[i]
+        for i in j[family]:
+            assert murphy(rep, family, i) == j[family][i]
+            assert murphy_inverse(rep, family, i) == ji[family][i]
 
 
 def test_murphy_b_with_trivial_boundary_is_a_type(rep23):

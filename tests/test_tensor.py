@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import (PolyMatrix, embed, embed_pair, kron, lin_solve,
+from heckeverify.tensor import (PolyMatrix, embed_pair, embed_site, kron, lin_solve,
                                 mat_proportional, nullspace, permutation_pair)
 
 U = LaurentPoly.unit
@@ -73,12 +73,14 @@ def test_embed_examples():
     g = random_matrix(rng, 4)
     g.layout = (2, 2)
     i2 = PolyMatrix.identity((2,))
-    assert embed(g, (0, 1), (2, 2, 2)) == kron(g, i2)
-    assert embed(g, (1, 2), (2, 2, 2)) == kron(i2, g)
+    assert embed_pair(g, 0, 1, (2, 2, 2)) == kron(g, i2)
+    assert embed_pair(g, 1, 2, (2, 2, 2)) == kron(i2, g)
     g0 = random_matrix(rng, 2)
-    assert embed(g0, (0,), (2, 2)) == kron(g0, i2)
+    assert embed_site(g0, 0, (2, 2)) == kron(g0, i2)
     with pytest.raises(DimensionMismatch):
-        embed(g, (0, 2), (2, 2, 2))
+        embed_pair(g, 1, 1, (2, 2, 2))
+    with pytest.raises(DimensionMismatch):
+        embed_site(g, 0, (2, 2, 2))
 
 
 def test_embed_pair_nonadjacent_matches_flip_conjugation():
