@@ -8,7 +8,7 @@ from .errors import (CalibrationFailure, ConditionFailure, ConfigError,
                      ConstraintViolation, DimensionMismatch, HeckeVerifyError,
                      IndexOutOfRange, InternalMismatch, NotAUnit, NotInvertible,
                      RelationFailure, SpanFailure)
-from .hecke import (HeckeRep, aux_string_image, build_glN_rep, check_murphy_commutation,
+from .hecke import (HeckeRep, build_glN_rep, check_murphy_commutation,
                     check_relations, check_symmetric_commutant, check_tl_quotient,
                     generator_inverse, murphy, murphy_inverse)
 from .params import Params, parse_rational, sample_params

@@ -21,28 +21,48 @@ from .tensor import (PolyMatrix, embed_pair, embed_site, mat_proportional,
                      nullspace, permutation_pair)
 
 
-def r_hat(rep: HeckeRep, pair: tuple[int, int]) -> PolyMatrix:
+def r_hat(rep: HeckeRep, i: int, arg: LaurentPoly | None = None) -> PolyMatrix:
     """Baxterized bulk matrix ``g_i - u g_i^{-1}`` on the site space."""
-    i, j = pair
-    if j != i + 1:
-        raise ValueError("bulk matrices act on adjacent site pairs")
-    return rep.braid[i] - rep.braid_inv[i].scale(LaurentPoly.unit(1))
+    u = arg if arg is not None else LaurentPoly.unit(1)
+    return rep.braid[i] - rep.braid_inv[i].scale(u)
+
+
+def _pencil(coeffs, w: LaurentPoly) -> PolyMatrix:
+    """The quadratic matrix pencil ``X0 + X1 w + X2 w^2``."""
+    x0, x1, x2 = coeffs
+    return x0 + x1.scale(w) + x2.scale(w * w)
+
+
+def _k_coeffs(rep: HeckeRep, left: bool) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """Coefficients of the boundary pencil ``g + c u - u^2 g^{-1}`` at the left
+    end (``g0``, ``c_-``) or the right end (``gN``, ``c_+``)."""
+    if left:
+        g, g_inv, c = rep.g0_local, rep.g0_inv_local, rep.params.c_minus
+    else:
+        g, g_inv, c = rep.gN_local, rep.gN_inv_local, rep.params.c_plus
+    return g, PolyMatrix.identity((rep.local_dim,)).scale(c), -g_inv
 
 
 def k_minus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
     """Left boundary ``g0 + c_- u - u^2 g0^{-1}`` as a local matrix."""
-    u = arg if arg is not None else LaurentPoly.unit(1)
-    ident = PolyMatrix.identity((rep.local_dim,))
-    return (rep.g0_local + ident.scale(u * rep.params.c_minus)
-            - rep.g0_inv_local.scale(u * u))
+    return _pencil(_k_coeffs(rep, True), arg if arg is not None else LaurentPoly.unit(1))
 
 
 def k_bar_plus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
     """Right boundary ``gN + c_+ u - u^2 gN^{-1}`` as a local matrix."""
-    u = arg if arg is not None else LaurentPoly.unit(1)
-    ident = PolyMatrix.identity((rep.local_dim,))
-    return (rep.gN_local + ident.scale(u * rep.params.c_plus)
-            - rep.gN_inv_local.scale(u * u))
+    return _pencil(_k_coeffs(rep, False), arg if arg is not None else LaurentPoly.unit(1))
+
+
+def _aux_site_pair(rep: HeckeRep) -> tuple[PolyMatrix, PolyMatrix]:
+    """The bulk generator and its inverse on the (auxiliary, site) pair,
+    first slot on the site factor: the kernel of every auxiliary trace."""
+    layout = (rep.local_dim,) * 2
+    return embed_pair(rep.g_local, 1, 0, layout), embed_pair(rep.g_inv_local, 1, 0, layout)
+
+
+def _aux_trace(x: PolyMatrix, kernel: PolyMatrix) -> PolyMatrix:
+    """``tr_aux{(x (x) I) * kernel}`` on the (auxiliary, site) pair."""
+    return (embed_site(x, 0, kernel.layout) * kernel).partial_trace_first()
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +81,14 @@ def _sample_points(seed: int, count: int) -> list[Rational]:
 
 def check_ybe(rep: HeckeRep, seed: int = 0) -> CheckReport:
     """Braid-form Yang-Baxter identity on a dedicated three-factor space,
-    with one argument formal and the second specialized at three rationals."""
+    with one argument formal and the second specialized at three rationals.
+
+    The three points prove the identity in ``r`` as well: every factor is
+    ``g - a g^{-1}`` with ``a`` one of ``u/r``, ``u``, ``r``, so the residual
+    ``lhs - rhs`` times ``r`` has degree <= 2 in ``r`` (coefficients Laurent
+    in ``u``).  A polynomial of degree <= 2 vanishing at three distinct
+    points is zero.
+    """
     d = rep.local_dim
     layout = (d, d, d)
     g12 = embed_pair(rep.g_local, 0, 1, layout)
@@ -194,9 +221,6 @@ def _pair_trace_maps(rep: HeckeRep):
     """The two linear maps X -> tr_aux{(X (x) I) * G-part} with the bulk
     generator embedded site-first on the (aux, site) pair."""
     d = rep.local_dim
-    layout = (d, d)
-    gp = embed_pair(rep.g_local, 1, 0, layout)
-    gpi = embed_pair(rep.g_inv_local, 1, 0, layout)
 
     def build_map(kernel: PolyMatrix) -> list[list[Rational]]:
         cols = []
@@ -204,13 +228,13 @@ def _pair_trace_maps(rep: HeckeRep):
             for b in range(d):
                 basis = PolyMatrix((d,))
                 basis._set(a, b, 1)
-                img = (embed_site(basis, 0, layout) * kernel).partial_trace_first()
+                img = _aux_trace(basis, kernel)
                 vec = [img.get(r, c).coeff(0) for r in range(d) for c in range(d)]
                 cols.append(vec)
         # column-major -> row-major matrix of the map
         return [[cols[j][i] for j in range(d * d)] for i in range(d * d)]
 
-    return build_map(gp), build_map(gpi)
+    return tuple(build_map(kernel) for kernel in _aux_site_pair(rep))
 
 
 def _calibrate_dual(rep: HeckeRep, low_map, high_map, target: list[PolyMatrix]):
@@ -280,26 +304,20 @@ class BaxterKit:
     bminus: tuple[PolyMatrix, PolyMatrix, PolyMatrix]
 
     def aplus_at(self, arg: LaurentPoly) -> PolyMatrix:
-        a0, a1, a2 = self.aplus
-        return a0 + a1.scale(arg) + a2.scale(arg * arg)
+        return _pencil(self.aplus, arg)
 
     def bminus_at(self, arg: LaurentPoly) -> PolyMatrix:
-        b0, b1, b2 = self.bminus
-        return b0 + b1.scale(arg) + b2.scale(arg * arg)
+        return _pencil(self.bminus, arg)
 
 
 def build_kit(rep: HeckeRep) -> BaxterKit:
     chi, ratio = calibrate_crossing(rep)
     map_g, map_gi = _pair_trace_maps(rep)
     neg_gi = [[-x for x in row] for row in map_gi]
-    d = rep.local_dim
-    ident = PolyMatrix.identity((d,))
-    kbar = [rep.gN_local, ident.scale(rep.params.c_plus), -rep.gN_inv_local]
-    kmin = [rep.g0_local, ident.scale(rep.params.c_minus), -rep.g0_inv_local]
     # trace kernel (G - u^2 Gi): degree-0 action G, degree-2 action -Gi
-    aplus = _calibrate_dual(rep, map_g, neg_gi, kbar)
+    aplus = _calibrate_dual(rep, map_g, neg_gi, _k_coeffs(rep, False))
     # trace kernel (u^2 G - Gi): degree-0 action -Gi, degree-2 action G
-    bminus = _calibrate_dual(rep, neg_gi, map_g, kmin)
+    bminus = _calibrate_dual(rep, neg_gi, map_g, _k_coeffs(rep, True))
     return BaxterKit(rep=rep, crossing_unit=chi, crossing_ratio=ratio,
                      aplus=aplus, bminus=bminus)
 
@@ -307,10 +325,7 @@ def build_kit(rep: HeckeRep) -> BaxterKit:
 def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
     """Verify both trace conditions with the calibrated dual operators and
     report the exact proportionality functions."""
-    d = rep.local_dim
-    layout = (d, d)
-    gp = embed_pair(rep.g_local, 1, 0, layout)
-    gpi = embed_pair(rep.g_inv_local, 1, 0, layout)
+    gp, gpi = _aux_site_pair(rep)
     u = LaurentPoly.unit(1)
     u2 = LaurentPoly.unit(2)
     echo = _echo(rep)
@@ -318,7 +333,7 @@ def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
     for name, dual, kernel, target in (
             ("right", kit.aplus_at(u), gp - gpi.scale(u2), k_bar_plus_hat(rep, u)),
             ("left", kit.bminus_at(u), gp.scale(u2) - gpi, k_minus_hat(rep, u))):
-        lhs = (embed_site(dual, 0, layout) * kernel).partial_trace_first()
+        lhs = _aux_trace(dual, kernel)
         out.append(ratio_report(f"condition2/{name}-trace", mat_proportional(lhs, target),
                                 entry_failure(lhs), params=echo))
     return out

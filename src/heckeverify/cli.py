@@ -29,6 +29,27 @@ PARAM_NAMES = ("q", "Q0", "QN", "x0p", "x0m", "xNp", "xNm", "c_minus", "c_plus")
 _SITE_BOUNDS = {2: 6, 3: 4}
 
 
+def _check_size(local_dim: int, sites: int) -> None:
+    """Reject representations beyond the bounded-time sizes."""
+    if local_dim not in _SITE_BOUNDS:
+        raise ConfigError(f"local_dim must be one of {sorted(_SITE_BOUNDS)}")
+    if not 1 <= sites <= _SITE_BOUNDS[local_dim]:
+        raise ConfigError(f"sites for local_dim {local_dim} must be 1..{_SITE_BOUNDS[local_dim]}")
+
+
+def _as_int(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
+def _env_seed() -> int | None:
+    """The ``HECKE_SEED`` environment override, if set."""
+    value = os.environ.get("HECKE_SEED")
+    return None if value is None else _as_int("HECKE_SEED", value)
+
+
 @dataclass
 class RunConfig:
     local_dim: int = 2
@@ -40,11 +61,7 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> None:
-        if self.local_dim not in _SITE_BOUNDS:
-            raise ConfigError(f"local_dim must be one of {sorted(_SITE_BOUNDS)}")
-        if not 1 <= self.sites <= _SITE_BOUNDS[self.local_dim]:
-            raise ConfigError(
-                f"sites for local_dim {self.local_dim} must be 1..{_SITE_BOUNDS[self.local_dim]}")
+        _check_size(self.local_dim, self.sites)
         if self.family not in hecke.FAMILIES:
             raise ConfigError(f"family must be one of {hecke.FAMILIES}")
         for name in self.overrides:
@@ -89,14 +106,11 @@ def load_config(path: str) -> dict:
 
 def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
     cfg = RunConfig()
-    if "local_dim" in data:
-        cfg.local_dim = int(data["local_dim"])
-    if "sites" in data:
-        cfg.sites = int(data["sites"])
+    for name in ("local_dim", "sites", "seed"):
+        if name in data:
+            setattr(cfg, name, _as_int(name, data[name]))
     if "family" in data:
         cfg.family = str(data["family"])
-    if "seed" in data:
-        cfg.seed = int(data["seed"])
     if "suites" in data:
         cfg.suites = list(data["suites"])
     if "out" in data:
@@ -104,9 +118,9 @@ def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
     for name in PARAM_NAMES:
         if name in data:
             cfg.overrides[name] = parse_rational(str(data[name]))
-    env_seed = os.environ.get("HECKE_SEED")
+    env_seed = _env_seed()
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        cfg.seed = env_seed
     if seed_override is not None:
         cfg.seed = seed_override
     cfg.validate()
@@ -272,10 +286,10 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _default_rep(args) -> hecke.HeckeRep:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    env_seed = os.environ.get("HECKE_SEED")
-    if args.seed is None and env_seed is not None:
-        seed = int(env_seed)
+    _check_size(args.local_dim, args.sites)
+    seed = args.seed if args.seed is not None else _env_seed()
+    if seed is None:
+        seed = DEFAULT_SEED
     params = sample_params(seed * 1000)
     return hecke.build_glN_rep(args.local_dim, args.sites, params)
 

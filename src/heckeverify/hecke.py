@@ -490,56 +490,3 @@ def _power(m: PolyMatrix, n: int) -> PolyMatrix:
     for _ in range(n - 1):
         out = out * m
     return out
-
-
-# ---------------------------------------------------------------------------
-# auxiliary-string images
-# ---------------------------------------------------------------------------
-
-def aux_string_image(rep: HeckeRep, l: int) -> list[PolyMatrix]:
-    """Images of the boundary-algebra generators under the shift-by-``l`` map.
-
-    The boundary generator maps to ``g_l .. g_1 g0 g1 .. g_l`` and the bulk
-    generator ``g_i`` to ``g_{i+l}``.  The images satisfy the Artin relations
-    of the one-boundary braid group; the quadratic boundary relation is not
-    required (and generically fails for l > 0).
-    """
-    n = rep.sites
-    if l < 0 or l > n - 1:
-        raise IndexOutOfRange(f"shift {l} outside 0..{n - 1}")
-    sigma0 = rep.b0
-    for k in range(1, l + 1):
-        sigma0 = rep.braid[k] * sigma0 * rep.braid[k]
-    images = [sigma0]
-    for i in range(1, n - l):
-        images.append(rep.braid[i + l])
-
-    # Artin relations among the images
-    for i in range(1, len(images) - 1):
-        a, b = images[i], images[i + 1]
-        if a * b * a != b * a * b:
-            raise RelationFailure(f"shifted braid relation fails at {i}")
-    for i in range(1, len(images)):
-        for j in range(i + 2, len(images)):
-            if images[i] * images[j] != images[j] * images[i]:
-                raise RelationFailure(f"shifted distant commutation fails at ({i},{j})")
-    if len(images) >= 2:
-        s0, s1 = images[0], images[1]
-        if s1 * s0 * s1 * s0 != s0 * s1 * s0 * s1:
-            raise RelationFailure("shifted boundary braid relation fails")
-    for i in range(2, len(images)):
-        if images[0] * images[i] != images[i] * images[0]:
-            raise RelationFailure(f"shifted boundary distant commutation fails at {i}")
-    return images
-
-
-def aux_string_quadratic_holds(rep: HeckeRep, l: int) -> bool:
-    """Whether the shifted boundary image still satisfies its quadratic
-    relation (it does at l = 0, generically not beyond)."""
-    sigma0 = rep.b0
-    for k in range(1, l + 1):
-        sigma0 = rep.braid[k] * sigma0 * rep.braid[k]
-    ident = rep.identity()
-    p = rep.params
-    resid = (sigma0 - ident.scale(p.Q0)) * (sigma0 + ident.scale(rat(1) / p.Q0))
-    return resid.is_zero

@@ -18,15 +18,19 @@ matrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
-from .baxter import BaxterKit, k_minus_hat
+from .baxter import (BaxterKit, _aux_site_pair, _aux_trace, k_bar_plus_hat,
+                     k_minus_hat, r_hat)
 from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
                      SpanFailure)
 from .hecke import HeckeRep, _echo, murphy, murphy_inverse
 from .rings import LaurentPoly, LaurentRatio, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, info, passed, ratio_report
-from .tensor import (PolyMatrix, embed_pair, embed_site, lin_solve,
+from .tensor import (PolyMatrix, embed_pair, embed_site, kron, lin_solve,
                      mat_proportional, permutation_pair)
 
 
@@ -88,6 +92,27 @@ class AuxWorkspace:
         return embed_site(local, 0, self.layout)
 
 
+def _double_row(ws: AuxWorkspace, lead: PolyMatrix, left, k_minus: PolyMatrix | None,
+                right) -> Iterator[PolyMatrix]:
+    """The factors of the double row ``lead_0 R_0N..R_01 K-_0 R_01..R_0N``
+    before the auxiliary trace: ``lead`` on the auxiliary space, the left pair
+    operators ``N..1`` at arguments ``left(k)``, the left boundary ``k_minus``
+    (dropped when None), the right pair operators ``1..N`` at ``right(k)``.
+    Yielded one at a time, so a product need not hold them all."""
+    yield ws.aux_op(lead)
+    for k in range(ws.n, 0, -1):
+        yield ws.r_left(k, left(k))
+    if k_minus is not None:
+        yield ws.aux_op(k_minus)
+    for k in range(1, ws.n + 1):
+        yield ws.r_right(k, right(k))
+
+
+def _trace_product(factors: Iterable[PolyMatrix]) -> PolyMatrix:
+    """``tr_aux(F_1 ... F_m)``, auxiliary space factor 0."""
+    return reduce(mul, factors).partial_trace_first()
+
+
 # ---------------------------------------------------------------------------
 # one-boundary pipeline
 # ---------------------------------------------------------------------------
@@ -95,13 +120,9 @@ class AuxWorkspace:
 def aux_trace_scalar(rep: HeckeRep) -> LaurentPoly | None:
     """Scalar ``f`` with ``tr_aux{(M (x) I) * (g - w g^-1)} = f(w) I`` for the
     site-first embedded bulk generator, or None when the trace is not scalar."""
-    d = rep.local_dim
-    layout = (d, d)
-    gp = embed_pair(rep.g_local, 1, 0, layout)
-    gpi = embed_pair(rep.g_inv_local, 1, 0, layout)
-    w = LaurentPoly.unit(1)
-    tr = (embed_site(rep.m_local, 0, layout) * (gp - gpi.scale(w))).partial_trace_first()
-    ratio = mat_proportional(tr, PolyMatrix.identity((d,)))
+    gp, gpi = _aux_site_pair(rep)
+    tr = _aux_trace(rep.m_local, gp - gpi.scale(LaurentPoly.unit(1)))
+    ratio = mat_proportional(tr, PolyMatrix.identity((rep.local_dim,)))
     if ratio is None or ratio.den != LaurentPoly.const(1):
         return None
     return ratio.num
@@ -113,72 +134,42 @@ def check_aux_trace(rep: HeckeRep, n: int) -> CheckReport:
     echo["n"] = str(n)
     f = aux_trace_scalar(rep)
     if f is None:
-        d = rep.local_dim
-        layout = (d, d)
-        gp = embed_pair(rep.g_local, 1, 0, layout)
-        tr = (embed_site(rep.m_local, 0, layout) * gp).partial_trace_first()
+        tr = _aux_trace(rep.m_local, _aux_site_pair(rep)[0])
         return failed("transfer/aux-trace", params=echo, failure=entry_failure(tr))
     return passed("transfer/aux-trace", params=echo, ratio=str(f))
 
 
-def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False,
-                      layout_sites: int | None = None) -> PolyMatrix:
+def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> PolyMatrix:
     """Bulk sandwich around the left boundary at the diagonal point.
 
     Entries are polynomial of total degree exactly ``2n`` (``2n - 2`` when
     the boundary is switched off for the A-type corollary).
     """
-    total = layout_sites if layout_sites is not None else rep.sites
-    layout = (rep.local_dim,) * total
-    u = LaurentPoly.unit(1)
-    if trivial_k:
-        mid = PolyMatrix.identity(layout)
-    else:
-        mid = embed_site(k_minus_hat(rep, u), 0, layout)
-    out = mid
+    out = rep.identity() if trivial_k else embed_site(k_minus_hat(rep), 0, rep.layout)
     for i in range(1, n):
-        g = embed_pair(rep.g_local, i - 1, i, layout)
-        gi = embed_pair(rep.g_inv_local, i - 1, i, layout)
-        rh = g - gi.scale(u)
+        rh = r_hat(rep, i)
         out = rh * out * rh
     return out
 
 
-def t_open_direct(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> PolyMatrix:
-    """Direct auxiliary trace at the diagonal point, on ``n`` sites."""
-    ws = AuxWorkspace(rep, n)
+def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational | LaurentPoly, *,
+                         trivial_k: bool = False) -> PolyMatrix:
+    """Direct trace on ``n`` sites with formal argument ``u`` and the
+    inhomogeneity ``u0`` at the last site: ``u * u0`` on its left, ``u / u0``
+    on its right.  ``u0`` is a rational, or the formal ``u`` itself for the
+    diagonal point (``u^2`` and ``1``)."""
     u = LaurentPoly.unit(1)
-    u2 = LaurentPoly.unit(2)
-    one = LaurentPoly.const(1)
-    x = ws.aux_op(rep.m_local) * ws.r_left(n, u2)
-    for k in range(n - 1, 0, -1):
-        x = x * ws.r_left(k, u)
-    if not trivial_k:
-        x = x * ws.aux_op(k_minus_hat(rep, u))
-    for k in range(1, n):
-        x = x * ws.r_right(k, u)
-    x = x * ws.r_right(n, one)
-    return x.partial_trace_first()
-
-
-def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational) -> PolyMatrix:
-    """Direct trace with formal argument and a fixed rational inhomogeneity."""
-    ws = AuxWorkspace(rep, n)
-    u = LaurentPoly.unit(1)
-    x = ws.aux_op(rep.m_local) * ws.r_left(n, LaurentPoly.unit(1, u0))
-    for k in range(n - 1, 0, -1):
-        x = x * ws.r_left(k, u)
-    x = x * ws.aux_op(k_minus_hat(rep, u))
-    for k in range(1, n):
-        x = x * ws.r_right(k, u)
-    x = x * ws.r_right(n, LaurentPoly.unit(1, rat(1) / u0))
-    return x.partial_trace_first()
+    u0 = LaurentPoly.const(1) * u0
+    factors = _double_row(
+        AuxWorkspace(rep, n), rep.m_local, lambda k: u * u0 if k == n else u,
+        None if trivial_k else k_minus_hat(rep, u),
+        lambda k: u * u0 ** -1 if k == n else u)
+    return _trace_product(factors)
 
 
 @dataclass
 class OneBoundaryResult:
     matrix: PolyMatrix            # factorized form on the full site space
-    aux_scalar: LaurentPoly       # the quantum-trace scalar f(w)
     internal_ratio: LaurentRatio | None  # direct / (f * factorized), a monomial
 
 
@@ -198,15 +189,15 @@ def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,
     matrix = t_open_factorized(rep, n, trivial_k=trivial_k)
     ratio = None
     if cross_check:
-        direct = t_open_direct(rep, n, trivial_k=trivial_k)
-        small = t_open_factorized(rep, n, trivial_k=trivial_k, layout_sites=n)
-        expected = small.scale(f.compose_power(2))
-        ratio = mat_proportional(direct, expected)
+        direct = t_open_inhomogeneous(rep, n, LaurentPoly.unit(1), trivial_k=trivial_k)
+        if n < rep.sites:   # the factorized form is the identity on the other sites
+            direct = kron(direct, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
+        ratio = mat_proportional(direct, matrix.scale(f.compose_power(2)))
         if ratio is None:
             raise InternalMismatch("direct and factorized constructions disagree")
         if not (ratio.den == LaurentPoly.const(1) and ratio.num.is_single_term):
             raise InternalMismatch(f"non-monomial internal ratio {ratio}")
-    return OneBoundaryResult(matrix=matrix, aux_scalar=f, internal_ratio=ratio)
+    return OneBoundaryResult(matrix=matrix, internal_ratio=ratio)
 
 
 def verify_murphy_edges_one_boundary(rep: HeckeRep, n: int, *,
@@ -248,15 +239,12 @@ def verify_murphy_edges_one_boundary(rep: HeckeRep, n: int, *,
 # ---------------------------------------------------------------------------
 
 def _two_boundary_factors(ws: AuxWorkspace, kit: BaxterKit, p: int) -> list[PolyMatrix]:
-    """The factors of ``T(u = v^p; v)`` before the auxiliary trace, in order:
-    the calibrated dual operator (twist included), the left pair operators
-    ``N..1``, the left boundary, the right pair operators ``1..N``."""
-    n = ws.n
-    uarg = LaurentPoly.unit(p)
-    return ([ws.aux_op(kit.aplus_at(uarg))]
-            + [ws.r_left(k, LaurentPoly.unit(p + k)) for k in range(n, 0, -1)]
-            + [ws.aux_op(k_minus_hat(ws.rep, uarg))]
-            + [ws.r_right(k, LaurentPoly.unit(p - k)) for k in range(1, n + 1)])
+    """The factors of ``T(u = v^p; v)`` before the auxiliary trace: the
+    calibrated dual operator (twist included) leads, and the pair at site
+    ``k`` takes ``v^(p+k)`` on the left and ``v^(p-k)`` on the right."""
+    unit = LaurentPoly.unit
+    return list(_double_row(ws, kit.aplus_at(unit(p)), lambda k: unit(p + k),
+                            k_minus_hat(ws.rep, unit(p)), lambda k: unit(p - k)))
 
 
 def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
@@ -265,10 +253,7 @@ def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
     The calibrated dual operator (twist included) leads the trace; the left
     boundary is dressed by the full inhomogeneity lattice.
     """
-    x, *rest = _two_boundary_factors(AuxWorkspace(rep, rep.sites), kit, p)
-    for f in rest:
-        x = x * f
-    return x.partial_trace_first()
+    return _trace_product(_two_boundary_factors(AuxWorkspace(rep, rep.sites), kit, p))
 
 
 def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
@@ -355,41 +340,22 @@ class TwoBoundaryLattice:
 
 def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
     """The telescoped product forms of the two-boundary transfer matrices."""
+    if mode not in ("minus", "plus"):
+        raise ValueError(f"unknown mode {mode!r}")
     n = rep.sites
-    layout = rep.layout
-    ident = PolyMatrix.identity(layout)
-    p = rep.params
-
-    def rh(i: int, w: LaurentPoly) -> PolyMatrix:
-        return rep.braid[i] - rep.braid_inv[i].scale(w)
-
-    def rh_inv_lead(i: int, w: LaurentPoly) -> PolyMatrix:
-        return rep.braid_inv[i] - rep.braid[i].scale(w)
-
-    def kminus(w: LaurentPoly) -> PolyMatrix:
-        return rep.b0 + ident.scale(w * p.c_minus) - rep.b0_inv.scale(w * w)
-
-    def kplus(w: LaurentPoly) -> PolyMatrix:
-        return rep.bn + ident.scale(w * p.c_plus) - rep.bn_inv.scale(w * w)
-
+    unit = LaurentPoly.unit
+    w = unit(n if mode == "minus" else 1)
+    kplus = embed_site(k_bar_plus_hat(rep, w), n - 1, rep.layout)
+    kminus = embed_site(k_minus_hat(rep, w), 0, rep.layout)
     if mode == "minus":
-        out = kplus(LaurentPoly.unit(n))
-        for i in range(n - 1, 0, -1):
-            out = out * rh(i, LaurentPoly.unit(n + i))
-        out = out * kminus(LaurentPoly.unit(n))
-        for i in range(1, n):
-            out = out * rh(i, LaurentPoly.unit(n - i))
-        return out
-    if mode == "plus":
-        out = ident
-        for i in range(1, n):
-            out = out * rh_inv_lead(i, LaurentPoly.unit(i + 2))
-        out = out * kplus(LaurentPoly.unit(1))
-        for i in range(n - 1, 0, -1):
-            out = out * rh(i, LaurentPoly.unit(n - i))
-        out = out * kminus(LaurentPoly.unit(1))
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+        factors = ([kplus] + [r_hat(rep, i, unit(n + i)) for i in range(n - 1, 0, -1)]
+                   + [kminus] + [r_hat(rep, i, unit(n - i)) for i in range(1, n)])
+    else:
+        # g_i^-1 - w g_i == -w (g_i - w^-1 g_i^-1)
+        factors = ([r_hat(rep, i, unit(-i - 2)).scale(unit(i + 2, -1)) for i in range(1, n)]
+                   + [kplus] + [r_hat(rep, i, unit(n - i)) for i in range(n - 1, 0, -1)]
+                   + [kminus])
+    return reduce(mul, factors)
 
 
 def _lattice_points(n: int) -> list[tuple[str, int, int, bool]]:

@@ -16,7 +16,7 @@ from conftest import FIXED, SEEDS
 
 
 def test_r_hat_values(rep23):
-    rh = r_hat(rep23, (1, 2))
+    rh = r_hat(rep23, 1)
     assert rh.coefficient(0) == rep23.braid[1]
     assert rh.coefficient(1) == -rep23.braid_inv[1]
     assert rh.max_degree() <= 1

@@ -63,6 +63,40 @@ def test_config_desk_bounds():
         config_from_dict({"suites": ["nonsense"]})
 
 
+@pytest.mark.parametrize("name", ["local_dim", "sites", "seed"])
+def test_config_rejects_malformed_integers(name, tmp_path):
+    with pytest.raises(ConfigError):
+        config_from_dict({name: "two"})
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({name: "two"}))
+    assert main(["suite", "--config", str(cfgfile)]) == 2
+
+
+def test_malformed_env_seed_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("HECKE_SEED", "abc")
+    with pytest.raises(ConfigError):
+        config_from_dict({})
+    assert main(["murphy", "--family", "B", "--n", "1", "--sites", "2"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["murphy", "--family", "C", "--n", "1", "--sites", "30"],
+    ["dump", "--object", "t_open", "--sites", "7"],
+    ["dump", "--object", "t_minus", "--local-dim", "3", "--sites", "5"],
+    ["calibrate", "--local-dim", "5"],
+    ["calibrate", "--sites", "0"],
+], ids=["murphy-2x30", "dump-2x7", "dump-3x5", "calibrate-5x3", "calibrate-2x0"])
+def test_cli_rejects_unbounded_sizes(argv, monkeypatch, capsys):
+    # the bound check must come before any representation is built
+    def no_rep(*args, **kwargs):
+        raise AssertionError("representation built for an unbounded size")
+
+    monkeypatch.setattr(hecke, "build_glN_rep", no_rep)
+    assert main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_env_seed_override(monkeypatch):
     monkeypatch.setenv("HECKE_SEED", "777")
     cfg = config_from_dict({"seed": 5})
@@ -105,6 +139,22 @@ def test_lattice_points_evaluated_once(monkeypatch):
     assert not [r for r in reports if r.status == "fail"]
     # four per specialization for prop2; explore adds only p = +-2 (2N - 4)
     assert len(seen) == 4 * 3 + 2
+    assert len(set(seen)) == len(seen)
+
+
+def test_one_factorized_build_per_check(monkeypatch):
+    seen = []
+    build = transfer.t_open_factorized
+
+    def counting(rep, n, **kwargs):
+        seen.append((rep.params, n, kwargs.get("trivial_k", False)))
+        return build(rep, n, **kwargs)
+
+    monkeypatch.setattr(transfer, "t_open_factorized", counting)
+    cfg = config_from_dict({"sites": 3, "suites": ["prop1", "corollary"]})
+    assert not [r for r in run_suite(cfg) if r.status == "fail"]
+    # one per specialization and suite
+    assert len(seen) == 3 * 2
     assert len(set(seen)) == len(seen)
 
 
@@ -214,6 +264,20 @@ def test_cli_dump_needs_no_kit(tmp_path, monkeypatch):
     assert out.read_bytes() == plain.read_bytes()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "6a7354af4f673fdf1fb79286882ac89c57fd7de95f7968045fcbe320263f18d0")
+
+
+@pytest.mark.parametrize("obj,sites,digest", [
+    ("t_open", 2, "c28bf84d72077c2084c48aa5a69a1c7b43b1eaa2be5dd7b81b06c1b51e3e00b4"),
+    ("t_open", 3, "edcf023607a3429b088ef2ca600856a0984bf5eaf4d5f75c7b0cf11940fbebc6"),
+    ("t_minus", 2, "6a7354af4f673fdf1fb79286882ac89c57fd7de95f7968045fcbe320263f18d0"),
+    ("t_minus", 3, "04c057040859a2d71b81f69c8098bdf10720da593a473e4e33f1ce5fbc9330f1"),
+    ("t_plus", 2, "7a2cb689363a3ec4284a66ef6d5ad696dec115ef53e59e716a80f8219ff38f62"),
+    ("t_plus", 3, "bbb8d43c0aa8ee21316be0a78eff55109e5590f8cf105b60cffb01642e31c406"),
+])
+def test_cli_dump_bytes_pinned(obj, sites, digest, tmp_path):
+    out = tmp_path / f"{obj}.json"
+    assert main(["dump", "--object", obj, "--sites", str(sites), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_calibrate(capsys):

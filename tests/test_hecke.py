@@ -5,8 +5,7 @@ import pytest
 from heckeverify import build_glN_rep
 from heckeverify.errors import (ConstraintViolation, IndexOutOfRange,
                                 NotInvertible, RelationFailure)
-from heckeverify.hecke import (aux_string_image, aux_string_quadratic_holds,
-                               check_murphy_commutation, check_relations,
+from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient,
                                generator_inverse, murphy, murphy_inverse)
 from heckeverify.params import Params, sample_params
@@ -221,19 +220,6 @@ def test_single_murphy_element_is_not_central(rep23):
     j1 = murphy(rep23, "B", 1)
     g2 = rep23.braid[2]
     assert j1 * g2 != g2 * j1
-
-
-def test_aux_string_images(rep23):
-    images = aux_string_image(rep23, 0)
-    assert images[0] == rep23.b0
-    assert images[1] == rep23.braid[1]
-    images = aux_string_image(rep23, 1)
-    assert images[0] == rep23.braid[1] * rep23.b0 * rep23.braid[1]
-    assert images[1] == rep23.braid[2]
-    assert aux_string_quadratic_holds(rep23, 0)
-    assert not aux_string_quadratic_holds(rep23, 1)
-    with pytest.raises(IndexOutOfRange):
-        aux_string_image(rep23, 3)
 
 
 def test_degenerate_right_boundary():
