@@ -18,7 +18,7 @@ from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, LaurentRatio, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, embed_pair, embed_site, mat_proportional,
-                     nullspace, permutation_pair)
+                     nullspace, permutation_pair, trace_product)
 
 
 def r_hat(rep: HeckeRep, i: int, arg: LaurentPoly | None = None) -> PolyMatrix:
@@ -62,7 +62,7 @@ def _aux_site_pair(rep: HeckeRep) -> tuple[PolyMatrix, PolyMatrix]:
 
 def _aux_trace(x: PolyMatrix, kernel: PolyMatrix) -> PolyMatrix:
     """``tr_aux{(x (x) I) * kernel}`` on the (auxiliary, site) pair."""
-    return (embed_site(x, 0, kernel.layout) * kernel).partial_trace_first()
+    return trace_product(embed_site(x, 0, kernel.layout), kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,14 @@ class RunConfig:
 
 
 def load_config(path: str) -> dict:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """The table of a JSON or (by the ``.toml`` suffix) TOML config file; an
+    unreadable or malformed file, or one that is not a table, is a
+    ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if path.endswith(".toml"):
         try:
             import tomllib  # Python >= 3.11
@@ -100,8 +106,17 @@ def load_config(path: str) -> dict:
                 import tomli as tomllib
             except ImportError as exc:
                 raise ConfigError("TOML config needs Python 3.11+ or tomli") from exc
-        return tomllib.loads(blob.decode("utf-8"))
-    return json.loads(blob.decode("utf-8"))
+        parse, malformed = tomllib.loads, tomllib.TOMLDecodeError
+    else:
+        parse, malformed = json.loads, json.JSONDecodeError
+    try:
+        data = parse(text)
+    except malformed as exc:
+        raise ConfigError(f"malformed config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a table of keys, "
+                          f"not {type(data).__name__}")
+    return data
 
 
 def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
@@ -132,14 +147,15 @@ def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 class SuiteContext:
-    """Reps, calibrated kits and two-boundary lattices per specialization,
-    built lazily and shared."""
+    """Reps, calibrated kits, two-boundary lattices and one-boundary reports
+    per specialization, built lazily and shared."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self._reps: dict[int, hecke.HeckeRep] = {}
         self._kits: dict[int, baxter.BaxterKit] = {}
         self._lattices: dict[int, transfer.TwoBoundaryLattice] = {}
+        self._one_boundary: dict[int, dict] = {}
 
     def spec_seed(self, idx: int) -> int:
         return self.config.seed * 1000 + idx
@@ -161,14 +177,49 @@ class SuiteContext:
             self._lattices[idx] = transfer.TwoBoundaryLattice(self.rep(idx), self.kit(idx))
         return self._lattices[idx]
 
+    def one_boundary(self, idx: int) -> dict[str, list[CheckReport] | HeckeVerifyError]:
+        """Reports (or the error raised) of every configured one-boundary
+        suite at one specialization, from one ``transfer.one_boundary_pass``."""
+        if idx not in self._one_boundary:
+            config = self.config
+            names = [name for name in transfer.ONE_BOUNDARY_CHECKS
+                     if name in config.suites and not _skipped(name, config)]
+            self._one_boundary[idx] = transfer.one_boundary_pass(
+                transfer.OneBoundaryChain(self.rep(idx), config.sites), names,
+                self.spec_seed(idx))
+        return self._one_boundary[idx]
 
-def _each_spec(check, skip=None):
-    """The suite running ``check(ctx, idx)`` at every specialization.  With
-    ``skip = (test, name, note)`` a config passing ``test`` gets one ``info``
-    report instead."""
+
+# suite name -> (test, check name, note): run_suite gives a config passing
+# ``test`` one ``info`` report instead of the suite
+_SKIPS = {
+    "tl": (lambda cfg: cfg.local_dim != 2 or cfg.sites < 2, "tl/quotient",
+           "skipped: quotient relations need local dim 2 and >= 2 sites"),
+    "corollary": (lambda cfg: cfg.sites < 2, "corollary/low-edge",
+                  "skipped: needs at least 2 sites"),
+    "hamiltonian": (lambda cfg: cfg.sites < 2, "hamiltonian/span",
+                    "skipped: needs at least 2 sites"),
+}
+
+
+def _skipped(name: str, config: RunConfig) -> bool:
+    return name in _SKIPS and _SKIPS[name][0](config)
+
+
+def _one_boundary_reports(name: str):
+    """The check reading suite ``name``'s reports from the one-boundary pass;
+    an error the suite raised there is raised again here."""
+    def check(ctx: SuiteContext, idx: int) -> list[CheckReport]:
+        result = ctx.one_boundary(idx)[name]
+        if isinstance(result, HeckeVerifyError):
+            raise result
+        return result
+    return check
+
+
+def _each_spec(check):
+    """The suite running ``check(ctx, idx)`` at every specialization."""
     def suite(ctx: SuiteContext) -> list[CheckReport]:
-        if skip and skip[0](ctx.config):
-            return [info(skip[1], note=skip[2])]
         return [r for idx in range(SPECIALIZATIONS) for r in check(ctx, idx)]
     return suite
 
@@ -176,10 +227,6 @@ def _each_spec(check, skip=None):
 def _murphy_families(config: RunConfig) -> list[str]:
     """Families with at least one Murphy element (A needs two sites)."""
     return [f for f in config.families() if f != "A" or config.sites >= 2]
-
-
-def _one_site(config: RunConfig) -> bool:
-    return config.sites < 2
 
 
 def _prop2(ctx: SuiteContext, idx: int) -> list[CheckReport]:
@@ -206,10 +253,7 @@ def _explore_generic(ctx: SuiteContext) -> list[CheckReport]:
 _SUITES = {
     "relations": _each_spec(lambda ctx, i: [
         hecke.check_relations(ctx.rep(i), f) for f in ctx.config.families()]),
-    "tl": _each_spec(
-        lambda ctx, i: [hecke.check_tl_report(ctx.rep(i))],
-        skip=(lambda cfg: cfg.local_dim != 2 or cfg.sites < 2, "tl/quotient",
-              "skipped: quotient relations need local dim 2 and >= 2 sites")),
+    "tl": _each_spec(lambda ctx, i: [hecke.check_tl_report(ctx.rep(i))]),
     "murphy-commute": _each_spec(lambda ctx, i: [
         hecke.check_murphy_commutation(ctx.rep(i), f) for f in _murphy_families(ctx.config)]),
     "central": _each_spec(lambda ctx, i: [
@@ -219,20 +263,11 @@ _SUITES = {
         baxter.check_re(ctx.rep(i), end, seed=ctx.spec_seed(i)) for end in ("left", "right")]),
     "unitarity": _each_spec(lambda ctx, i: baxter.check_unitarity(ctx.rep(i))),
     "crossing": _each_spec(lambda ctx, i: [baxter.check_crossing_report(ctx.rep(i))]),
-    "prop1": _each_spec(lambda ctx, i: [
-        transfer.check_aux_trace(ctx.rep(i), ctx.config.sites),
-        *transfer.verify_murphy_edges_one_boundary(ctx.rep(i), ctx.config.sites)]),
-    "corollary": _each_spec(
-        lambda ctx, i: transfer.verify_murphy_edges_one_boundary(
-            ctx.rep(i), ctx.config.sites, trivial_k=True),
-        skip=(_one_site, "corollary/low-edge", "skipped: needs at least 2 sites")),
+    "prop1": _each_spec(_one_boundary_reports("prop1")),
+    "corollary": _each_spec(_one_boundary_reports("corollary")),
     "prop2": _each_spec(_prop2),
-    "hamiltonian": _each_spec(
-        lambda ctx, i: transfer.check_hamiltonian(ctx.rep(i), ctx.config.sites,
-                                                  seed=ctx.spec_seed(i)),
-        skip=(_one_site, "hamiltonian/span", "skipped: needs at least 2 sites")),
-    "commuting-family": _each_spec(lambda ctx, i: [
-        transfer.check_commuting_family(ctx.rep(i), ctx.config.sites, seed=ctx.spec_seed(i))]),
+    "hamiltonian": _each_spec(_one_boundary_reports("hamiltonian")),
+    "commuting-family": _each_spec(_one_boundary_reports("commuting-family")),
     "explore-generic": _explore_generic,
 }
 
@@ -244,6 +279,9 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     reports: list[CheckReport] = []
     for name in SUITE_NAMES:  # canonical order regardless of request order
         if name not in config.suites:
+            continue
+        if _skipped(name, config):
+            reports.append(info(_SKIPS[name][1], note=_SKIPS[name][2]))
             continue
         try:
             reports.extend(_SUITES[name](ctx))

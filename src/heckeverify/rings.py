@@ -187,17 +187,6 @@ class LaurentPoly:
         (deg, c), = self.terms.items()
         return LaurentPoly({-deg: _ONE / c})
 
-    def derivative_at_one(self):
-        """Additive-variable derivative at the unit point.
-
-        With ``u = exp(-2*lam)``, d/d(lam) at lam = 0 equals
-        ``sum_k (-2k) * coeff_k``.
-        """
-        total = _ZERO
-        for d, c in self.terms.items():
-            total += rat(-2 * d) * c
-        return total
-
     def evaluate(self, x):
         """Evaluate at a nonzero rational point."""
         x = x if isinstance(x, Rational) else rat(x)

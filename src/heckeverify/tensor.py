@@ -335,6 +335,20 @@ class PolyMatrix:
                 del rows[rr]
         return PolyMatrix._make(self.layout[1:], rows, self.den)
 
+    def derivative_at_one(self) -> "PolyMatrix":
+        """Entrywise derivative in ``lam`` at ``lam = 0`` for ``u = exp(-2 lam)``:
+        the constant matrix ``sum_k -2k C_k`` of ``sum_k u^k C_k``."""
+        rows = {}
+        for r, row in self.rows.items():
+            orow = {}
+            for c, p in row.items():
+                val = -2 * sum(d * v for d, v in p.terms.items())
+                if val:
+                    orow[c] = _poly({0: val})
+            if orow:
+                rows[r] = orow
+        return PolyMatrix._make(self.layout, rows, self.den)
+
     def evaluate(self, x) -> "PolyMatrix":
         """Specialize the formal variable at a rational point."""
         x = x if isinstance(x, Rational) else rat(x)
@@ -397,6 +411,43 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 for cb, vb in rowb.items():
                     orow[ca * db + cb] = _poly(_mul(va.terms, vb.terms))
     return PolyMatrix._make(a.layout + b.layout, rows, a.den * b.den)
+
+
+def trace_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """``tr_0(a * b)``, factor 0 traced out, without forming the product:
+    row ``i*R + r`` of ``a`` meets only the columns ``i*R + c`` of ``b``
+    (``R`` the dimension of the other factors), so only the diagonal blocks
+    of the product are accumulated."""
+    if a.dim != b.dim:
+        raise DimensionMismatch("matrix product needs equal dims")
+    if len(a.layout) < 2:
+        raise DimensionMismatch("partial trace needs at least two factors")
+    rest = a.dim // a.layout[0]
+    blocks: dict[tuple[int, int], list] = {}   # (row k, block i) -> [(c, terms)]
+    for k, row in b.rows.items():
+        for c, v in row.items():
+            i, cc = divmod(c, rest)
+            blocks.setdefault((k, i), []).append((cc, v.terms))
+    acc: dict[int, dict[int, dict]] = {}
+    for r, arow in a.rows.items():
+        i, rr = divmod(r, rest)
+        out = acc.setdefault(rr, {})
+        for k, v in arow.items():
+            block = blocks.get((k, i))
+            if block is None:
+                continue
+            at = v.terms
+            for c, bt in block:
+                tgt = out.get(c)
+                if tgt is None:
+                    tgt = out[c] = {}
+                _mul_into(tgt, at, bt)
+    rows = {}
+    for rr, row in acc.items():
+        orow = {c: _poly(terms) for c, terms in row.items() if terms}
+        if orow:
+            rows[rr] = orow
+    return PolyMatrix._make(a.layout[1:], rows, a.den * b.den)
 
 
 def _offsets(layout, st, factors) -> list[int]:
@@ -534,6 +585,14 @@ def nullspace(rows: list[list]) -> list[list]:
             vec[pcol] = -a[prow][fc]
         basis.append(vec)
     return basis
+
+
+def independent_rows(rows: list[list]) -> list[int]:
+    """Indices of the rows, taken in order, that are independent of the rows
+    before them: a basis of the row space of a dense rational matrix."""
+    if not rows:
+        return []
+    return _rref([list(col) for col in zip(*rows)], len(rows))[1]
 
 
 def lin_solve(rows: list[list], rhs: list) -> list | None:

@@ -4,7 +4,9 @@ One-boundary mode: the open transfer matrix with a single nontrivial left
 boundary, with an inhomogeneity at the last dressed site.  At the diagonal
 evaluation point it factorizes into a bulk sandwich around the boundary
 matrix; the direct auxiliary-space trace construction is compared against
-that factorized form up to a monomial.
+that factorized form up to a monomial.  ``OneBoundaryChain`` builds what the
+one-boundary checks share once: every direct trace multiplies only the
+outermost pair onto one middle of the double row.
 
 Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
@@ -20,18 +22,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import reduce
-from operator import mul
+from functools import cached_property, reduce
+from operator import add, mul
 
 from .baxter import (BaxterKit, _aux_site_pair, _aux_trace, k_bar_plus_hat,
                      k_minus_hat, r_hat)
-from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
-                     SpanFailure)
+from .errors import (ConditionFailure, DimensionMismatch, HeckeVerifyError,
+                     InternalMismatch, SpanFailure)
 from .hecke import HeckeRep, _echo, murphy, murphy_inverse
 from .rings import LaurentPoly, LaurentRatio, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, info, passed, ratio_report
-from .tensor import (PolyMatrix, embed_pair, embed_site, kron, lin_solve,
-                     mat_proportional, permutation_pair)
+from .tensor import (PolyMatrix, embed_pair, embed_site, independent_rows, kron,
+                     lin_solve, mat_proportional, permutation_pair, trace_product)
 
 
 @dataclass
@@ -92,25 +94,32 @@ class AuxWorkspace:
         return embed_site(local, 0, self.layout)
 
 
-def _double_row(ws: AuxWorkspace, lead: PolyMatrix, left, k_minus: PolyMatrix | None,
-                right) -> Iterator[PolyMatrix]:
-    """The factors of the double row ``lead_0 R_0N..R_01 K-_0 R_01..R_0N``
-    before the auxiliary trace: ``lead`` on the auxiliary space, the left pair
-    operators ``N..1`` at arguments ``left(k)``, the left boundary ``k_minus``
-    (dropped when None), the right pair operators ``1..N`` at ``right(k)``.
-    Yielded one at a time, so a product need not hold them all."""
-    yield ws.aux_op(lead)
-    for k in range(ws.n, 0, -1):
+def _double_row(ws: AuxWorkspace, lead: PolyMatrix | None, left,
+                inner: PolyMatrix | None, right, sites: range) -> Iterator[PolyMatrix]:
+    """The factors of the double row ``lead_0 R_0k..R_0j inner R_0j..R_0k``
+    over the sites ``j..k`` of ``sites``, before the auxiliary trace: ``lead``
+    on the auxiliary space, the left pair operators at arguments ``left(k)``,
+    ``inner`` (already on the full layout), the right pair operators at
+    ``right(k)``.  A ``lead`` or ``inner`` of None is dropped.  Yielded one at
+    a time, so a product need not hold them all."""
+    if lead is not None:
+        yield ws.aux_op(lead)
+    for k in reversed(sites):
         yield ws.r_left(k, left(k))
-    if k_minus is not None:
-        yield ws.aux_op(k_minus)
-    for k in range(1, ws.n + 1):
+    if inner is not None:
+        yield inner
+    for k in sites:
         yield ws.r_right(k, right(k))
 
 
 def _trace_product(factors: Iterable[PolyMatrix]) -> PolyMatrix:
-    """``tr_aux(F_1 ... F_m)``, auxiliary space factor 0."""
-    return reduce(mul, factors).partial_trace_first()
+    """``tr_aux(F_1 ... F_m)``, auxiliary space factor 0, for ``m >= 2``; the
+    last product is traced as it is formed (``trace_product``)."""
+    factors = iter(factors)
+    acc, last = next(factors), next(factors)
+    for f in factors:
+        acc, last = acc * last, f
+    return trace_product(acc, last)
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +137,6 @@ def aux_trace_scalar(rep: HeckeRep) -> LaurentPoly | None:
     return ratio.num
 
 
-def check_aux_trace(rep: HeckeRep, n: int) -> CheckReport:
-    """The quantum-trace requirement gating the one-boundary factorization."""
-    echo = _echo(rep)
-    echo["n"] = str(n)
-    f = aux_trace_scalar(rep)
-    if f is None:
-        tr = _aux_trace(rep.m_local, _aux_site_pair(rep)[0])
-        return failed("transfer/aux-trace", params=echo, failure=entry_failure(tr))
-    return passed("transfer/aux-trace", params=echo, ratio=str(f))
-
-
 def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> PolyMatrix:
     """Bulk sandwich around the left boundary at the diagonal point.
 
@@ -152,86 +150,297 @@ def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> Poly
     return out
 
 
-def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational | LaurentPoly, *,
-                         trivial_k: bool = False) -> PolyMatrix:
-    """Direct trace on ``n`` sites with formal argument ``u`` and the
-    inhomogeneity ``u0`` at the last site: ``u * u0`` on its left, ``u / u0``
-    on its right.  ``u0`` is a rational, or the formal ``u`` itself for the
-    diagonal point (``u^2`` and ``1``)."""
-    u = LaurentPoly.unit(1)
-    u0 = LaurentPoly.const(1) * u0
-    factors = _double_row(
-        AuxWorkspace(rep, n), rep.m_local, lambda k: u * u0 if k == n else u,
-        None if trivial_k else k_minus_hat(rep, u),
-        lambda k: u * u0 ** -1 if k == n else u)
-    return _trace_product(factors)
-
-
 @dataclass
 class OneBoundaryResult:
     matrix: PolyMatrix            # factorized form on the full site space
     internal_ratio: LaurentRatio | None  # direct / (f * factorized), a monomial
 
 
+@dataclass
+class HamiltonianResult:
+    matrix: PolyMatrix
+    coefficients: dict[str, Rational]
+
+
+def _pivot_entries(basis: list[PolyMatrix]) -> list[tuple[int, int]]:
+    """Entries ``(r, c)`` whose rows ``[B(r, c) for B in basis]`` span the row
+    space of the entrywise system ``sum_i x_i B_i = H``, chosen greedily in
+    ``(r, c)`` order; an entry outside every basis support has a zero row."""
+    first: dict[tuple, tuple[int, int]] = {}   # distinct row -> its first entry
+    for r, c in sorted({(r, c) for b in basis for r, row in b.rows.items() for c in row}):
+        first.setdefault(tuple(b.get(r, c).coeff(0) for b in basis), (r, c))
+    rows = list(first)
+    return [first[rows[i]] for i in independent_rows(rows)]
+
+
+class OneBoundaryChain:
+    """The open transfer matrix ``t(u; u0) = tr_0 M_0 R_0n..R_01 K-_0 R_01..R_0n``
+    (Sklyanin's double row) of one representation on ``n`` sites, with the
+    inhomogeneity ``u0`` at site ``n``, and the one-boundary checks on it.
+
+    What the checks share is built once, on first use: the auxiliary
+    workspace, the auxiliary scalar, and per ``trivial_k`` the factorized
+    matrix and the middle ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``,
+    which no ``u0`` touches.  A direct trace multiplies only the outermost
+    pair onto the middle.  ``retain`` drops the matrices no longer needed.
+    """
+
+    def __init__(self, rep: HeckeRep, n: int):
+        if not 1 <= n <= rep.sites:
+            raise DimensionMismatch(f"n={n} outside 1..{rep.sites}")
+        self.rep = rep
+        self.n = n
+        self._built: dict[tuple[str, bool], PolyMatrix] = {}
+
+    @cached_property
+    def ws(self) -> AuxWorkspace:
+        return AuxWorkspace(self.rep, self.n)
+
+    @cached_property
+    def aux_scalar(self) -> LaurentPoly | None:
+        return aux_trace_scalar(self.rep)
+
+    def _memo(self, key: tuple[str, bool], build) -> PolyMatrix:
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def factorized(self, trivial_k: bool = False) -> PolyMatrix:
+        return self._memo(("factorized", trivial_k),
+                          lambda: t_open_factorized(self.rep, self.n, trivial_k=trivial_k))
+
+    def middle(self, trivial_k: bool = False) -> PolyMatrix:
+        def build():
+            u = LaurentPoly.unit(1)
+            k_minus = None if trivial_k else self.ws.aux_op(k_minus_hat(self.rep, u))
+            return reduce(mul, _double_row(self.ws, None, lambda k: u, k_minus, lambda k: u,
+                                           range(1, self.n)),
+                          PolyMatrix.identity(self.ws.layout))
+        return self._memo(("middle", trivial_k), build)
+
+    def retain(self, keys) -> None:
+        """Keep only the built matrices named in ``keys`` (``(kind, trivial_k)``
+        with kind ``factorized`` or ``middle``)."""
+        self._built = {k: v for k, v in self._built.items() if k in keys}
+
+    def direct(self, u0: Rational | LaurentPoly, trivial_k: bool = False) -> PolyMatrix:
+        """The direct trace with formal argument ``u``: ``u * u0`` left and
+        ``u / u0`` right of the middle at site ``n``.  ``u0`` is a rational, or
+        the formal ``u`` itself for the diagonal point (``u^2`` and ``1``)."""
+        u = LaurentPoly.unit(1)
+        u0 = LaurentPoly.const(1) * u0
+        n = self.n
+        return _trace_product(_double_row(
+            self.ws, self.rep.m_local, lambda k: u * u0, self.middle(trivial_k),
+            lambda k: u * u0 ** -1, range(n, n + 1)))
+
+    def _params(self) -> dict[str, str]:
+        echo = _echo(self.rep)
+        echo["n"] = str(self.n)
+        return echo
+
+    def check_aux_trace(self) -> CheckReport:
+        """The quantum-trace requirement gating the one-boundary factorization."""
+        f = self.aux_scalar
+        if f is None:
+            tr = _aux_trace(self.rep.m_local, _aux_site_pair(self.rep)[0])
+            return failed("transfer/aux-trace", params=self._params(), failure=entry_failure(tr))
+        return passed("transfer/aux-trace", params=self._params(), ratio=str(f))
+
+    def build(self, trivial_k: bool = False, cross_check: bool = True) -> OneBoundaryResult:
+        """Factorized diagonal-point transfer matrix with its side condition
+        and (optionally) the direct-trace cross-check.
+
+        Raises ConditionFailure when the quantum-trace requirement fails and
+        InternalMismatch when the two constructions disagree beyond a monomial.
+        """
+        f = self.aux_scalar
+        if f is None:
+            raise ConditionFailure("auxiliary quantum trace is not scalar")
+        rep, n = self.rep, self.n
+        matrix = self.factorized(trivial_k)
+        ratio = None
+        if cross_check:
+            direct = self.direct(LaurentPoly.unit(1), trivial_k)
+            if n < rep.sites:   # the factorized form is the identity on the other sites
+                direct = kron(direct, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
+            ratio = mat_proportional(direct, matrix.scale(f.compose_power(2)))
+            if ratio is None:
+                raise InternalMismatch("direct and factorized constructions disagree")
+            if not (ratio.den == LaurentPoly.const(1) and ratio.num.is_single_term):
+                raise InternalMismatch(f"non-monomial internal ratio {ratio}")
+        return OneBoundaryResult(matrix=matrix, internal_ratio=ratio)
+
+    def murphy_edges(self, trivial_k: bool = False,
+                     cross_check: bool = True) -> list[CheckReport]:
+        """Edge coefficients of the expansion against the B-type (or, with
+        the boundary off, A-type) Murphy element and its opposite."""
+        rep, n = self.rep, self.n
+        echo = self._params()
+        family = "A" if trivial_k else "B"
+        tag = "corollary" if trivial_k else "prop1"
+        out = []
+        try:
+            result = self.build(trivial_k, cross_check)
+        except (ConditionFailure, InternalMismatch) as exc:
+            return [failed(f"{tag}/build[n={n}]", params=echo, failure={"relation": str(exc)})]
+        edges = extract_edges(result.matrix)
+        expected_span = 2 * n if not trivial_k else 2 * (n - 1)
+        span_ok = edges.low_deg == 0 and edges.high_deg == expected_span
+        degs = f"[{edges.low_deg}, {edges.high_deg}]"
+        if not span_ok:
+            out.append(failed(f"{tag}/degree-span[n={n}]", params=echo,
+                              failure={"span": degs, "expected": f"[0, {expected_span}]"}))
+        else:
+            out.append(passed(f"{tag}/degree-span[n={n}]", params=echo, degrees=degs))
+
+        out.append(ratio_report(
+            f"{tag}/low-edge[n={n}]",
+            mat_proportional(edges.low_coeff, murphy(rep, family, n - 1)),
+            {"relation": "low edge not proportional to Murphy element"}, params=echo))
+        out.append(ratio_report(
+            f"{tag}/high-edge[n={n}]",
+            mat_proportional(edges.high_coeff, murphy_inverse(rep, family, n - 1)),
+            {"relation": "high edge not proportional to inverse element"}, params=echo))
+        return out
+
+    def hamiltonian(self) -> HamiltonianResult:
+        """First derivative of the factorized transfer matrix at the unit
+        point, in the span of the identity, the bulk generators and the left
+        boundary generator.
+
+        The coefficients solve the system on pivot entries whose rows span
+        the row space of the whole entrywise system, so they are its
+        reduced-echelon solution (free coefficients zero); one exact matrix
+        equality ``h == sum_i c_i B_i`` then certifies the span.
+        """
+        rep, n = self.rep, self.n
+        if n < 2:
+            raise DimensionMismatch("the Hamiltonian needs at least two sites")
+        h = self.factorized().derivative_at_one()
+        names = ["identity", *(f"g[{i}]" for i in range(1, n)), "g[0]"]
+        basis = [PolyMatrix.identity(h.layout), *(rep.braid[i] for i in range(1, n)), rep.b0]
+        pivots = _pivot_entries(basis)
+        sol = lin_solve([[b.get(r, c).coeff(0) for b in basis] for r, c in pivots],
+                        [h.get(r, c).coeff(0) for r, c in pivots])
+        if sol is None or reduce(add, (b.scale(x) for b, x in zip(basis, sol))) != h:
+            raise SpanFailure("derivative is not in the generator span")
+        return HamiltonianResult(matrix=h, coefficients=dict(zip(names, sol)))
+
+    def check_hamiltonian(self, seed: int = 0) -> list[CheckReport]:
+        """Span certificate plus commutation with the homogeneous direct family."""
+        import random as _random
+        echo = self._params()
+        out = []
+        try:
+            res = self.hamiltonian()
+        except SpanFailure as exc:
+            return [failed("hamiltonian/span", params=echo, failure={"relation": str(exc)})]
+        desc = " ".join(f"{k}={rat_str(v)}" for k, v in sorted(res.coefficients.items()))
+        out.append(passed("hamiltonian/span", params=echo, ratio=desc))
+
+        family = self.direct(rat(1))
+        rng = _random.Random(seed ^ 0xA11CE)
+        ok = True
+        for _ in range(3):
+            r = rat(rng.randrange(1, 30), rng.randrange(1, 30))
+            tv = family.evaluate(r)
+            if res.matrix * tv != tv * res.matrix:
+                ok = False
+                break
+        if not ok:
+            out.append(failed("hamiltonian/commutes", params=echo,
+                              failure={"specialization": rat_str(r)}))
+        else:
+            out.append(passed("hamiltonian/commutes", params=echo))
+        return out
+
+    def check_commuting_family(self, seed: int = 0) -> CheckReport:
+        """Pairwise commutation of the direct family at a fixed inhomogeneity."""
+        import random as _random
+        echo = self._params()
+        rng = _random.Random(seed ^ 0xFA111E5)
+        u0 = rat(rng.randrange(1, 20), rng.randrange(1, 20))
+        echo["inhomogeneity"] = rat_str(u0)
+        family = self.direct(u0)
+        for _ in range(3):
+            r1 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
+            r2 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
+            if r1 == r2:
+                r2 = r2 + 1
+            a = family.evaluate(r1)
+            b = family.evaluate(r2)
+            if a * b != b * a:
+                return failed("integrability/commuting-family", params=echo,
+                              failure={"specialization": f"({rat_str(r1)},{rat_str(r2)})"})
+        return passed("integrability/commuting-family", params=echo)
+
+
+# The one-boundary checks in the order of their pass: name -> (reports of a
+# chain at a seed, the chain matrices they read).  prop1 and hamiltonian read
+# the factorized matrix with the boundary, those two and commuting-family its
+# middle; corollary alone reads both without it.
+ONE_BOUNDARY_CHECKS = {
+    "prop1": (lambda chain, seed: [chain.check_aux_trace(), *chain.murphy_edges()],
+              {("factorized", False), ("middle", False)}),
+    "hamiltonian": (lambda chain, seed: chain.check_hamiltonian(seed),
+                    {("factorized", False), ("middle", False)}),
+    "commuting-family": (lambda chain, seed: [chain.check_commuting_family(seed)],
+                         {("middle", False)}),
+    "corollary": (lambda chain, seed: chain.murphy_edges(trivial_k=True),
+                  {("factorized", True), ("middle", True)}),
+}
+
+
+def one_boundary_pass(chain: OneBoundaryChain, names: list[str],
+                      seed: int) -> dict[str, list[CheckReport] | HeckeVerifyError]:
+    """Run the named ``ONE_BOUNDARY_CHECKS`` (given in its order) on one chain,
+    dropping each built matrix after the last check that reads it.  A check
+    that raised HeckeVerifyError gets the error in place of its reports."""
+    out: dict[str, list[CheckReport] | HeckeVerifyError] = {}
+    for i, name in enumerate(names):
+        try:
+            out[name] = ONE_BOUNDARY_CHECKS[name][0](chain, seed)
+        except HeckeVerifyError as exc:
+            out[name] = exc
+        chain.retain({key for later in names[i + 1:] for key in ONE_BOUNDARY_CHECKS[later][1]})
+    return out
+
+
+# The one-shot forms below build a throwaway chain.
+
+def check_aux_trace(rep: HeckeRep, n: int) -> CheckReport:
+    return OneBoundaryChain(rep, n).check_aux_trace()
+
+
+def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational | LaurentPoly, *,
+                         trivial_k: bool = False) -> PolyMatrix:
+    """Direct trace on ``n`` sites with formal argument ``u`` and the
+    inhomogeneity ``u0`` at the last site (``OneBoundaryChain.direct``)."""
+    return OneBoundaryChain(rep, n).direct(u0, trivial_k)
+
+
 def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,
                          cross_check: bool = True) -> OneBoundaryResult:
-    """Factorized diagonal-point transfer matrix with its side condition and
-    (optionally) the direct-trace cross-check.
-
-    Raises ConditionFailure when the quantum-trace requirement fails and
-    InternalMismatch when the two constructions disagree beyond a monomial.
-    """
-    if not 1 <= n <= rep.sites:
-        raise DimensionMismatch(f"n={n} outside 1..{rep.sites}")
-    f = aux_trace_scalar(rep)
-    if f is None:
-        raise ConditionFailure("auxiliary quantum trace is not scalar")
-    matrix = t_open_factorized(rep, n, trivial_k=trivial_k)
-    ratio = None
-    if cross_check:
-        direct = t_open_inhomogeneous(rep, n, LaurentPoly.unit(1), trivial_k=trivial_k)
-        if n < rep.sites:   # the factorized form is the identity on the other sites
-            direct = kron(direct, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
-        ratio = mat_proportional(direct, matrix.scale(f.compose_power(2)))
-        if ratio is None:
-            raise InternalMismatch("direct and factorized constructions disagree")
-        if not (ratio.den == LaurentPoly.const(1) and ratio.num.is_single_term):
-            raise InternalMismatch(f"non-monomial internal ratio {ratio}")
-    return OneBoundaryResult(matrix=matrix, internal_ratio=ratio)
+    return OneBoundaryChain(rep, n).build(trivial_k, cross_check)
 
 
 def verify_murphy_edges_one_boundary(rep: HeckeRep, n: int, *,
                                      trivial_k: bool = False,
                                      cross_check: bool = True) -> list[CheckReport]:
-    """Edge coefficients of the one-boundary expansion against the B-type
-    (or, with the boundary off, A-type) Murphy element and its opposite."""
-    echo = _echo(rep)
-    echo["n"] = str(n)
-    family = "A" if trivial_k else "B"
-    tag = "corollary" if trivial_k else "prop1"
-    out = []
-    try:
-        result = build_t_one_boundary(rep, n, trivial_k=trivial_k, cross_check=cross_check)
-    except (ConditionFailure, InternalMismatch) as exc:
-        return [failed(f"{tag}/build[n={n}]", params=echo, failure={"relation": str(exc)})]
-    edges = extract_edges(result.matrix)
-    expected_span = 2 * n if not trivial_k else 2 * (n - 1)
-    span_ok = edges.low_deg == 0 and edges.high_deg == expected_span
-    degs = f"[{edges.low_deg}, {edges.high_deg}]"
-    if not span_ok:
-        out.append(failed(f"{tag}/degree-span[n={n}]", params=echo,
-                          failure={"span": degs, "expected": f"[0, {expected_span}]"}))
-    else:
-        out.append(passed(f"{tag}/degree-span[n={n}]", params=echo, degrees=degs))
+    return OneBoundaryChain(rep, n).murphy_edges(trivial_k, cross_check)
 
-    out.append(ratio_report(
-        f"{tag}/low-edge[n={n}]", mat_proportional(edges.low_coeff, murphy(rep, family, n - 1)),
-        {"relation": "low edge not proportional to Murphy element"}, params=echo))
-    out.append(ratio_report(
-        f"{tag}/high-edge[n={n}]",
-        mat_proportional(edges.high_coeff, murphy_inverse(rep, family, n - 1)),
-        {"relation": "high edge not proportional to inverse element"}, params=echo))
-    return out
+
+def hamiltonian(rep: HeckeRep, n: int) -> HamiltonianResult:
+    return OneBoundaryChain(rep, n).hamiltonian()
+
+
+def check_hamiltonian(rep: HeckeRep, n: int, seed: int = 0) -> list[CheckReport]:
+    return OneBoundaryChain(rep, n).check_hamiltonian(seed)
+
+
+def check_commuting_family(rep: HeckeRep, n: int, seed: int = 0) -> CheckReport:
+    return OneBoundaryChain(rep, n).check_commuting_family(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +453,8 @@ def _two_boundary_factors(ws: AuxWorkspace, kit: BaxterKit, p: int) -> list[Poly
     ``k`` takes ``v^(p+k)`` on the left and ``v^(p-k)`` on the right."""
     unit = LaurentPoly.unit
     return list(_double_row(ws, kit.aplus_at(unit(p)), lambda k: unit(p + k),
-                            k_minus_hat(ws.rep, unit(p)), lambda k: unit(p - k)))
+                            ws.aux_op(k_minus_hat(ws.rep, unit(p))), lambda k: unit(p - k),
+                            range(1, ws.n + 1)))
 
 
 def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
@@ -430,97 +640,6 @@ def check_degeneration(rep_deg: HeckeRep) -> CheckReport:
         ratio = None   # with a nonzero ``ratio`` the edge is nonzero: no zero ratio here
     return ratio_report("prop2/degeneration", ratio,
                         {"relation": "degenerate edge does not reduce"}, params=echo)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonian and commuting family
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HamiltonianResult:
-    matrix: PolyMatrix
-    coefficients: dict[str, Rational]
-
-
-def hamiltonian(rep: HeckeRep, n: int) -> HamiltonianResult:
-    """First derivative of the factorized transfer matrix at the unit point,
-    certified (by exact linear solve) to lie in the span of the identity,
-    the bulk generators, and the left boundary generator."""
-    if n < 2:
-        raise DimensionMismatch("the Hamiltonian needs at least two sites")
-    t = t_open_factorized(rep, n)
-    layout = t.layout
-    h = PolyMatrix(layout, {(r, c): v.derivative_at_one() for r, c, v in t.entries()})
-
-    basis = [("identity", PolyMatrix.identity(layout))]
-    for i in range(1, n):
-        basis.append((f"g[{i}]", rep.braid[i]))
-    basis.append(("g[0]", rep.b0))
-
-    dim = h.dim
-    rows = []
-    rhs = []
-    for r in range(dim):
-        for c in range(dim):
-            rows.append([mat.get(r, c).coeff(0) for _, mat in basis])
-            rhs.append(h.get(r, c).coeff(0))
-    sol = lin_solve(rows, rhs)
-    if sol is None:
-        raise SpanFailure("derivative is not in the generator span")
-    coeffs = {name: val for (name, _), val in zip(basis, sol)}
-    return HamiltonianResult(matrix=h, coefficients=coeffs)
-
-
-def check_hamiltonian(rep: HeckeRep, n: int, seed: int = 0) -> list[CheckReport]:
-    """Span certificate plus commutation with the homogeneous direct family."""
-    import random as _random
-    echo = _echo(rep)
-    echo["n"] = str(n)
-    out = []
-    try:
-        res = hamiltonian(rep, n)
-    except SpanFailure as exc:
-        return [failed("hamiltonian/span", params=echo, failure={"relation": str(exc)})]
-    desc = " ".join(f"{k}={rat_str(v)}" for k, v in sorted(res.coefficients.items()))
-    out.append(passed("hamiltonian/span", params=echo, ratio=desc))
-
-    family = t_open_inhomogeneous(rep, n, rat(1))
-    rng = _random.Random(seed ^ 0xA11CE)
-    ok = True
-    for _ in range(3):
-        r = rat(rng.randrange(1, 30), rng.randrange(1, 30))
-        tv = family.evaluate(r)
-        if res.matrix * tv != tv * res.matrix:
-            ok = False
-            break
-    if not ok:
-        out.append(failed("hamiltonian/commutes", params=echo,
-                          failure={"specialization": rat_str(r)}))
-    else:
-        out.append(passed("hamiltonian/commutes", params=echo))
-    return out
-
-
-def check_commuting_family(rep: HeckeRep, n: int, seed: int = 0) -> CheckReport:
-    """Pairwise commutation of the direct family at a fixed inhomogeneity."""
-    import random as _random
-    echo = _echo(rep)
-    echo["n"] = str(n)
-    rng = _random.Random(seed ^ 0xFA111E5)
-    u0 = rat(rng.randrange(1, 20), rng.randrange(1, 20))
-    echo["inhomogeneity"] = rat_str(u0)
-    family = t_open_inhomogeneous(rep, n, u0)
-    for _ in range(3):
-        r1 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
-        r2 = rat(rng.randrange(1, 30), rng.randrange(1, 30))
-        if r1 == r2:
-            r2 = r2 + 1
-        a = family.evaluate(r1)
-        b = family.evaluate(r2)
-        if a * b != b * a:
-            return failed("integrability/commuting-family", params=echo,
-                          failure={"specialization": f"({rat_str(r1)},{rat_str(r2)})"})
-    return passed("integrability/commuting-family", params=echo)
 
 
 # ---------------------------------------------------------------------------

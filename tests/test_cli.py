@@ -5,7 +5,8 @@ import pytest
 
 from heckeverify import baxter, hecke, transfer
 from heckeverify.cli import SUITE_NAMES, config_from_dict, main, run_suite
-from heckeverify.errors import CalibrationFailure, ConfigError
+from heckeverify.errors import CalibrationFailure, ConfigError, DimensionMismatch
+from heckeverify.params import sample_params
 from heckeverify.reporting import CheckReport, render_report
 
 
@@ -70,6 +71,22 @@ def test_config_rejects_malformed_integers(name, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({name: "two"}))
     assert main(["suite", "--config", str(cfgfile)]) == 2
+
+
+@pytest.mark.parametrize("name,text", [
+    ("cfg.json", '{"sites": 2,'),
+    ("cfg.json", None),
+    ("cfg.json", "[1, 2]"),
+    ("cfg.toml", "sites = \n"),
+], ids=["malformed-json", "missing-file", "not-a-table", "malformed-toml"])
+def test_config_file_errors(name, text, tmp_path, capsys):
+    cfgfile = tmp_path / name
+    if text is not None:
+        cfgfile.write_text(text)
+    assert main(["suite", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert captured.out == ""
 
 
 def test_malformed_env_seed_is_config_error(monkeypatch, capsys):
@@ -156,6 +173,67 @@ def test_one_factorized_build_per_check(monkeypatch):
     # one per specialization and suite
     assert len(seen) == 3 * 2
     assert len(set(seen)) == len(seen)
+
+
+ONE_BOUNDARY_SUITES = ["prop1", "corollary", "hamiltonian", "commuting-family"]
+
+
+def test_one_boundary_pass_builds_once(monkeypatch):
+    seen = {"t_open_factorized": [], "aux_trace_scalar": []}
+    for name, key in (("t_open_factorized", lambda rep, n, **kw: (n, kw.get("trivial_k"))),
+                      ("aux_trace_scalar", lambda rep: ())):
+        build = getattr(transfer, name)
+
+        def counting(rep, *args, build=build, name=name, key=key, **kwargs):
+            seen[name].append((rep.params, *key(rep, *args, **kwargs)))
+            return build(rep, *args, **kwargs)
+
+        monkeypatch.setattr(transfer, name, counting)
+    cfg = config_from_dict({"sites": 3, "suites": ONE_BOUNDARY_SUITES})
+    assert not [r for r in run_suite(cfg) if r.status == "fail"]
+    # once per (specialization, trivial_k), and once per specialization
+    assert len(seen["t_open_factorized"]) == 3 * 2
+    assert len(set(seen["t_open_factorized"])) == 3 * 2
+    assert len(seen["aux_trace_scalar"]) == 3
+    assert len(set(seen["aux_trace_scalar"])) == 3
+
+
+def test_one_boundary_error_stays_with_its_suite(monkeypatch):
+    cfg = config_from_dict({"sites": 3, "suites": ONE_BOUNDARY_SUITES})
+    clean = run_suite(cfg)
+    bad_params = sample_params(cfg.seed * 1000 + 1)
+    hamiltonian = transfer.OneBoundaryChain.hamiltonian
+
+    def failing(self):
+        if self.rep.params == bad_params:
+            raise DimensionMismatch("injected")
+        return hamiltonian(self)
+
+    monkeypatch.setattr(transfer.OneBoundaryChain, "hamiltonian", failing)
+    reports = run_suite(cfg)
+    ham = [r for r in reports if r.check_name.startswith("hamiltonian/")]
+    assert [(r.check_name, r.status) for r in ham] == [("hamiltonian/error", "fail")]
+    assert ham[0].first_failure == {"relation": "injected"}
+
+    def others(rs):
+        return render_report([r for r in rs if not r.check_name.startswith("hamiltonian/")],
+                             cfg.echo())
+
+    assert others(reports) == others(clean)
+    assert len(clean) - len(reports) == 3 * 2 - 1
+
+
+@pytest.mark.parametrize("local_dim,sites,digest", [
+    (2, 4, "509708e615f63850602a7e6e4feacd8eb8e019971172c901a39406c735db3eec"),
+    (3, 3, "7f5439d32f892cce50ff519f691da9e4f11e815f1d9279beaf6655ba7201c588"),
+])
+def test_one_boundary_reports_pinned(local_dim, sites, digest, tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"local_dim": local_dim, "sites": sites, "seed": 4,
+                                   "suites": ONE_BOUNDARY_SUITES}))
+    out = tmp_path / "r.json"
+    assert main(["suite", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_murphy_targets_built_once(monkeypatch):

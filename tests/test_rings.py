@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from heckeverify.errors import NotAUnit
 from heckeverify.rings import (LaurentPoly, lp_proportional, lp_ratio, rat,
                                rat_str)
+from heckeverify.tensor import PolyMatrix
 
 U = LaurentPoly.unit
 
@@ -38,9 +39,13 @@ def test_invert_unit_examples():
 
 
 def test_derivative_at_unit_point():
-    assert LaurentPoly.const(rat(7, 3)).derivative_at_one() == 0
-    assert U(1).derivative_at_one() == -2
-    assert lp({2: 1, -1: -1}).derivative_at_one() == -6
+    # on the integer rows of a matrix; entry (0, 0) holds the polynomial
+    def derivative(p):
+        return PolyMatrix((1,), {(0, 0): p}).derivative_at_one().get(0, 0)
+
+    assert derivative(LaurentPoly.const(rat(7, 3))) == 0
+    assert derivative(U(1)) == -2
+    assert derivative(lp({2: 1, -1: -1})) == -6
 
 
 def test_proportional_examples():

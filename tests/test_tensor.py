@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import (PolyMatrix, embed_pair, embed_site, kron, lin_solve,
-                                mat_proportional, nullspace, permutation_pair)
+from heckeverify.tensor import (PolyMatrix, embed_pair, embed_site, independent_rows, kron,
+                                lin_solve, mat_proportional, nullspace, permutation_pair,
+                                trace_product)
 
 U = LaurentPoly.unit
 
@@ -196,6 +197,14 @@ def test_nullspace_and_solve():
     assert lin_solve([[rat(1)], [rat(1)]], [rat(0), rat(1)]) is None
 
 
+def test_independent_rows():
+    rows = [[rat(0), rat(0)], [rat(1), rat(2)], [rat(2), rat(4)], [rat(0), rat(1)],
+            [rat(1), rat(1)]]
+    # zero and dependent rows are passed over; a full rank stops the scan
+    assert independent_rows(rows) == [1, 3]
+    assert independent_rows([]) == []
+
+
 # ---------------------------------------------------------------------------
 # the integer layer against a naive Fraction dict-of-dicts reference
 # ---------------------------------------------------------------------------
@@ -357,3 +366,24 @@ def test_mat_proportional_matches_fraction_reference(b, s, data):
     outside = [(r, c) for r in range(DIM) for c in range(DIM) if (r, c) not in b]
     key = data.draw(st.sampled_from(outside))
     assert mat_proportional(_from_ref({**scaled, key: {0: Fraction(1)}}), _from_ref(b)) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(2, 2, 2), (3, 3)]), st.data())
+def test_trace_product_matches_partial_trace(layout, data):
+    dim = layout[0] * layout[1] * (layout[2] if len(layout) > 2 else 1)
+    rest = dim // layout[0]
+    keys = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    a = _clean(data.draw(st.dictionaries(keys, _polys, max_size=30)))
+    b = _clean(data.draw(st.dictionaries(keys, _polys, max_size=30)))
+    apart = data.draw(st.booleans())
+    if apart:   # rows of auxiliary block 0 meet only columns of other blocks
+        a = {(r, c): p for (r, c), p in a.items() if r < rest}
+        b = {(r, c): p for (r, c), p in b.items() if c >= rest}
+    ma = PolyMatrix(layout, {key: LaurentPoly(p) for key, p in a.items()})
+    mb = PolyMatrix(layout, {key: LaurentPoly(p) for key, p in b.items()})
+    got = trace_product(ma, mb)
+    assert got == (ma * mb).partial_trace_first()
+    assert got.layout == layout[1:]
+    if apart:
+        assert got.is_zero and got.den == 1

@@ -8,7 +8,8 @@ from heckeverify.errors import DimensionMismatch, InternalMismatch
 from heckeverify.hecke import murphy, murphy_inverse
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import PolyMatrix, embed_site, kron, mat_proportional
+from heckeverify import transfer
+from heckeverify.tensor import PolyMatrix, embed_site, kron, lin_solve, mat_proportional
 from heckeverify.transfer import (TwoBoundaryLattice, build_t_one_boundary,
                                   build_t_two_boundary, check_aux_trace,
                                   check_commuting_family, check_degeneration,
@@ -269,6 +270,53 @@ def test_hamiltonian_closed_form(n):
 def test_hamiltonian_checks(rep23):
     reports = check_hamiltonian(rep23, 3)
     assert all(r.status == "pass" for r in reports)
+
+
+def _span_basis(rep, n):
+    return [PolyMatrix.identity(rep.layout), *(rep.braid[i] for i in range(1, n)), rep.b0]
+
+
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_hamiltonian_matches_dense_solve(dim, n):
+    # the reference: the entrywise derivative in rationals and one exact solve
+    # over all dim^2 entries
+    rep = build_glN_rep(dim, n, FIXED)
+    t = transfer.t_open_factorized(rep, n)
+    h = {(r, c): sum(-2 * d * x for d, x in v.terms.items()) for r, c, v in t.entries()}
+    basis = _span_basis(rep, n)
+    rows, rhs = [], []
+    for r in range(t.dim):
+        for c in range(t.dim):
+            rows.append([b.get(r, c).coeff(0) for b in basis])
+            rhs.append(h.get((r, c), rat(0)))
+    sol = lin_solve(rows, rhs)
+    assert sol is not None
+    res = hamiltonian(rep, n)
+    names = ["identity", *(f"g[{i}]" for i in range(1, n)), "g[0]"]
+    assert res.coefficients == dict(zip(names, sol))
+    assert list(res.coefficients) == names
+    assert res.matrix == PolyMatrix(rep.layout, {key: LaurentPoly.const(v)
+                                                 for key, v in h.items()})
+
+
+def test_hamiltonian_span_checks_off_pivot_entries(rep23, monkeypatch):
+    # the solve reads only the pivot entries; a derivative wrong at an entry
+    # outside them, inside the support of the basis, must still fail the span
+    basis = _span_basis(rep23, 3)
+    pivots = transfer._pivot_entries(basis)
+    assert len(pivots) == len(basis)
+    support = sorted({(r, c) for b in basis for r, row in b.rows.items() for c in row})
+    r, c = next(key for key in support if key not in pivots)
+    derivative = PolyMatrix.derivative_at_one
+
+    def perturbed(self):
+        h = derivative(self)
+        return h + PolyMatrix(h.layout, {(r, c): rat(1, 7)})
+
+    monkeypatch.setattr(PolyMatrix, "derivative_at_one", perturbed)
+    reports = check_hamiltonian(rep23, 3)
+    assert [(x.check_name, x.status) for x in reports] == [("hamiltonian/span", "fail")]
+    assert reports[0].first_failure == {"relation": "derivative is not in the generator span"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
