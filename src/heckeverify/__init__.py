@@ -13,14 +13,13 @@ from .hecke import (HeckeRep, build_glN_rep, check_murphy_commutation,
                     generator_inverse, murphy, murphy_inverse)
 from .params import Params, parse_rational, sample_params
 from .reporting import CheckReport, render_report
-from .rings import LaurentPoly, LaurentRatio, Rational, lp_proportional, lp_ratio, rat
+from .rings import LaurentPoly, Rational, lp_ratio, rat
 from .tensor import (PolyMatrix, embed_pair, embed_site, kron,
                      mat_proportional, permutation_pair)
-from .transfer import (ExpansionEdge, TwoBoundaryLattice, build_t_one_boundary,
-                       build_t_two_boundary, check_aux_trace,
-                       check_commuting_family, check_degeneration,
-                       explore_generic, extract_edges, hamiltonian,
+from .transfer import (ExpansionEdge, OneBoundaryChain, TwoBoundaryLattice,
+                       build_t_one_boundary, build_t_two_boundary,
+                       check_degeneration, explore_generic, extract_edges,
                        t_two_boundary_direct, t_two_boundary_factorized,
-                       verify_murphy_edges_one_boundary, verify_murphy_two_boundary)
+                       verify_murphy_two_boundary)
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 consistency identities (Yang-Baxter, reflection, unitarity, crossing).
 
 Normalization drops every overall exponential prefactor, so all downstream
-statements are proportionality claims over the rational-function field.
+statements are proportionality claims with a Laurent-polynomial ratio.
 Additive spectral shifts are realized multiplicatively; identities in two
 spectral variables are checked with one variable formal and the other
 specialized at several rationals.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo
-from .rings import LaurentPoly, LaurentRatio, Rational, rat, rat_str
+from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, embed_pair, embed_site, mat_proportional,
                      nullspace, permutation_pair, trace_product)
@@ -116,7 +116,15 @@ def check_ybe(rep: HeckeRep, seed: int = 0) -> CheckReport:
 
 
 def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
-    """Boundary reflection identity at the chosen end, on a two-factor space."""
+    """Boundary reflection identity at the chosen end, on a two-factor space,
+    with one argument formal and the second specialized at five rationals.
+
+    The five points prove the identity in ``r`` as well: ``r*R(u/r)``,
+    ``R(u*r)`` have degree 1 in ``r`` and ``K(r)`` has degree 2, so the
+    residual ``lhs - rhs`` times ``r`` has degree <= 4 in ``r`` (coefficients
+    Laurent in ``u``).  A polynomial of degree <= 4 vanishing at five
+    distinct points is zero.
+    """
     d = rep.local_dim
     layout = (d, d)
     gg = embed_pair(rep.g_local, 0, 1, layout)
@@ -137,7 +145,7 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
     u = LaurentPoly.unit(1)
     echo = _echo(rep)
     echo["end"] = end
-    for r in _sample_points(seed, 3):
+    for r in _sample_points(seed, 5):
         udivr = LaurentPoly.unit(1, rat(1) / r)
         umulr = LaurentPoly.unit(1, r)
         rc = LaurentPoly.const(r)
@@ -175,7 +183,7 @@ def check_unitarity(rep: HeckeRep) -> list[CheckReport]:
 # crossing and dual-boundary calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentRatio]:
+def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
     """Find the unique signed power of q making the crossing identity hold.
 
     The candidate substitution is ``u -> chi * u^{-1}``; the identity is
@@ -199,7 +207,7 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentRatio]:
             crossed = perm * (rep.g_local.scale(u) - rep.g_inv_local.scale(chi))
             full = lhs * crossed.partial_transpose(1) * m1_inv
             ratio = mat_proportional(full, ident)
-            if ratio is not None and not ratio.num.is_zero:
+            if ratio is not None:
                 winners.append((chi, ratio))
     if len(winners) != 1:
         raise CalibrationFailure(
@@ -299,7 +307,7 @@ class BaxterKit:
 
     rep: HeckeRep
     crossing_unit: Rational
-    crossing_ratio: LaurentRatio
+    crossing_ratio: LaurentPoly
     aplus: tuple[PolyMatrix, PolyMatrix, PolyMatrix]
     bminus: tuple[PolyMatrix, PolyMatrix, PolyMatrix]
 

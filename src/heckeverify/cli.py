@@ -38,10 +38,16 @@ def _check_size(local_dim: int, sites: int) -> None:
 
 
 def _as_int(name: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    """A non-bool ``int``, or a decimal-integer string; nothing else (a float
+    or a bool would be truncated or read as 0/1 silently)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _env_seed() -> int | None:
@@ -341,7 +347,7 @@ def _cmd_murphy(args) -> int:
 def _cmd_dump(args) -> int:
     rep = _default_rep(args)
     if args.object == "t_open":
-        m = transfer.build_t_one_boundary(rep, rep.sites, cross_check=False).matrix
+        m = transfer.t_open_factorized(rep, rep.sites)
     else:
         mode = "minus" if args.object == "t_minus" else "plus"
         m = transfer.t_two_boundary_factorized(rep, mode)

@@ -357,13 +357,13 @@ def check_tl_quotient(rep: HeckeRep) -> tuple[Rational, Rational]:
                 if es[i] * es[j] * es[i] != es[i]:
                     raise RelationFailure(f"e{i} e{j} e{i} != e{i}")
     left = mat_proportional(es[1] * e0 * es[1], es[1])
-    if left is None or not left.is_scalar:
+    if left is None or not left.is_constant:
         raise RelationFailure("e1 e0 e1 is not proportional to e1")
     last = rep.sites - 1
     right = mat_proportional(es[last] * en * es[last], es[last])
-    if right is None or not right.is_scalar:
+    if right is None or not right.is_constant:
         raise RelationFailure(f"e{last} eN e{last} is not proportional to e{last}")
-    return left.scalar_value(), right.scalar_value()
+    return left.constant_value(), right.constant_value()
 
 
 def check_tl_report(rep: HeckeRep) -> CheckReport:

@@ -67,9 +67,9 @@ def info(name: str, note: str, params=None, ratio=None, degrees=None) -> CheckRe
 
 def ratio_report(name: str, ratio, failure: dict, params=None, degrees=None) -> CheckReport:
     """Report of a proportionality claim from its ``mat_proportional`` ratio:
-    ``failed`` with ``failure`` when there is no ratio or it is zero, else
-    ``passed`` with the ratio."""
-    if ratio is None or ratio.num.is_zero:
+    ``failed`` with ``failure`` when there is no ratio, else ``passed`` with
+    the ratio."""
+    if ratio is None:
         return failed(name, failure, params=params)
     return passed(name, params=params, ratio=str(ratio), degrees=degrees)
 

@@ -5,6 +5,9 @@ multiplicative variable ``u``.  Coefficients are exact rationals (or, inside
 a ``tensor.PolyMatrix``, integer numerators over the matrix's common
 denominator); a Laurent polynomial is a finite map ``degree -> coefficient``
 with no stored zeros, so equality of polynomials is equality of dicts.
+Ratios are exact division in the Laurent ring (``lp_ratio``): a quotient
+that is not a Laurent polynomial is no ratio, so no rational function is
+ever formed.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ def _mul_into(acc: dict, a: dict, b: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd and exact ratios
+# exact division
 # ---------------------------------------------------------------------------
 
 def _to_dense(p: LaurentPoly) -> tuple[int, list]:
@@ -251,12 +254,6 @@ def _to_dense(p: LaurentPoly) -> tuple[int, list]:
     top = p.max_deg()
     coeffs = [p.coeff(d) for d in range(shift, top + 1)]
     return shift, coeffs
-
-
-def _dense_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _dense_divmod(a: list, b: list) -> tuple[list, list]:
@@ -269,93 +266,27 @@ def _dense_divmod(a: list, b: list) -> tuple[list, list]:
             q[i] = c
             for j, bj in enumerate(b):
                 a[i + j] -= c * bj
-    return q, _dense_trim(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
 
 
-def _dense_gcd(a: list, b: list) -> list:
-    a, b = _dense_trim(list(a)), _dense_trim(list(b))
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    inv = _ONE / a[-1]
-    return [c * inv for c in a]
+def lp_ratio(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """The Laurent polynomial ``p`` with ``a == p*b``, or None when there is
+    none (``b`` zero, or ``b`` not dividing ``a``).
 
-
-class LaurentRatio:
-    """Reduced exact ratio ``num/den`` of Laurent polynomials.
-
-    Canonical form: ``den`` is an ordinary polynomial with constant term 1;
-    any common factor (including monomials) sits in ``num``.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        self.num = num
-        self.den = den
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.den == LaurentPoly.const(1) and self.num.is_constant
-
-    @property
-    def is_single_term(self) -> bool:
-        return self.den == LaurentPoly.const(1) and self.num.is_single_term
-
-    def scalar_value(self):
-        if not self.is_scalar:
-            raise ValueError(f"ratio {self} is not a scalar")
-        return self.num.coeff(0)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentRatio):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den == LaurentPoly.const(1):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-
-def lp_ratio(a: LaurentPoly, b: LaurentPoly) -> LaurentRatio | None:
-    """Reduced exact ratio ``a/b`` over the rational-function field.
-
-    Returns ``r = (p, q)`` with ``a*q == b*p`` exactly.  ``(0, 0)`` gives
-    ratio 1; ``(0, b!=0)`` gives ratio 0; ``(a!=0, 0)`` has no ratio.
+    With ``a = u^i A`` and ``b = u^j B``, ``A`` and ``B`` ordinary
+    polynomials with nonzero constant terms, the monomials are units and
+    ``B`` is prime to ``u``, so ``b`` divides ``a`` exactly when ``B``
+    divides ``A`` over the rationals.
     """
     if b.is_zero:
-        return LaurentRatio(LaurentPoly.const(1), LaurentPoly.const(1)) if a.is_zero else None
+        return None
     if a.is_zero:
-        return LaurentRatio(LaurentPoly.zero(), LaurentPoly.const(1))
+        return LaurentPoly.zero()
     sa, da = _to_dense(a)
     sb, db = _to_dense(b)
-    g = _dense_gcd(da, db)
-    p, rp = _dense_divmod(da, g)
-    q, rq = _dense_divmod(db, g)
-    assert not rp and not rq
-    c = q[0]
-    p = [x / c for x in p]
-    q = [x / c for x in q]
-    num = LaurentPoly({sa - sb + i: x for i, x in enumerate(p)})
-    den = LaurentPoly({i: x for i, x in enumerate(q)})
-    return LaurentRatio(num, den)
-
-
-def lp_proportional(a: LaurentPoly, b: LaurentPoly) -> LaurentRatio | None:
-    """Single-term ratio ``a/b`` when one exists, else None.
-
-    Scalar proportionality is up-to-monomial: ``(u, u^3) -> u^-2`` and
-    ``(2+2u, 1+u) -> 2`` qualify, ``(1+u, 1+2u)`` does not.
-    """
-    r = lp_ratio(a, b)
-    if r is None:
+    q, rem = _dense_divmod(da, db)
+    if rem:
         return None
-    if r.num.is_zero or r.is_single_term:
-        return r
-    return None
+    return LaurentPoly({sa - sb + i: c for i, c in enumerate(q)})

@@ -13,6 +13,10 @@ least common denominator of the entries (its gcd with every coefficient is
 on the integers and normalizes once per result; rationals are formed only
 where an entry is read (``get``, ``entries``, ``to_dump_dict``).  Entry
 objects are never mutated once stored, so embeddings share them.
+
+Every proportionality claim goes through ``mat_proportional``: two nonzero
+matrices are proportional when one is a nonzero Laurent polynomial times
+the other, and that polynomial is the ratio a report records.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
-from .rings import LaurentPoly, LaurentRatio, Rational, lp_ratio, rat, _mul_into
+from .rings import LaurentPoly, Rational, lp_ratio, rat, _mul_into
 
 
 def _prod(xs) -> int:
@@ -309,31 +313,7 @@ class PolyMatrix:
 
     def partial_trace_first(self) -> "PolyMatrix":
         """Trace out factor 0; the result lives on the remaining factors."""
-        if len(self.layout) < 2:
-            raise DimensionMismatch("partial trace needs at least two factors")
-        rest = self.dim // self.layout[0]
-        rows: dict = {}
-        for r, row in self.rows.items():
-            i, rr = divmod(r, rest)
-            base = i * rest
-            orow = None
-            for c, v in row.items():
-                if base <= c < base + rest:
-                    if orow is None:
-                        orow = rows.setdefault(rr, {})
-                    cc = c - base
-                    s = orow.get(cc)
-                    if s is None:
-                        orow[cc] = v
-                    else:
-                        t = _add_terms(s.terms, v.terms)
-                        if t:
-                            orow[cc] = _poly(t)
-                        else:
-                            del orow[cc]
-            if orow is not None and not orow:
-                del rows[rr]
-        return PolyMatrix._make(self.layout[1:], rows, self.den)
+        return trace_product(self, PolyMatrix.identity(self.layout))
 
     def derivative_at_one(self) -> "PolyMatrix":
         """Entrywise derivative in ``lam`` at ``lam = 0`` for ``u = exp(-2 lam)``:
@@ -504,42 +484,34 @@ def permutation_pair(i: int, j: int, layout) -> PolyMatrix:
     return embed_pair(p, i, j, layout)
 
 
-def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentRatio | None:
-    """Common exact ratio ``r`` with ``a == r*b`` entrywise, or None.
+def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
+    """The nonzero Laurent polynomial ``r`` with ``a == r*b``, or None.
 
-    The ratio is seeded from the first nonzero entry pair and verified on
-    every entry; scalar, monomial and full rational-function ratios are all
-    accepted.
+    This is the one place that decides proportionality: a zero side is
+    proportional to nothing, and a quotient that is not a Laurent polynomial
+    is no ratio.  The ratio is seeded from the first entry of ``b`` (in
+    ``(r, c)`` order) and verified on every entry; the supports must agree.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("proportionality needs equal dims")
-    if b.is_zero:
-        return lp_ratio(LaurentPoly.zero(), LaurentPoly.zero()) if a.is_zero else None
-    ratio = None
-    for r, c, _ in b._sorted():
-        if c in a.rows.get(r, ()):
-            ratio = lp_ratio(a.get(r, c), b.get(r, c))
-            break
-    if ratio is None:
-        # a vanishes wherever b does not; if a == 0 the ratio is 0
-        ratio = lp_ratio(LaurentPoly.zero(), LaurentPoly.const(1))
-    # with a = A/da, b = B/db and ratio = (N/nd) / (D/dd) over integer polys,
-    # a == ratio * b  <=>  A * D * (db * nd) == B * N * (da * dd)
-    big_n, nd = _split(ratio.num)
-    big_d, dd = _split(ratio.den)
-    lhs = _mul(big_d, {0: b.den * nd})
-    rhs = _mul(big_n, {0: a.den * dd})
-    empty: dict = {}
-    for r, brow in b.rows.items():
-        arow = a.rows.get(r, empty)
-        for c, v in brow.items():
-            av = arow.get(c)
-            if _mul(av.terms if av else empty, lhs) != _mul(v.terms, rhs):
-                return None
-        if any(c not in brow for c in arow):
-            return None  # a has support outside b
-    if any(r not in b.rows for r in a.rows):
+    if a.is_zero or b.is_zero or a.rows.keys() != b.rows.keys():
         return None
+    r, c, _ = next(b._sorted())
+    ratio = lp_ratio(a.get(r, c), b.get(r, c))
+    if ratio is None or ratio.is_zero:
+        return None
+    # with a = A/da, b = B/db and ratio = N/nd over integer polys,
+    # a == ratio * b  <=>  A * (db * nd) == B * N * da
+    big_n, nd = _split(ratio)
+    lhs = {0: b.den * nd}
+    rhs = _mul(big_n, {0: a.den})
+    for r, brow in b.rows.items():
+        arow = a.rows[r]
+        if arow.keys() != brow.keys():
+            return None
+        for c, v in brow.items():
+            if _mul(arow[c].terms, lhs) != _mul(v.terms, rhs):
+                return None
     return ratio
 
 

@@ -13,11 +13,8 @@ from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient)
 from heckeverify.params import sample_params
 from heckeverify.reporting import render_report
-from heckeverify.transfer import (TwoBoundaryLattice, check_aux_trace,
-                                  check_commuting_family, check_degeneration,
-                                  check_hamiltonian,
-                                  verify_murphy_edges_one_boundary,
-                                  verify_murphy_two_boundary)
+from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
+                                  check_degeneration, verify_murphy_two_boundary)
 
 SEEDS = (101, 202, 303)
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_report.json"
@@ -69,8 +66,9 @@ def test_criterion_03_one_boundary_hierarchy():
     for dim, n in _GRID_ONE_BOUNDARY:
         for rep in reps_for(dim, n):
             t0 = time.time()
-            ok = ok and check_aux_trace(rep, n).status == "pass"
-            reports = verify_murphy_edges_one_boundary(rep, n)
+            chain = OneBoundaryChain(rep, n)
+            ok = ok and chain.check_aux_trace().status == "pass"
+            reports = chain.murphy_edges()
             ok = ok and all(r.status == "pass" for r in reports)
             worst = max(worst, time.time() - t0)
     record(3, ok and worst < 120,
@@ -81,7 +79,7 @@ def test_criterion_04_corollary():
     ok = True
     for dim, n in _GRID_ONE_BOUNDARY:
         for rep in reps_for(dim, n):
-            reports = verify_murphy_edges_one_boundary(rep, n, trivial_k=True)
+            reports = OneBoundaryChain(rep, n).murphy_edges(trivial_k=True)
             ok = ok and all(r.status == "pass" for r in reports)
     record(4, ok, "trivial-boundary hierarchy yields the A-type elements")
 
@@ -139,8 +137,9 @@ def test_criterion_09_integrability():
     ok = True
     for n in (2, 3, 4):
         for seed, rep in zip(SEEDS, reps_for(2, n)):
-            ok = ok and check_commuting_family(rep, n, seed=seed).status == "pass"
-            ok = ok and all(r.status == "pass" for r in check_hamiltonian(rep, n, seed=seed))
+            chain = OneBoundaryChain(rep, n)
+            ok = ok and chain.check_commuting_family(seed=seed).status == "pass"
+            ok = ok and all(r.status == "pass" for r in chain.check_hamiltonian(seed=seed))
     record(9, ok, "commuting family and Hamiltonian span/commutation")
 
 

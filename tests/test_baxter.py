@@ -3,13 +3,13 @@ import dataclasses
 
 import pytest
 
-from heckeverify import build_glN_rep, build_kit
+from heckeverify import baxter, build_glN_rep, build_kit
 from heckeverify.baxter import (calibrate_crossing, check_condition2, check_re,
                                 check_unitarity, check_ybe, k_bar_plus_hat,
                                 k_minus_hat, r_hat)
 from heckeverify.errors import CalibrationFailure
 from heckeverify.params import Params, sample_params
-from heckeverify.rings import LaurentPoly, rat
+from heckeverify.rings import LaurentPoly, rat, rat_str
 from heckeverify.tensor import PolyMatrix, mat_proportional
 
 from conftest import FIXED, SEEDS
@@ -65,6 +65,34 @@ def test_reflection(dim, end):
     assert check_re(rep, end).status == "pass"
 
 
+@pytest.mark.parametrize("end,name", [("left", "k_minus_hat"), ("right", "k_bar_plus_hat")])
+def test_reflection_evaluates_five_points(rep22, monkeypatch, end, name):
+    # the residual times r has degree <= 4 in r: five distinct points prove it
+    points = []
+    boundary = getattr(baxter, name)
+    first = baxter._sample_points(5, 3)   # the points sampled before
+
+    def recording(rep, arg=None, wrong_off_first=False):
+        k = boundary(rep, arg)
+        if arg is not None and arg.is_constant:
+            points.append(arg.constant_value())
+            if wrong_off_first and arg.constant_value() not in first:
+                k = k + PolyMatrix.identity(k.layout)
+        return k
+
+    monkeypatch.setattr(baxter, name, recording)
+    assert check_re(rep22, end, seed=5).status == "pass"
+    distinct = list(dict.fromkeys(points))   # K(r) is on both sides
+    assert len(distinct) == 5 and 0 not in distinct
+    # the first three come first, so passing reports keep their bytes
+    assert distinct[:3] == first
+    # a specialized boundary matrix that is wrong only off those three fails
+    monkeypatch.setattr(baxter, name, lambda rep, arg=None: recording(rep, arg, True))
+    report = check_re(rep22, end, seed=5)
+    assert report.status == "fail"
+    assert report.first_failure["specialization"] == rat_str(distinct[3])
+
+
 @pytest.mark.parametrize("c", [rat(0), rat(5, 3), rat(-7, 11)])
 def test_reflection_c_is_free(c):
     p0 = FIXED
@@ -107,7 +135,7 @@ def test_crossing_unit_is_q_to_2d(dim):
         rep = build_glN_rep(dim, 2, sample_params(seed))
         chi, ratio = calibrate_crossing(rep)
         assert chi == rep.params.q ** (2 * dim)
-        assert not ratio.num.is_zero
+        assert not ratio.is_zero
 
 
 def test_crossing_independent_of_boundary_data(rep22):

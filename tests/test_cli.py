@@ -66,11 +66,13 @@ def test_config_desk_bounds():
 
 @pytest.mark.parametrize("name", ["local_dim", "sites", "seed"])
 def test_config_rejects_malformed_integers(name, tmp_path):
-    with pytest.raises(ConfigError):
-        config_from_dict({name: "two"})
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({name: "two"}))
-    assert main(["suite", "--config", str(cfgfile)]) == 2
+    # a float is not truncated, a bool is not read as 0 or 1
+    for value in ("two", 2.9, True):
+        with pytest.raises(ConfigError):
+            config_from_dict({name: value})
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({name: value}))
+        assert main(["suite", "--config", str(cfgfile)]) == 2
 
 
 @pytest.mark.parametrize("name,text", [

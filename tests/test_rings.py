@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeverify.errors import NotAUnit
-from heckeverify.rings import (LaurentPoly, lp_proportional, lp_ratio, rat,
-                               rat_str)
+from heckeverify.rings import LaurentPoly, lp_ratio, rat, rat_str
 from heckeverify.tensor import PolyMatrix
 
 U = LaurentPoly.unit
@@ -49,22 +48,21 @@ def test_derivative_at_unit_point():
 
 
 def test_proportional_examples():
-    r = lp_proportional(U(1), U(3))
-    assert r is not None and r.num == U(-2) and r.den == LaurentPoly.const(1)
-    r = lp_proportional(lp({0: 2, 1: 2}), lp({0: 1, 1: 1}))
-    assert r is not None and r.num == LaurentPoly.const(2)
-    assert lp_proportional(lp({0: 1, 1: 1}), lp({0: 1, 1: 2})) is None
-    r = lp_proportional(LaurentPoly.zero(), LaurentPoly.zero())
-    assert r is not None and r.num == LaurentPoly.const(1)
+    assert lp_ratio(U(1), U(3)) == U(-2)
+    assert lp_ratio(lp({0: 2, 1: 2}), lp({0: 1, 1: 1})) == LaurentPoly.const(2)
+    assert lp_ratio(lp({0: 1, 1: 1}), lp({0: 1, 1: 2})) is None
+    assert lp_ratio(LaurentPoly.zero(), LaurentPoly.zero()) is None
+    assert lp_ratio(LaurentPoly.zero(), U(2)) == LaurentPoly.zero()
 
 
 def test_general_ratio_reduces():
     # (2 + 2u) / (u + u^2) = 2/u
-    r = lp_ratio(lp({0: 2, 1: 2}), lp({1: 1, 2: 1}))
-    assert r.num == lp({-1: 2}) and r.den == LaurentPoly.const(1)
-    # a genuinely rational-function ratio survives in lp_ratio
-    r = lp_ratio(lp({0: 1, 1: 1}), lp({0: 1, 1: 2}))
-    assert r is not None and r.den != LaurentPoly.const(1)
+    assert lp_ratio(lp({0: 2, 1: 2}), lp({1: 1, 2: 1})) == lp({-1: 2})
+    # (1 - u^3) / (1 - u) = 1 + u + u^2, shifted by the monomials
+    assert lp_ratio(lp({-2: 1, 1: -1}), lp({1: 1, 2: -1})) == lp({-3: 1, -2: 1, -1: 1})
+    # a rational function is no Laurent ratio
+    assert lp_ratio(lp({0: 1, 1: 1}), lp({0: 1, 1: 2})) is None
+    assert lp_ratio(lp({0: 1}), lp({0: 1, 1: 1})) is None
     assert lp_ratio(LaurentPoly.const(1), LaurentPoly.zero()) is None
 
 
@@ -123,11 +121,11 @@ def test_invert_unit_involution(deg, c):
 @given(lp_strategy(), lp_strategy())
 @settings(max_examples=60, deadline=None)
 def test_ratio_clears_denominators(a, b):
+    # exact division: b divides a*b, and any ratio found is exact
+    if not b.is_zero:
+        assert lp_ratio(a * b, b) == a
     r = lp_ratio(a, b)
-    if r is None:
-        assert not a.is_zero and b.is_zero
-        return
-    assert a * r.den == b * r.num
+    assert r is None or a == r * b
 
 
 @given(lp_strategy(), lp_strategy())

@@ -141,23 +141,26 @@ def test_partial_transpose_middle_factor():
 
 
 def test_mat_proportional_zero_against_support():
-    # b has support where a vanishes: no common ratio unless a is zero
+    # a zero side is proportional to nothing: a zero ratio is no ratio
     rng = random.Random(43)
     b = random_matrix(rng, 2)
+    assert not b.is_zero
     zero = PolyMatrix((2,))
-    r = mat_proportional(zero, b)
-    assert r is not None and r.num.is_zero
-    assert mat_proportional(b, zero) is None or b.is_zero
+    assert mat_proportional(zero, b) is None
+    assert mat_proportional(b, zero) is None
+    assert mat_proportional(zero, zero) is None
+    # nonzero sides with disjoint supports
+    assert mat_proportional(unit_matrix(0, 1, 2), unit_matrix(1, 0, 2)) is None
 
 
 def test_mat_proportional_examples():
     i4 = PolyMatrix.identity((2, 2))
     r = mat_proportional(i4.scale(2), i4)
-    assert r is not None and r.num == LaurentPoly.const(2)
+    assert r == LaurentPoly.const(2)
     rng = random.Random(29)
     a = random_matrix(rng, 3, poly=True)
     r = mat_proportional(a.scale(U(1)), a)
-    assert r is not None and r.num == U(1)
+    assert r == U(1)
     bumped = i4 + kron(unit_matrix(0, 1, 2), PolyMatrix.identity((2,)))
     assert mat_proportional(bumped, i4) is None
 
@@ -167,8 +170,9 @@ def test_mat_proportional_rational_function_ratio():
     a = random_matrix(rng, 2, poly=True)
     num = LaurentPoly({0: 1, 1: 1})
     den = LaurentPoly({0: 1, 1: 2})
-    r = mat_proportional(a.scale(num), a.scale(den))
-    assert r is not None and r.num == num and r.den == den
+    # (1 + u) / (1 + 2u) is a rational function, not a Laurent polynomial
+    assert mat_proportional(a.scale(num), a.scale(den)) is None
+    assert mat_proportional(a.scale(num * den), a.scale(den)) == num
 
 
 def test_matmul_agrees_with_evaluation():
@@ -351,12 +355,11 @@ def test_mat_proportional_matches_fraction_reference(b, s, data):
     scaled = _ref_scale(b, s)
     r = mat_proportional(_from_ref(scaled), _from_ref(b))
     if not b:
-        assert r is not None
+        assert r is None   # a zero side is proportional to nothing
         return
-    assert r is not None
-    num, den = dict(r.num.terms), dict(r.den.terms)
-    # scaled * den == b * num entry by entry, in reference arithmetic
-    assert _ref_scale(scaled, den) == _ref_scale(b, num)
+    assert r is not None and not r.is_zero
+    # scaled == b * r entry by entry, in reference arithmetic
+    assert scaled == _ref_scale(b, dict(r.terms))
     if len(b) < 2:
         return
     # a perturbation of one entry breaks proportionality

@@ -1,0 +1,46 @@
+"""The benchmark's span tracer (perfbench/tracing.py) wraps the program from
+outside, by name.  These tests keep that surface working: a traced run gives
+the untraced report, and every per-layer metric the benchmark declares is
+produced."""
+
+import importlib.util
+import json
+import pathlib
+
+from heckeverify import cli, tensor
+from heckeverify.reporting import render_report
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# added by the benchmark's worker and runner, not by the tracer
+_NOT_FROM_TRACER = {"reporting.report_bytes", "trace.overhead_ratio"}
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_matches_untraced_and_covers_metrics():
+    config = cli.config_from_dict({"local_dim": 2, "sites": 2})
+    plain = render_report(cli.run_suite(config), config.echo())
+    matmul = tensor.PolyMatrix.__dict__["_matmul"]
+    run_suite = cli.run_suite
+
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.run_suite is not run_suite
+        traced = render_report(cli.run_suite(config), config.echo())
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert cli.run_suite is run_suite
+    assert tensor.PolyMatrix.__dict__["_matmul"] is matmul
+
+    assert traced == plain
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert declared - _NOT_FROM_TRACER <= set(metrics)
+    assert metrics["tensor.matmul.calls"] > 0
+    assert metrics["cli.suite.relations.s"] > 0

@@ -10,14 +10,11 @@ from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
 from heckeverify.tensor import PolyMatrix, embed_site, kron, lin_solve, mat_proportional
-from heckeverify.transfer import (TwoBoundaryLattice, build_t_one_boundary,
-                                  build_t_two_boundary, check_aux_trace,
-                                  check_commuting_family, check_degeneration,
-                                  check_hamiltonian, explore_generic,
-                                  extract_edges, hamiltonian,
-                                  t_two_boundary_direct,
+from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
+                                  build_t_one_boundary, build_t_two_boundary,
+                                  check_degeneration, explore_generic,
+                                  extract_edges, t_two_boundary_direct,
                                   t_two_boundary_factorized, trace_edges,
-                                  verify_murphy_edges_one_boundary,
                                   verify_murphy_two_boundary)
 
 from conftest import FIXED, SEEDS
@@ -52,7 +49,7 @@ def test_extract_edges():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_aux_trace_scalar_formula(dim):
     rep = build_glN_rep(dim, 2, FIXED)
-    report = check_aux_trace(rep, 2)
+    report = OneBoundaryChain(rep, 2).check_aux_trace()
     assert report.status == "pass"
     q = FIXED.q
     expected = LaurentPoly({0: q**dim, 1: -(1 / q) ** dim})
@@ -62,7 +59,19 @@ def test_aux_trace_scalar_formula(dim):
 def test_aux_trace_needs_twist(rep22):
     rep = copy.copy(rep22)
     rep.m_local = PolyMatrix.identity((2,))
-    assert check_aux_trace(rep, 2).status == "fail"
+    assert OneBoundaryChain(rep, 2).check_aux_trace().status == "fail"
+
+
+def test_zero_twist_is_no_proportionality(rep22):
+    # with M = 0 the auxiliary trace is zero; a zero ratio must not pass the
+    # aux-trace check, nor let the direct trace (zero) match 0 * factorized
+    rep = copy.copy(rep22)
+    rep.m_local = PolyMatrix.zeros((2,))
+    chain = OneBoundaryChain(rep, 2)
+    report = chain.check_aux_trace()
+    assert (report.status, report.first_failure) == ("fail", {"value": "0"})
+    reports = chain.murphy_edges()
+    assert [(r.check_name, r.status) for r in reports] == [("prop1/build[n=2]", "fail")]
 
 
 def test_one_boundary_n1(rep22):
@@ -83,14 +92,13 @@ def test_one_boundary_internal_ratio_value(rep22):
     res = build_t_one_boundary(rep22, 2)
     q = FIXED.q
     assert res.internal_ratio is not None
-    assert res.internal_ratio.num == LaurentPoly.const(q - 1 / q)
-    assert res.internal_ratio.den == LaurentPoly.const(1)
+    assert res.internal_ratio == LaurentPoly.const(q - 1 / q)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_boundary_edges(n):
     rep = build_glN_rep(2, n, FIXED)
-    reports = verify_murphy_edges_one_boundary(rep, n)
+    reports = OneBoundaryChain(rep, n).murphy_edges()
     assert all(r.status == "pass" for r in reports)
     res = build_t_one_boundary(rep, n, cross_check=False)
     assert res.matrix.min_degree() == 0
@@ -102,14 +110,14 @@ def test_one_boundary_edges(n):
 
 def test_one_boundary_hierarchy_sub_n(rep23):
     # n below the chain length acts as identity on the remaining sites
-    reports = verify_murphy_edges_one_boundary(rep23, 2)
+    reports = OneBoundaryChain(rep23, 2).murphy_edges()
     assert all(r.status == "pass" for r in reports)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_corollary_edges(n):
     rep = build_glN_rep(2, n, FIXED)
-    reports = verify_murphy_edges_one_boundary(rep, n, trivial_k=True)
+    reports = OneBoundaryChain(rep, n).murphy_edges(trivial_k=True)
     assert all(r.status == "pass" for r in reports)
     res = build_t_one_boundary(rep, n, trivial_k=True, cross_check=False)
     edges = extract_edges(res.matrix)
@@ -140,13 +148,13 @@ def test_t_plus_factorized_zero_order(rep22):
 def test_build_two_boundary_minus(rep22, kit22):
     res = build_t_two_boundary(rep22, kit22, "minus")
     assert res.internal_ratio is not None
-    assert not res.internal_ratio.num.is_zero
+    assert not res.internal_ratio.is_zero
 
 
 def test_build_two_boundary_plus(rep22, kit22):
     res = build_t_two_boundary(rep22, kit22, "plus")
     assert res.internal_ratio is None  # only the edges are shared
-    assert res.edge_ratio.is_scalar
+    assert res.edge_ratio.is_constant
     # both edges of the family member match the factorized product
     from heckeverify.tensor import mat_proportional as mp
     ed, ef = extract_edges(res.direct), extract_edges(res.factorized)
@@ -259,7 +267,7 @@ def closed_form_coeffs(params, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_hamiltonian_closed_form(n):
     rep = build_glN_rep(2, n, FIXED)
-    res = hamiltonian(rep, n)
+    res = OneBoundaryChain(rep, n).hamiltonian()
     alpha, beta, gamma = closed_form_coeffs(FIXED, n)
     assert res.coefficients["identity"] == alpha
     assert res.coefficients["g[0]"] == gamma
@@ -268,7 +276,7 @@ def test_hamiltonian_closed_form(n):
 
 
 def test_hamiltonian_checks(rep23):
-    reports = check_hamiltonian(rep23, 3)
+    reports = OneBoundaryChain(rep23, 3).check_hamiltonian()
     assert all(r.status == "pass" for r in reports)
 
 
@@ -291,7 +299,7 @@ def test_hamiltonian_matches_dense_solve(dim, n):
             rhs.append(h.get((r, c), rat(0)))
     sol = lin_solve(rows, rhs)
     assert sol is not None
-    res = hamiltonian(rep, n)
+    res = OneBoundaryChain(rep, n).hamiltonian()
     names = ["identity", *(f"g[{i}]" for i in range(1, n)), "g[0]"]
     assert res.coefficients == dict(zip(names, sol))
     assert list(res.coefficients) == names
@@ -314,7 +322,7 @@ def test_hamiltonian_span_checks_off_pivot_entries(rep23, monkeypatch):
         return h + PolyMatrix(h.layout, {(r, c): rat(1, 7)})
 
     monkeypatch.setattr(PolyMatrix, "derivative_at_one", perturbed)
-    reports = check_hamiltonian(rep23, 3)
+    reports = OneBoundaryChain(rep23, 3).check_hamiltonian()
     assert [(x.check_name, x.status) for x in reports] == [("hamiltonian/span", "fail")]
     assert reports[0].first_failure == {"relation": "derivative is not in the generator span"}
 
@@ -322,13 +330,13 @@ def test_hamiltonian_span_checks_off_pivot_entries(rep23, monkeypatch):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_commuting_family(seed):
     rep = build_glN_rep(2, 3, sample_params(seed))
-    assert check_commuting_family(rep, 3, seed=seed).status == "pass"
+    assert OneBoundaryChain(rep, 3).check_commuting_family(seed=seed).status == "pass"
 
 
 def test_commuting_family_needs_reflection_solution(rep23):
     rep = copy.copy(rep23)
     rep.g0_inv_local = PolyMatrix.identity((2,))  # boundary no longer solves RE
-    assert check_commuting_family(rep, 3).status == "fail"
+    assert OneBoundaryChain(rep, 3).check_commuting_family().status == "fail"
 
 
 # ---------------------------------------------------------------------------
