@@ -50,6 +50,13 @@ def _as_int(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_str(name: str, value) -> str:
+    """A string; a number is not a file descriptor or a name."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _env_seed() -> int | None:
     """The ``HECKE_SEED`` environment override, if set."""
     value = os.environ.get("HECKE_SEED")
@@ -131,11 +138,14 @@ def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
         if name in data:
             setattr(cfg, name, _as_int(name, data[name]))
     if "family" in data:
-        cfg.family = str(data["family"])
+        cfg.family = _as_str("family", data["family"])
     if "suites" in data:
-        cfg.suites = list(data["suites"])
+        suites = data["suites"]
+        if not isinstance(suites, list):
+            raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
+        cfg.suites = [_as_str("suite name", name) for name in suites]
     if "out" in data:
-        cfg.out = data["out"]
+        cfg.out = _as_str("out", data["out"])
     for name in PARAM_NAMES:
         if name in data:
             cfg.overrides[name] = parse_rational(str(data[name]))

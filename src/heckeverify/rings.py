@@ -1,10 +1,11 @@
 """Exact rational scalars and univariate Laurent polynomials.
 
 All spectral-parameter dependence in the library lives in one formal
-multiplicative variable ``u``.  Coefficients are exact rationals (or, inside
-a ``tensor.PolyMatrix``, integer numerators over the matrix's common
-denominator); a Laurent polynomial is a finite map ``degree -> coefficient``
-with no stored zeros, so equality of polynomials is equality of dicts.
+multiplicative variable ``u``.  Coefficients are exact rationals; a Laurent
+polynomial is a finite map ``degree -> coefficient`` with no stored zeros,
+so equality of polynomials is equality of dicts.  A ``tensor.PolyMatrix``
+does not store LaurentPoly entries: it is a polynomial of integer matrices
+over one common denominator, and its ``rows`` view wraps integer terms.
 Ratios are exact division in the Laurent ring (``lp_ratio``): a quotient
 that is not a Laurent polynomial is no ratio, so no rational function is
 ever formed.
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .errors import NotAUnit
 
-# Matrix kernels run on integer numerators over a common denominator; a
+# Matrix kernels run on integer matrices over a common denominator; a
 # Rational is formed only where a value is read, where the optional
 # gmpy2.mpq is faster than Fraction.
 try:
@@ -133,7 +134,14 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             t: dict = {}
-            _mul_into(t, self.terms, other.terms)
+            for da, ca in self.terms.items():
+                for db, cb in other.terms.items():
+                    d, s = da + db, t.get(da + db)
+                    s = ca * cb if s is None else s + ca * cb
+                    if s:
+                        t[d] = s
+                    else:
+                        del t[d]
             out = LaurentPoly.__new__(LaurentPoly)
             out.terms = t
             return out
@@ -224,24 +232,6 @@ def _coerce(x):
     if isinstance(x, (int, Rational, Fraction)):
         return LaurentPoly.const(x)
     return NotImplemented
-
-
-def _mul_into(acc: dict, a: dict, b: dict) -> None:
-    """acc += a*b on raw term dicts (hot path for matrix products)."""
-    if len(a) > len(b):  # the shorter loop outside
-        a, b = b, a
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            s = acc.get(d)
-            if s is None:
-                acc[d] = ca * cb
-            else:
-                s = s + ca * cb
-                if s:
-                    acc[d] = s
-                else:
-                    del acc[d]
 
 
 # ---------------------------------------------------------------------------

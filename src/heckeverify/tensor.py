@@ -5,14 +5,17 @@ basis index is row-major (``idx = i0*d1*...*dk + i1*d2*... + ...``).  The
 auxiliary space of a transfer-matrix construction is always factor 0, so
 its partial trace is a leading-block sum.
 
-Storage: one positive ``int`` common denominator ``den`` per matrix plus
-sparse rows of LaurentPoly entries with Python-``int`` coefficients; entry
-``(r, c)`` is ``rows[r][c] / den``.  The form is canonical: ``den`` is the
-least common denominator of the entries (its gcd with every coefficient is
-1), so equal matrices have equal ``den`` and equal rows.  Every kernel works
-on the integers and normalizes once per result; rationals are formed only
-where an entry is read (``get``, ``entries``, ``to_dump_dict``).  Entry
-objects are never mutated once stored, so embeddings share them.
+Storage: a matrix is one matrix polynomial ``sum_d u^d C_d / den``: one
+positive ``int`` common denominator ``den`` and ``mats = {d: C_d}``, each
+``C_d`` a sparse integer matrix ``{row: {col: int}}``.  The form is
+canonical: no empty degree or row, no stored zero, and ``den`` is the least
+common denominator (its gcd with every stored integer is 1), so equal
+matrices have equal ``den`` and equal ``mats``.  Every kernel works degree
+by degree on the integers and normalizes once per result; a constant matrix
+is the one-key case, so its products are plain integer products.  Rationals
+are formed only where an entry is read (``get``, ``entries``,
+``to_dump_dict``); ``rows`` is a read-only entry-wise view built on demand.
+Stored integer matrices are never mutated, so results share them.
 
 Every proportionality claim goes through ``mat_proportional``: two nonzero
 matrices are proportional when one is a nonzero Laurent polynomial times
@@ -24,7 +27,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import DimensionMismatch
-from .rings import LaurentPoly, Rational, lp_ratio, rat, _mul_into
+from .rings import LaurentPoly, Rational, lp_ratio, rat
 
 
 def _prod(xs) -> int:
@@ -60,67 +63,99 @@ def _split(val) -> tuple[dict, int]:
             for d, c in terms.items() if c}, den
 
 
-def _mul(a: dict, b: dict) -> dict:
-    t: dict = {}
-    _mul_into(t, a, b)
-    return t
-
-
-def _scaled(p: LaurentPoly, f: int) -> LaurentPoly:
-    return p if f == 1 else _poly({d: c * f for d, c in p.terms.items()})
-
-
-def _add_terms(a: dict, b: dict) -> dict:
-    t = dict(a)
-    for d, c in b.items():
-        s = t.get(d, 0) + c
-        if s:
-            t[d] = s
+def _add_into(acc: dict, m: dict, f: int) -> None:
+    """``acc += f * m`` on integer matrices; the rows of ``acc`` are its own."""
+    for r, row in m.items():
+        arow = acc.get(r)
+        if arow is None:
+            acc[r] = {c: v * f for c, v in row.items()}
         else:
-            del t[d]
-    return t
+            for c, v in row.items():
+                arow[c] = arow.get(c, 0) + v * f
 
 
-def _reduced(rows: dict, den: int) -> tuple[dict, int]:
-    """Divide ``rows`` and ``den`` by their common content (usually 1, found
-    after a few coefficients)."""
+def _canonical(mats: dict, den: int) -> tuple[dict, int]:
+    """Drop the zeros, empty rows and empty degrees a sum can leave, and
+    divide ``mats`` and ``den`` by their common content (usually 1)."""
+    out = {}
     g = den
-    for row in rows.values():
-        for p in row.values():
-            for c in p.terms.values():
-                g = gcd(g, c)
-                if g == 1:
-                    return rows, den
-    return ({r: {c: _poly({d: v // g for d, v in p.terms.items()}) for c, p in row.items()}
-             for r, row in rows.items()}, den // g)
+    for d, m in mats.items():
+        rows = {}
+        for r, row in m.items():
+            if 0 in row.values():
+                row = {c: v for c, v in row.items() if v}
+            if row:
+                rows[r] = row
+                if g != 1:
+                    g = gcd(g, *row.values())
+        if rows:
+            out[d] = rows
+    if g == 1:
+        return out, den
+    return ({d: {r: {c: v // g for c, v in row.items()} for r, row in m.items()}
+             for d, m in out.items()}, den // g)
+
+
+def _times_poly(mats: dict, terms: dict) -> dict:
+    """The matrix polynomial ``mats`` times the integer polynomial ``terms``."""
+    out: dict = {}
+    for k, t in terms.items():
+        for d, m in mats.items():
+            _add_into(out.setdefault(d + k, {}), m, t)
+    return out
+
+
+def _product(a: dict, b: dict, out: dict) -> dict:
+    """The one product kernel: ``out += a * b`` for matrix polynomials, the
+    sum over degree pairs of sparse integer products (zeros left in)."""
+    for da, am in a.items():
+        for db, bm in b.items():
+            m = out.get(da + db)
+            if m is None:
+                m = out[da + db] = {}
+            for r, arow in am.items():
+                acc = m.get(r)
+                if acc is None:
+                    acc = m[r] = {}
+                get = acc.get
+                for k, x in arow.items():
+                    brow = bm.get(k)
+                    if brow is not None:
+                        for c, y in brow.items():
+                            acc[c] = get(c, 0) + x * y
+    return out
+
+
+def _per_degree(mats: dict, fn) -> dict:
+    return {d: fn(m) for d, m in mats.items()}
 
 
 class PolyMatrix:
     """Square sparse matrix with LaurentPoly entries and a factor layout,
-    stored as integer rows over one common denominator."""
+    stored as a polynomial of integer matrices over one common denominator."""
 
-    __slots__ = ("dim", "layout", "rows", "den")
+    __slots__ = ("dim", "layout", "mats", "den")
 
     def __init__(self, layout, entries=None):
         self.layout = tuple(int(d) for d in layout)
         self.dim = _prod(self.layout)
-        self.rows: dict[int, dict[int, LaurentPoly]] = {}
+        self.mats: dict[int, dict[int, dict[int, int]]] = {}
         self.den = 1
         if entries:
             for (r, c), val in entries.items():
                 self._set(r, c, val)
 
     @classmethod
-    def _make(cls, layout, rows: dict, den: int) -> "PolyMatrix":
-        """A matrix from integer rows over ``den``, brought to canonical form."""
+    def _make(cls, layout, mats: dict, den: int) -> "PolyMatrix":
+        """A matrix from integer ``mats`` over ``den``, brought to canonical form."""
         out = cls(layout)
-        out.rows, out.den = _reduced(rows, den)
+        out.mats, out.den = _canonical(mats, den)
         return out
 
-    def _like(self, rows: dict) -> "PolyMatrix":
-        """Same layout and denominator, rows already canonical over it."""
+    def _like(self, mats: dict) -> "PolyMatrix":
+        """Same layout and denominator, ``mats`` already canonical over it."""
         out = PolyMatrix(self.layout)
-        out.rows, out.den = rows, self.den
+        out.mats, out.den = mats, self.den
         return out
 
     # -- construction ---------------------------------------------------
@@ -131,9 +166,7 @@ class PolyMatrix:
     @classmethod
     def identity(cls, layout) -> "PolyMatrix":
         m = cls(layout)
-        one = _poly({0: 1})
-        for i in range(m.dim):
-            m.rows[i] = {i: one}
+        m.mats = {0: {i: {i: 1} for i in range(m.dim)}}
         return m
 
     def _set(self, r: int, c: int, val) -> None:
@@ -141,76 +174,67 @@ class PolyMatrix:
             raise DimensionMismatch(f"entry ({r},{c}) outside dim {self.dim}")
         terms, d = _split(val)
         den = lcm(self.den, d)
-        rows = self.rows
-        if den != self.den:
-            f = den // self.den
-            rows = {rr: {cc: _scaled(p, f) for cc, p in row.items()}
-                    for rr, row in rows.items()}
-        row = rows.setdefault(r, {})
-        if terms:
-            row[c] = _scaled(_poly(terms), den // d)
-        else:
-            row.pop(c, None)
-            if not row:
-                del rows[r]
-        self.rows, self.den = _reduced(rows, den)
+        mats: dict = {}
+        for k, m in self.mats.items():
+            _add_into(mats.setdefault(k, {}), m, den // self.den)
+            mats[k].get(r, {}).pop(c, None)
+        for k, v in terms.items():
+            mats.setdefault(k, {}).setdefault(r, {})[c] = v * (den // d)
+        self.mats, self.den = _canonical(mats, den)
 
-    def _rational(self, p: LaurentPoly) -> LaurentPoly:
-        den = self.den
-        return _poly({d: rat(c, den) for d, c in p.terms.items()})
+    # -- reading ----------------------------------------------------------
+    @property
+    def rows(self) -> dict[int, dict[int, LaurentPoly]]:
+        """Read-only entry-wise view ``{r: {c: LaurentPoly}}`` of the integer
+        numerators over ``den``, built on demand."""
+        rows: dict = {}
+        for d, m in self.mats.items():
+            for r, row in m.items():
+                trow = rows.setdefault(r, {})
+                for c, v in row.items():
+                    trow.setdefault(c, {})[d] = v
+        return {r: {c: _poly(t) for c, t in row.items()} for r, row in rows.items()}
 
     def get(self, r: int, c: int) -> LaurentPoly:
         """Entry ``(r, c)`` with reduced rational coefficients."""
-        p = self.rows.get(r, {}).get(c)
-        return LaurentPoly.zero() if p is None else self._rational(p)
-
-    def _sorted(self):
-        """Iterate ``(r, c, integer entry)`` sorted by (r, c)."""
-        for r in sorted(self.rows):
-            row = self.rows[r]
-            for c in sorted(row):
-                yield r, c, row[c]
+        den = self.den
+        return _poly({d: rat(m[r][c], den) for d, m in self.mats.items()
+                      if c in m.get(r, ())})
 
     def entries(self):
         """Iterate ``(r, c, value)`` sorted by (r, c), values rational."""
-        for r, c, p in self._sorted():
-            yield r, c, self._rational(p)
+        rows, den = self.rows, self.den
+        for r in sorted(rows):
+            row = rows[r]
+            for c in sorted(row):
+                yield r, c, _poly({d: rat(v, den) for d, v in row[c].terms.items()})
+
+    def support(self) -> set[tuple[int, int]]:
+        """The positions ``(r, c)`` of the nonzero entries."""
+        return {(r, c) for m in self.mats.values() for r, row in m.items() for c in row}
 
     @property
     def nnz(self) -> int:
-        return sum(len(row) for row in self.rows.values())
+        return len(self.support())
 
     @property
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.mats
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch("matrix addition needs equal dims")
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        rows = {r: {c: _scaled(p, fa) for c, p in row.items()} for r, row in self.rows.items()}
-        for r, row in other.rows.items():
-            orow = rows.setdefault(r, {})
-            for c, p in row.items():
-                p = _scaled(p, fb)
-                s = orow.get(c)
-                if s is None:
-                    orow[c] = p
-                else:
-                    t = _add_terms(s.terms, p.terms)
-                    if t:
-                        orow[c] = _poly(t)
-                    else:
-                        del orow[c]
-            if not orow:
-                del rows[r]
-        return PolyMatrix._make(self.layout, rows, den)
+        out: dict = {}
+        for x in (self, other):
+            for d, m in x.mats.items():
+                _add_into(out.setdefault(d, {}), m, den // x.den)
+        return PolyMatrix._make(self.layout, out, den)
 
     def __neg__(self) -> "PolyMatrix":
-        return self._like({r: {c: _poly({d: -v for d, v in p.terms.items()})
-                               for c, p in row.items()} for r, row in self.rows.items()})
+        return self._like(_per_degree(self.mats, lambda m: {
+            r: {c: -v for c, v in row.items()} for r, row in m.items()}))
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + (-other)
@@ -226,75 +250,50 @@ class PolyMatrix:
 
     def scale(self, s) -> "PolyMatrix":
         terms, d = _split(s)
-        if not terms:
-            return PolyMatrix(self.layout)
-        rows = {r: {c: _poly(_mul(p.terms, terms)) for c, p in row.items()}
-                for r, row in self.rows.items()}
-        return PolyMatrix._make(self.layout, rows, self.den * d)
+        return PolyMatrix._make(self.layout, _times_poly(self.mats, terms), self.den * d)
 
     def _matmul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch("matrix product needs equal dims")
-        rows = {}
-        orows = other.rows
-        for r, arow in self.rows.items():
-            acc: dict[int, dict] = {}
-            for k, a in arow.items():
-                brow = orows.get(k)
-                if not brow:
-                    continue
-                at = a.terms
-                for c, b in brow.items():
-                    tgt = acc.get(c)
-                    if tgt is None:
-                        tgt = acc[c] = {}
-                    _mul_into(tgt, at, b.terms)
-            orow = {c: _poly(terms) for c, terms in acc.items() if terms}
-            if orow:
-                rows[r] = orow
-        return PolyMatrix._make(self.layout, rows, self.den * other.den)
+        return PolyMatrix._make(self.layout, _product(self.mats, other.mats, {}),
+                                self.den * other.den)
 
     def band(self, lo: int | None = None, hi: int | None = None) -> "PolyMatrix":
         """The terms of degree ``lo <= d <= hi``; a bound left out is open."""
-        rows = {}
-        for r, row in self.rows.items():
-            orow = {}
-            for c, p in row.items():
-                t = {d: v for d, v in p.terms.items()
-                     if (lo is None or d >= lo) and (hi is None or d <= hi)}
-                if t:
-                    orow[c] = p if len(t) == len(p.terms) else _poly(t)
-            if orow:
-                rows[r] = orow
-        return PolyMatrix._make(self.layout, rows, self.den)
+        return PolyMatrix._make(self.layout, {
+            d: m for d, m in self.mats.items()
+            if (lo is None or d >= lo) and (hi is None or d <= hi)}, self.den)
 
     def relabel(self, rows=None, cols=None) -> "PolyMatrix":
         """Move entry ``(r, c)`` to ``(rows[r], cols[c])`` (a map left out is
         the identity).  For an involutive index permutation ``s`` with matrix
         ``P``, ``relabel(rows=s)`` is ``P * self`` and ``relabel(cols=s)`` is
         ``self * P``."""
-        out = {}
-        for r, row in self.rows.items():
-            out[rows[r] if rows else r] = ({cols[c]: v for c, v in row.items()}
-                                           if cols else dict(row))
-        return self._like(out)
+        def move(m):
+            return {rows[r] if rows else r: ({cols[c]: v for c, v in row.items()}
+                                             if cols else row) for r, row in m.items()}
+        return self._like(_per_degree(self.mats, move))
 
     def __eq__(self, other):
-        # both sides canonical: equal values have equal denominators and rows
+        # both sides canonical: equal values have equal denominators and mats
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.den == other.den and self.rows == other.rows
+        return self.dim == other.dim and self.den == other.den and self.mats == other.mats
 
     def __hash__(self):  # pragma: no cover - matrices rarely hashed
-        return hash((self.dim, self.den, frozenset((r, c, v) for r, c, v in self._sorted())))
+        return hash((self.dim, self.den, frozenset(
+            (d, r, c, v) for d, m in self.mats.items() for r, row in m.items()
+            for c, v in row.items())))
 
     # -- structural operations ---------------------------------------------
     def transpose(self) -> "PolyMatrix":
-        rows: dict = {}
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                rows.setdefault(c, {})[r] = v
-        return self._like(rows)
+        def flip(m):
+            out: dict = {}
+            for r, row in m.items():
+                for c, v in row.items():
+                    out.setdefault(c, {})[r] = v
+            return out
+        return self._like(_per_degree(self.mats, flip))
 
     def partial_transpose(self, factor: int) -> "PolyMatrix":
         """Transpose the indices of one tensor factor only."""
@@ -302,70 +301,59 @@ class PolyMatrix:
             raise DimensionMismatch(f"factor {factor} outside layout {self.layout}")
         st = _strides(self.layout)[factor]
         d = self.layout[factor]
-        rows: dict = {}
-        for r, row in self.rows.items():
-            a = (r // st) % d
-            base_r = r - a * st
-            for c, v in row.items():
-                b = (c // st) % d
-                rows.setdefault(base_r + b * st, {})[c - b * st + a * st] = v
-        return self._like(rows)
+
+        def flip(m):
+            out: dict = {}
+            for r, row in m.items():
+                a = (r // st) % d
+                base_r = r - a * st
+                for c, v in row.items():
+                    b = (c // st) % d
+                    out.setdefault(base_r + b * st, {})[c - b * st + a * st] = v
+            return out
+        return self._like(_per_degree(self.mats, flip))
 
     def partial_trace_first(self) -> "PolyMatrix":
         """Trace out factor 0; the result lives on the remaining factors."""
         return trace_product(self, PolyMatrix.identity(self.layout))
 
+    def _weighted(self, weight: dict, den: int) -> "PolyMatrix":
+        """The constant matrix ``sum_d weight[d] * C_d / den``."""
+        out: dict = {}
+        for d, m in self.mats.items():
+            if weight[d]:
+                _add_into(out, m, weight[d])
+        return PolyMatrix._make(self.layout, {0: out}, den)
+
     def derivative_at_one(self) -> "PolyMatrix":
         """Entrywise derivative in ``lam`` at ``lam = 0`` for ``u = exp(-2 lam)``:
         the constant matrix ``sum_k -2k C_k`` of ``sum_k u^k C_k``."""
-        rows = {}
-        for r, row in self.rows.items():
-            orow = {}
-            for c, p in row.items():
-                val = -2 * sum(d * v for d, v in p.terms.items())
-                if val:
-                    orow[c] = _poly({0: val})
-            if orow:
-                rows[r] = orow
-        return PolyMatrix._make(self.layout, rows, self.den)
+        return self._weighted({k: -2 * k for k in self.mats}, self.den)
 
     def evaluate(self, x) -> "PolyMatrix":
         """Specialize the formal variable at a rational point."""
         x = x if isinstance(x, Rational) else rat(x)
         xn, xd = int(x.numerator), int(x.denominator)
-        degs = {d for row in self.rows.values() for p in row.values() for d in p.terms}
-        lo, hi = min(degs | {0}), max(degs | {0})
+        degs = [0, *self.mats]
+        lo, hi = min(degs), max(degs)
         if not xn and lo < 0:
             raise ZeroDivisionError("negative degrees evaluated at zero")
         # x^d = xn^(d-lo) xd^(hi-d) / (xd^hi xn^-lo), all exponents >= 0
         den = self.den * xd**hi * xn**-lo
         sign = -1 if den < 0 else 1
-        weight = {d: sign * xn**(d - lo) * xd**(hi - d) for d in degs}
-        rows = {}
-        for r, row in self.rows.items():
-            orow = {}
-            for c, p in row.items():
-                val = sum(v * weight[d] for d, v in p.terms.items())
-                if val:
-                    orow[c] = _poly({0: val})
-            if orow:
-                rows[r] = orow
-        return PolyMatrix._make(self.layout, rows, abs(den))
+        return self._weighted({d: sign * xn**(d - lo) * xd**(hi - d) for d in self.mats},
+                              abs(den))
 
     def min_degree(self) -> int:
-        return min(p.min_deg() for row in self.rows.values() for p in row.values())
+        return min(self.mats)
 
     def max_degree(self) -> int:
-        return max(p.max_deg() for row in self.rows.values() for p in row.values())
+        return max(self.mats)
 
     def coefficient(self, deg: int) -> "PolyMatrix":
         """Constant matrix of the ``u^deg`` coefficients."""
-        rows = {}
-        for r, row in self.rows.items():
-            orow = {c: _poly({0: p.terms[deg]}) for c, p in row.items() if deg in p.terms}
-            if orow:
-                rows[r] = orow
-        return PolyMatrix._make(self.layout, rows, self.den)
+        return PolyMatrix._make(self.layout,
+                                {0: self.mats[deg]} if deg in self.mats else {}, self.den)
 
     def to_dump_dict(self) -> dict:
         """Canonical dump form: entries sorted by (row, col), degrees ascending."""
@@ -382,52 +370,48 @@ class PolyMatrix:
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Kronecker product; composite index ``i_a * dim(b) + i_b``."""
-    rows: dict = {}
     db = b.dim
-    for ra, rowa in a.rows.items():
-        for ca, va in rowa.items():
-            for rb, rowb in b.rows.items():
-                orow = rows.setdefault(ra * db + rb, {})
-                for cb, vb in rowb.items():
-                    orow[ca * db + cb] = _poly(_mul(va.terms, vb.terms))
-    return PolyMatrix._make(a.layout + b.layout, rows, a.den * b.den)
+    out: dict = {}
+    for da, am in a.mats.items():
+        for dg, bm in b.mats.items():
+            m = out.setdefault(da + dg, {})
+            for ra, rowa in am.items():
+                for rb, rowb in bm.items():
+                    orow = m.setdefault(ra * db + rb, {})
+                    for ca, va in rowa.items():
+                        for cb, vb in rowb.items():
+                            c = ca * db + cb
+                            orow[c] = orow.get(c, 0) + va * vb
+    return PolyMatrix._make(a.layout + b.layout, out, a.den * b.den)
 
 
 def trace_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """``tr_0(a * b)``, factor 0 traced out, without forming the product:
     row ``i*R + r`` of ``a`` meets only the columns ``i*R + c`` of ``b``
-    (``R`` the dimension of the other factors), so only the diagonal blocks
-    of the product are accumulated."""
+    (``R`` the dimension of the other factors): the sum over blocks ``i`` of
+    the row block ``i`` of ``a`` times the column block ``i`` of ``b``."""
     if a.dim != b.dim:
         raise DimensionMismatch("matrix product needs equal dims")
     if len(a.layout) < 2:
         raise DimensionMismatch("partial trace needs at least two factors")
-    rest = a.dim // a.layout[0]
-    blocks: dict[tuple[int, int], list] = {}   # (row k, block i) -> [(c, terms)]
-    for k, row in b.rows.items():
-        for c, v in row.items():
-            i, cc = divmod(c, rest)
-            blocks.setdefault((k, i), []).append((cc, v.terms))
-    acc: dict[int, dict[int, dict]] = {}
-    for r, arow in a.rows.items():
-        i, rr = divmod(r, rest)
-        out = acc.setdefault(rr, {})
-        for k, v in arow.items():
-            block = blocks.get((k, i))
-            if block is None:
-                continue
-            at = v.terms
-            for c, bt in block:
-                tgt = out.get(c)
-                if tgt is None:
-                    tgt = out[c] = {}
-                _mul_into(tgt, at, bt)
-    rows = {}
-    for rr, row in acc.items():
-        orow = {c: _poly(terms) for c, terms in row.items() if terms}
-        if orow:
-            rows[rr] = orow
-    return PolyMatrix._make(a.layout[1:], rows, a.den * b.den)
+    blocks, rest = range(a.layout[0]), a.dim // a.layout[0]
+    a_rows: list[dict] = [{} for _ in blocks]
+    for d, m in a.mats.items():
+        for r, row in m.items():
+            a_rows[r // rest].setdefault(d, {})[r % rest] = row
+    b_cols: list[dict] = [{} for _ in blocks]
+    for d, m in b.mats.items():
+        for k, row in m.items():
+            parts: list[dict] = [{} for _ in blocks]
+            for c, v in row.items():
+                parts[c // rest][c % rest] = v
+            for i in blocks:
+                if parts[i]:
+                    b_cols[i].setdefault(d, {})[k] = parts[i]
+    out: dict = {}
+    for i in blocks:
+        _product(a_rows[i], b_cols[i], out)
+    return PolyMatrix._make(a.layout[1:], out, a.den * b.den)
 
 
 def _offsets(layout, st, factors) -> list[int]:
@@ -449,13 +433,13 @@ def _embed(op: PolyMatrix, factors: tuple, layout) -> PolyMatrix:
                                 f"of layout {layout}")
     st = _strides(layout)
     off = _offsets(layout, st, factors)
-    ops = [(off[r], [(off[c], v) for c, v in row.items()]) for r, row in op.rows.items()]
-    rows = {}
-    for base in _offsets(layout, st, [k for k in range(len(layout)) if k not in factors]):
-        for r, row in ops:
-            rows[base + r] = {base + c: v for c, v in row}
+    bases = _offsets(layout, st, [k for k in range(len(layout)) if k not in factors])
+
+    def spread(m):
+        ops = [(off[r], [(off[c], v) for c, v in row.items()]) for r, row in m.items()]
+        return {base + r: {base + c: v for c, v in row} for base in bases for r, row in ops}
     out = PolyMatrix(layout)
-    out.rows, out.den = rows, op.den
+    out.mats, out.den = _per_degree(op.mats, spread), op.den
     return out
 
 
@@ -470,18 +454,24 @@ def embed_site(op: PolyMatrix, i: int, layout) -> PolyMatrix:
     return _embed(op, (i,), layout)
 
 
-def permutation_pair(i: int, j: int, layout) -> PolyMatrix:
-    """The flip operator P exchanging factors ``i`` and ``j``."""
+def flip_indices(i: int, j: int, layout) -> list[int]:
+    """The index permutation exchanging the digits of factors ``i`` and ``j``
+    (of equal dimension): entry ``idx`` is the flipped index."""
     layout = tuple(layout)
     d = layout[i]
     if layout[j] != d:
         raise DimensionMismatch("can only flip equal-dimension factors")
-    p = PolyMatrix((d, d))
-    one = _poly({0: 1})
-    for a in range(d):
-        for b in range(d):
-            p.rows.setdefault(a * d + b, {})[b * d + a] = one
-    return embed_pair(p, i, j, layout)
+    st = _strides(layout)
+    out = []
+    for idx in range(_prod(layout)):
+        shift = ((idx // st[j]) % d - (idx // st[i]) % d) * (st[i] - st[j])
+        out.append(idx + shift)
+    return out
+
+
+def permutation_pair(i: int, j: int, layout) -> PolyMatrix:
+    """The flip operator P exchanging factors ``i`` and ``j``."""
+    return PolyMatrix.identity(layout).relabel(rows=flip_indices(i, j, layout))
 
 
 def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
@@ -490,28 +480,18 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
     This is the one place that decides proportionality: a zero side is
     proportional to nothing, and a quotient that is not a Laurent polynomial
     is no ratio.  The ratio is seeded from the first entry of ``b`` (in
-    ``(r, c)`` order) and verified on every entry; the supports must agree.
+    ``(r, c)`` order) and verified on the whole matrix: both sides are
+    canonical, so ``a == r*b`` is an equality of their forms.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("proportionality needs equal dims")
-    if a.is_zero or b.is_zero or a.rows.keys() != b.rows.keys():
+    if a.is_zero or b.is_zero:
         return None
-    r, c, _ = next(b._sorted())
+    r = min(min(m) for m in b.mats.values())
+    c = min(min(m[r]) for m in b.mats.values() if r in m)
     ratio = lp_ratio(a.get(r, c), b.get(r, c))
-    if ratio is None or ratio.is_zero:
+    if ratio is None or ratio.is_zero or b.scale(ratio) != a:
         return None
-    # with a = A/da, b = B/db and ratio = N/nd over integer polys,
-    # a == ratio * b  <=>  A * (db * nd) == B * N * da
-    big_n, nd = _split(ratio)
-    lhs = {0: b.den * nd}
-    rhs = _mul(big_n, {0: a.den})
-    for r, brow in b.rows.items():
-        arow = a.rows[r]
-        if arow.keys() != brow.keys():
-            return None
-        for c, v in brow.items():
-            if _mul(arow[c].terms, lhs) != _mul(v.terms, rhs):
-                return None
     return ratio
 
 

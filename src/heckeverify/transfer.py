@@ -32,8 +32,8 @@ from .errors import (ConditionFailure, DimensionMismatch, HeckeVerifyError,
 from .hecke import HeckeRep, _echo, murphy, murphy_inverse
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, info, passed, ratio_report
-from .tensor import (PolyMatrix, embed_pair, embed_site, independent_rows, kron,
-                     lin_solve, mat_proportional, permutation_pair, trace_product)
+from .tensor import (PolyMatrix, embed_pair, embed_site, flip_indices, independent_rows,
+                     kron, lin_solve, mat_proportional, trace_product)
 
 
 @dataclass
@@ -78,8 +78,7 @@ class AuxWorkspace:
         for k in range(1, n + 1):
             self.gk[k] = embed_pair(rep.g_local, 0, k, self.layout)
             self.gki[k] = embed_pair(rep.g_inv_local, 0, k, self.layout)
-            self.flip[k] = {r: next(iter(row))
-                            for r, row in permutation_pair(0, k, self.layout).rows.items()}
+            self.flip[k] = flip_indices(0, k, self.layout)
 
     def pair(self, k: int, w: LaurentPoly) -> PolyMatrix:
         return self.gk[k] - self.gki[k].scale(w)
@@ -164,7 +163,7 @@ def _pivot_entries(basis: list[PolyMatrix]) -> list[tuple[int, int]]:
     space of the entrywise system ``sum_i x_i B_i = H``, chosen greedily in
     ``(r, c)`` order; an entry outside every basis support has a zero row."""
     first: dict[tuple, tuple[int, int]] = {}   # distinct row -> its first entry
-    for r, c in sorted({(r, c) for b in basis for r, row in b.rows.items() for c in row}):
+    for r, c in sorted(set().union(*(b.support() for b in basis))):
         first.setdefault(tuple(b.get(r, c).coeff(0) for b in basis), (r, c))
     rows = list(first)
     return [first[rows[i]] for i in independent_rows(rows)]
@@ -444,14 +443,16 @@ def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
 
 def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
     """Degree and coefficient of the lowest (``low``) or highest term of
-    ``tr_aux(F_1 ... F_m)``.
+    ``tr_aux(F_1 ... F_m)``, ``m >= 2``.
 
     Degrees are signed (negated for the highest term), so both cases look
     for a lowest term.  A term of ``F_1 ... F_j`` above degree ``W - 1`` plus
     the lowest degrees of ``F_1..F_j`` only reaches degrees ``>= L + W`` of
     the product, ``L`` the sum of all lowest degrees.  Dropping such terms
     after every step (and, before it, the terms of ``F_j`` that cannot stay
-    below that bound) leaves the product mod ``v^(L+W)`` exactly.  ``W``
+    below that bound) leaves the product mod ``v^(L+W)`` exactly.  The last
+    product is traced as it is formed (``trace_product``); tracing is
+    linear, so its traced terms below the bound are exact too.  ``W``
     doubles while that remainder traces to zero; once it covers the whole
     degree span nothing is dropped, and zero means zero.
     """
@@ -465,19 +466,20 @@ def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
 
     ext = [lowest(f) for f in factors]
     span = sum(f.max_degree() - f.min_degree() for f in factors)
+    last = len(factors) - 1
     w = 1
     while True:
         top = ext[0] + w - 1
         x = upto(factors[0], top)
-        for f, e in zip(factors[1:], ext[1:]):
+        for i in range(1, len(factors)):
             if x.is_zero:
                 break
-            top += e
-            x = upto(x * upto(f, top - lowest(x)), top)
-        t = x.partial_trace_first()
-        if not t.is_zero:
-            deg = sign * lowest(t)
-            return deg, t.coefficient(deg)
+            top += ext[i]
+            step = trace_product if i == last else mul
+            x = upto(step(x, upto(factors[i], top - lowest(x))), top)
+        if not x.is_zero:
+            deg = sign * lowest(x)
+            return deg, x.coefficient(deg)
         if w > span:
             raise DimensionMismatch("cannot extract edges of the zero matrix")
         w *= 2
@@ -489,6 +491,8 @@ def trace_edges(factors: list[PolyMatrix]) -> ExpansionEdge:
     traced product, which is never formed."""
     if any(f.is_zero for f in factors):
         raise DimensionMismatch("cannot extract edges of the zero matrix")
+    if len(factors) == 1:
+        return extract_edges(factors[0].partial_trace_first())
     low_deg, low = _trace_edge(factors, True)
     high_deg, high = _trace_edge(factors, False)
     return ExpansionEdge(low_deg, low, high_deg, high)

@@ -75,6 +75,23 @@ def test_config_rejects_malformed_integers(name, tmp_path):
         assert main(["suite", "--config", str(cfgfile)]) == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"out": 5}, {"out": 1}, {"suites": "prop1"}, {"suites": {"ybe": 1}},
+    {"suites": ["ybe", 3]}, {"family": 3}, {"family": ["C"]},
+], ids=["out-fd", "out-stdout", "suites-string", "suites-table", "suites-non-string",
+        "family-int", "family-list"])
+def test_config_rejects_malformed_types(data, tmp_path, capsys):
+    # an integer out is not a file descriptor; a string is not a list of names
+    with pytest.raises(ConfigError, match="must be a"):
+        config_from_dict(data)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(data))
+    assert main(["suite", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name,text", [
     ("cfg.json", '{"sites": 2,'),
     ("cfg.json", None),

@@ -281,23 +281,56 @@ def _ref_coefficient(a, deg):
     return _clean({key: {0: poly.get(deg, Fraction(0))} for key, poly in a.items()})
 
 
+def _ref_band(a, lo, hi):
+    return _clean({key: {d: c for d, c in poly.items()
+                         if (lo is None or d >= lo) and (hi is None or d <= hi)}
+                   for key, poly in a.items()})
+
+
+def _ref_derivative(a):
+    return _clean({key: {0: sum(-2 * d * c for d, c in poly.items())}
+                   for key, poly in a.items()})
+
+
+def _ref_kron(a, b):
+    return _clean({(ra * DIM + rb, ca * DIM + cb): _ref_poly_mul(pa, pb)
+                   for (ra, ca), pa in a.items() for (rb, cb), pb in b.items()})
+
+
+def _ref_partial_transpose(a, factor):
+    out = {}
+    for (r, c), poly in a.items():
+        rd, cd = list(divmod(r, LAYOUT[1])), list(divmod(c, LAYOUT[1]))
+        rd[factor], cd[factor] = cd[factor], rd[factor]
+        out[rd[0] * LAYOUT[1] + rd[1], cd[0] * LAYOUT[1] + cd[1]] = poly
+    return out
+
+
 def _from_ref(ref):
     return PolyMatrix(LAYOUT, {key: LaurentPoly(poly) for key, poly in ref.items()})
 
 
 def _to_ref(m):
     out = {(r, c): dict(v.terms) for r, c, v in m.entries()}
-    # values are read back as reduced rationals, and stored canonically
+    # values are read back as reduced rationals
     for poly in out.values():
         for c in poly.values():
             assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    # the stored form is canonical: no empty degree or row, no stored zero,
+    # and a positive denominator prime to the content of all entries
+    assert type(m.den) is int and m.den > 0
     content = m.den
-    for row in m.rows.values():
-        for poly in row.values():
-            for c in poly.terms.values():
-                assert type(c) is int
-                content = gcd(content, c)
+    for mat in m.mats.values():
+        assert mat
+        for row in mat.values():
+            assert row
+            for v in row.values():
+                assert type(v) is int and v != 0
+                content = gcd(content, v)
     assert content == 1
+    # the entry-wise view holds the integer numerators over den
+    assert {(r, c): {d: Fraction(v, m.den) for d, v in p.terms.items()}
+            for r, row in m.rows.items() for c, p in row.items()} == out
     return out
 
 
@@ -320,10 +353,14 @@ def _pairs(draw):
     return a, b
 
 
+_bounds = st.one_of(st.none(), st.integers(-3, 3))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_pairs(), _polys.map(lambda p: {d: c for d, c in p.items() if c}),
-       _coeffs.filter(bool), st.integers(-2, 2), st.integers(-3, 3))
-def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift):
+       _coeffs.filter(bool), st.integers(-2, 2), st.integers(-3, 3), _bounds, _bounds,
+       st.permutations(range(DIM)), st.permutations(range(DIM)))
+def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift, lo, hi, prow, pcol):
     a, b = pair
     ma, mb = _from_ref(a), _from_ref(b)
     assert _to_ref(ma) == a and _to_ref(mb) == b
@@ -337,6 +374,23 @@ def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift):
     shifted = ma.scale(U(shift)).evaluate(rat(x.numerator, x.denominator))
     assert _to_ref(shifted) == _ref_evaluate(_ref_scale(a, {shift: Fraction(1)}), x)
     assert _to_ref(ma.coefficient(deg)) == _ref_coefficient(a, deg)
+    assert _to_ref(ma.band(lo, hi)) == _ref_band(a, lo, hi)
+    assert _to_ref(ma.derivative_at_one()) == _ref_derivative(a)
+    assert _to_ref(kron(ma, mb)) == _ref_kron(a, b)
+    assert _to_ref(ma.transpose()) == {(c, r): poly for (r, c), poly in a.items()}
+    for factor in (0, 1):
+        assert _to_ref(ma.partial_transpose(factor)) == _ref_partial_transpose(a, factor)
+    assert _to_ref(ma.relabel(rows=prow, cols=pcol)) == {
+        (prow[r], pcol[c]): poly for (r, c), poly in a.items()}
+    assert _to_ref(ma.relabel(cols=pcol)) == {(r, pcol[c]): poly for (r, c), poly in a.items()}
+    assert ma.nnz == len(a)
+    if a:
+        degs = [d for poly in a.values() for d in poly]
+        assert (ma.min_degree(), ma.max_degree()) == (min(degs), max(degs))
+    # removing one degree cancels its whole key
+    rest = ma - ma.band(deg, deg)
+    assert deg not in rest.mats
+    assert _to_ref(rest) == _ref_add(_ref_band(a, None, deg - 1), _ref_band(a, deg + 1, None))
     assert (ma == mb) == (a == b)
     assert ma * mb - ma * mb == PolyMatrix(LAYOUT)
     # entry-by-entry construction gives the same canonical form

@@ -7,6 +7,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 from heckeverify import cli, tensor
 from heckeverify.reporting import render_report
 
@@ -44,3 +46,27 @@ def test_traced_run_matches_untraced_and_covers_metrics():
     assert declared - _NOT_FROM_TRACER <= set(metrics)
     assert metrics["tensor.matmul.calls"] > 0
     assert metrics["cli.suite.relations.s"] > 0
+
+
+# (rings.coeff_mults, tensor.matmul.calls, tensor.matmul.peak_nnz) of traced
+# (2, 2) runs.  The tracer counts them through the entry-wise ``rows`` view,
+# so the storage form of a matrix cannot move them; only a change in the
+# products the program forms can.
+_LATTICE_SUITES = ["prop2", "explore-generic"]
+
+
+@pytest.mark.parametrize("suites,counts", [
+    ([s for s in cli.SUITE_NAMES if s not in _LATTICE_SUITES], (28965, 867, 42)),
+    (_LATTICE_SUITES, (5823, 402, 26)),
+], ids=["other-suites", "lattice-suites"])
+def test_traced_counts_pinned(suites, counts):
+    config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        cli.run_suite(config)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert (metrics["rings.coeff_mults"], metrics["tensor.matmul.calls"],
+            metrics["tensor.matmul.peak_nnz"]) == counts
