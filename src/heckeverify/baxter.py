@@ -127,11 +127,9 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
     """
     d = rep.local_dim
     layout = (d, d)
-    gg = embed_pair(rep.g_local, 0, 1, layout)
-    ggi = embed_pair(rep.g_inv_local, 0, 1, layout)
 
     def rr(a: LaurentPoly) -> PolyMatrix:
-        return gg - ggi.scale(a)
+        return rep.g_local - rep.g_inv_local.scale(a)
 
     if end == "left":
         def kk(a: LaurentPoly) -> PolyMatrix:
@@ -217,12 +215,9 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
 
 
 def _diag_inverse(m: PolyMatrix) -> PolyMatrix:
-    out = PolyMatrix(m.layout)
-    for r, c, v in m.entries():
-        if r != c:
-            raise ValueError("not diagonal")
-        out._set(r, c, rat(1) / v.constant_value())
-    return out
+    if any(r != c for r, c in m.support()):
+        raise ValueError("not diagonal")
+    return PolyMatrix(m.layout, {(r, c): rat(1) / v.constant_value() for r, c, v in m.entries()})
 
 
 def _pair_trace_maps(rep: HeckeRep):
@@ -234,9 +229,7 @@ def _pair_trace_maps(rep: HeckeRep):
         cols = []
         for a in range(d):
             for b in range(d):
-                basis = PolyMatrix((d,))
-                basis._set(a, b, 1)
-                img = _aux_trace(basis, kernel)
+                img = _aux_trace(PolyMatrix((d,), {(a, b): 1}), kernel)
                 vec = [img.get(r, c).coeff(0) for r in range(d) for c in range(d)]
                 cols.append(vec)
         # column-major -> row-major matrix of the map
@@ -283,14 +276,8 @@ def _calibrate_dual(rep: HeckeRep, low_map, high_map, target: list[PolyMatrix]):
     vec = basis[0]
     lead = next(x for x in vec if x != 0)
     vec = [x / lead for x in vec]
-    coeff_mats = []
-    for j in range(3):
-        m = PolyMatrix((d,))
-        for r in range(d):
-            for c in range(d):
-                m._set(r, c, vec[j * nm + r * d + c])
-        coeff_mats.append(m)
-    return tuple(coeff_mats)
+    return tuple(PolyMatrix((d,), {(r, c): vec[j * nm + r * d + c]
+                                   for r in range(d) for c in range(d)}) for j in range(3))
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -321,8 +322,9 @@ def _cmd_suite(args) -> int:
     cfg = config_from_dict(data, seed_override=args.seed)
     if args.out:
         cfg.out = args.out
-    reports = run_suite(cfg)
-    _write(render_report(reports, cfg.echo()), cfg.out)
+    with _output(cfg.out) as out:
+        reports = run_suite(cfg)
+        out.write(render_report(reports, cfg.echo()))
     n_fail = sum(1 for r in reports if r.status == "fail")
     n_pass = sum(1 for r in reports if r.status == "pass")
     print(f"# {n_pass} passed, {n_fail} failed, "
@@ -330,13 +332,15 @@ def _cmd_suite(args) -> int:
     return 1 if n_fail else 0
 
 
-def _write(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout without one."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path: str | None):
+    """``path`` opened for writing, or stdout without one.  Commands open it
+    before any work, so an unwritable path is a ConfigError up front."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _default_rep(args) -> hecke.HeckeRep:
@@ -350,18 +354,20 @@ def _default_rep(args) -> hecke.HeckeRep:
 
 def _cmd_murphy(args) -> int:
     rep = _default_rep(args)
-    _write(render_matrix_dump(hecke.murphy(rep, args.family, args.n)), args.out)
+    with _output(args.out) as out:
+        out.write(render_matrix_dump(hecke.murphy(rep, args.family, args.n)))
     return 0
 
 
 def _cmd_dump(args) -> int:
     rep = _default_rep(args)
-    if args.object == "t_open":
-        m = transfer.t_open_factorized(rep, rep.sites)
-    else:
-        mode = "minus" if args.object == "t_minus" else "plus"
-        m = transfer.t_two_boundary_factorized(rep, mode)
-    _write(render_matrix_dump(m), args.out)
+    with _output(args.out) as out:
+        if args.object == "t_open":
+            m = transfer.t_open_factorized(rep, rep.sites)
+        else:
+            mode = "minus" if args.object == "t_minus" else "plus"
+            m = transfer.t_two_boundary_factorized(rep, mode)
+        out.write(render_matrix_dump(m))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import (ConstraintViolation, IndexOutOfRange, NotInvertible,
                      RelationFailure)
 from .params import Params
-from .rings import LaurentPoly, Rational, rat, rat_str
+from .rings import Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed
 from .tensor import PolyMatrix, embed_pair, embed_site, mat_proportional
 
@@ -23,12 +23,6 @@ FAMILIES = ("A", "B", "C")
 # ---------------------------------------------------------------------------
 # local matrices
 # ---------------------------------------------------------------------------
-
-def _unit(i: int, j: int, d: int) -> PolyMatrix:
-    m = PolyMatrix((d,))
-    m._set(i, j, 1)
-    return m
-
 
 def _bulk_candidates(d: int, q: Rational):
     """Candidate two-site braid generators, tried in order.
@@ -41,9 +35,7 @@ def _bulk_candidates(d: int, q: Rational):
     qi = rat(1) / q
 
     def build(hop_swapped: bool, sgn_flipped: bool) -> PolyMatrix:
-        m = PolyMatrix((d, d))
-        for k in range(d * d):
-            m._set(k, k, q)
+        entries = {(k, k): q for k in range(d * d)}
         for a in range(d):
             for b in range(d):
                 if a == b:
@@ -52,12 +44,10 @@ def _bulk_candidates(d: int, q: Rational):
                     r, c = a * d + b, b * d + a
                 else:            # e_ab (x) e_ab: entry at row (a,a), col (b,b)
                     r, c = a * d + a, b * d + b
-                m._set(r, c, m.get(r, c) + LaurentPoly.const(1))
+                entries[r, c] = entries.get((r, c), 0) + 1
                 sgn_arg = (b - a) if sgn_flipped else (a - b)
-                w = q if sgn_arg > 0 else qi
-                diag = a * d + b
-                m._set(diag, diag, m.get(diag, diag) - LaurentPoly.const(w))
-        return m
+                entries[a * d + b, a * d + b] -= q if sgn_arg > 0 else qi
+        return PolyMatrix((d, d), entries)
 
     yield "parallel-hop", build(hop_swapped=False, sgn_flipped=False)
     yield "exchange-hop", build(hop_swapped=True, sgn_flipped=False)
@@ -65,33 +55,18 @@ def _bulk_candidates(d: int, q: Rational):
 
 
 def left_boundary_matrix(d: int, Q0: Rational, xp: Rational, xm: Rational) -> PolyMatrix:
-    m = PolyMatrix((d,))
-    for j in range(d):
-        m._set(j, j, Q0)
-    m._set(0, 0, Q0 - rat(1) / Q0)
-    m._set(d - 1, d - 1, 0)
-    m._set(0, d - 1, xp)
-    m._set(d - 1, 0, xm)
-    return m
+    return PolyMatrix((d,), {**{(j, j): Q0 for j in range(d)}, (0, 0): Q0 - rat(1) / Q0,
+                             (d - 1, d - 1): 0, (0, d - 1): xp, (d - 1, 0): xm})
 
 
 def right_boundary_matrix(d: int, QN: Rational, xp: Rational, xm: Rational) -> PolyMatrix:
-    m = PolyMatrix((d,))
-    for j in range(d):
-        m._set(j, j, QN)
-    m._set(0, 0, 0)
-    m._set(d - 1, d - 1, QN - rat(1) / QN)
-    m._set(0, d - 1, xp)
-    m._set(d - 1, 0, xm)
-    return m
+    return PolyMatrix((d,), {**{(j, j): QN for j in range(d)}, (0, 0): 0,
+                             (d - 1, d - 1): QN - rat(1) / QN, (0, d - 1): xp, (d - 1, 0): xm})
 
 
 def twist_matrix(d: int, q: Rational) -> PolyMatrix:
     """Diagonal quantum-trace twist ``diag(q^{d-2j+1})``, ``j = 1..d``."""
-    m = PolyMatrix((d,))
-    for j in range(1, d + 1):
-        m._set(j - 1, j - 1, q ** (d - 2 * j + 1))
-    return m
+    return PolyMatrix((d,), {(j - 1, j - 1): q ** (d - 2 * j + 1) for j in range(1, d + 1)})
 
 
 def generator_inverse(g: PolyMatrix, eigen_pair: tuple[Rational, Rational]) -> PolyMatrix:
@@ -173,21 +148,15 @@ def _validate_bulk(d: int, q: Rational, g: PolyMatrix, g0: PolyMatrix,
     quad = (g - ident2.scale(q)) * (g + ident2.scale(rat(1) / q))
     if not quad.is_zero:
         return False
-    gi = g - ident2.scale(q - rat(1) / q)
-    layout3 = (d, d, d)
-    a = embed_pair(g, 0, 1, layout3)
-    b = embed_pair(g, 1, 2, layout3)
+    a = embed_pair(g, 0, 1, (d, d, d))
+    b = embed_pair(g, 1, 2, (d, d, d))
     if a * b * a != b * a * b:
         return False
-    layout2 = (d, d)
-    gg = embed_pair(g, 0, 1, layout2)
-    e0 = embed_site(g0, 0, layout2)
-    if gg * e0 * gg * e0 != e0 * gg * e0 * gg:
+    e0 = embed_site(g0, 0, (d, d))
+    if g * e0 * g * e0 != e0 * g * e0 * g:
         return False
-    en = embed_site(gN, 1, layout2)
-    if en * gg * en * gg != gg * en * gg * en:
-        return False
-    return True
+    en = embed_site(gN, 1, (d, d))
+    return en * g * en * g == g * en * g * en
 
 
 def build_glN_rep(local_dim: int, sites: int, params: Params, *,
@@ -257,60 +226,44 @@ def build_glN_rep(local_dim: int, sites: int, params: Params, *,
 # ---------------------------------------------------------------------------
 
 def _relation_list(rep: HeckeRep, family: str):
-    """Yield (name, lhs-thunk, rhs-thunk) for every relation in the family."""
+    """Yield (name, lhs, rhs) for every relation in the family, each built
+    when it is reached: a braid, distant or boundary-braid relation as two
+    generator words, a quadratic relation ``(g - a)(g + 1/a)`` against 0."""
     n = rep.sites
-    gs = rep.braid
     ident = rep.identity()
-    qi = rat(1) / rep.params.q
+
+    def words(name, lhs, rhs):
+        return (name, _word_product(rep, [(k, 1) for k in lhs]),
+                _word_product(rep, [(k, 1) for k in rhs]))
+
+    def quadratic(k, a):
+        g = rep.generator(k)
+        return (f"quadratic[{k}]", (g - ident.scale(a)) * (g + ident.scale(rat(1) / a)),
+                PolyMatrix.zeros(rep.layout))
 
     for i in range(1, n - 1):
-        yield (f"braid[{i},{i + 1}]",
-               lambda i=i: gs[i] * gs[i + 1] * gs[i],
-               lambda i=i: gs[i + 1] * gs[i] * gs[i + 1])
+        yield words(f"braid[{i},{i + 1}]", (i, i + 1, i), (i + 1, i, i + 1))
     for i in range(1, n):
         for j in range(i + 2, n):
-            yield (f"distant[{i},{j}]",
-                   lambda i=i, j=j: gs[i] * gs[j],
-                   lambda i=i, j=j: gs[j] * gs[i])
+            yield words(f"distant[{i},{j}]", (i, j), (j, i))
     for i in range(1, n):
-        yield (f"quadratic[{i}]",
-               lambda i=i: (gs[i] - ident.scale(rep.params.q))
-               * (gs[i] + ident.scale(qi)),
-               lambda: PolyMatrix.zeros(rep.layout))
+        yield quadratic(i, rep.params.q)
 
     if family in ("B", "C"):
-        b0 = rep.b0
         if n >= 2:
-            yield ("boundary-braid[0]",
-                   lambda: gs[1] * b0 * gs[1] * b0,
-                   lambda: b0 * gs[1] * b0 * gs[1])
+            yield words("boundary-braid[0]", (1, 0, 1, 0), (0, 1, 0, 1))
         for i in range(2, n):
-            yield (f"distant[0,{i}]",
-                   lambda i=i: b0 * gs[i],
-                   lambda i=i: gs[i] * b0)
-        yield ("quadratic[0]",
-               lambda: (b0 - ident.scale(rep.params.Q0))
-               * (b0 + ident.scale(rat(1) / rep.params.Q0)),
-               lambda: PolyMatrix.zeros(rep.layout))
+            yield words(f"distant[0,{i}]", (0, i), (i, 0))
+        yield quadratic(0, rep.params.Q0)
 
     if family == "C":
-        bn = rep.bn
         if n >= 2:
-            yield (f"boundary-braid[{n}]",
-                   lambda: bn * gs[n - 1] * bn * gs[n - 1],
-                   lambda: gs[n - 1] * bn * gs[n - 1] * bn)
+            yield words(f"boundary-braid[{n}]", (n, n - 1, n, n - 1), (n - 1, n, n - 1, n))
         for i in range(1, n - 1):
-            yield (f"distant[{n},{i}]",
-                   lambda i=i: bn * gs[i],
-                   lambda i=i: gs[i] * bn)
+            yield words(f"distant[{n},{i}]", (n, i), (i, n))
         if n >= 2:
-            yield (f"distant[{n},0]",
-                   lambda: bn * rep.b0,
-                   lambda: rep.b0 * bn)
-        yield (f"quadratic[{n}]",
-               lambda: (bn - ident.scale(rep.params.QN))
-               * (bn + ident.scale(rat(1) / rep.params.QN)),
-               lambda: PolyMatrix.zeros(rep.layout))
+            yield words(f"distant[{n},0]", (n, 0), (0, n))
+        yield quadratic(n, rep.params.QN)
 
 
 def check_relations(rep: HeckeRep, family: str) -> CheckReport:
@@ -318,8 +271,7 @@ def check_relations(rep: HeckeRep, family: str) -> CheckReport:
     if family not in FAMILIES:
         raise IndexOutOfRange(f"unknown family {family!r}")
     echo = _echo(rep)
-    for name, lhs, rhs in _relation_list(rep, family):
-        l, r = lhs(), rhs()
+    for name, l, r in _relation_list(rep, family):
         if l != r:
             return failed(f"relations/{family}", params=echo,
                           failure={"relation": name, **entry_failure(l - r)})

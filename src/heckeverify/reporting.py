@@ -30,10 +30,6 @@ class CheckReport:
         if self.status == "pass" and self.first_failure is not None:
             raise ValueError("passing report cannot carry first_failure")
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
     def canonical(self) -> dict:
         out: dict = {
             "check_name": self.check_name,

@@ -1,11 +1,13 @@
 """Exact rational scalars and univariate Laurent polynomials.
 
 All spectral-parameter dependence in the library lives in one formal
-multiplicative variable ``u``.  Coefficients are exact rationals; a Laurent
-polynomial is a finite map ``degree -> coefficient`` with no stored zeros,
-so equality of polynomials is equality of dicts.  A ``tensor.PolyMatrix``
-does not store LaurentPoly entries: it is a polynomial of integer matrices
-over one common denominator, and its ``rows`` view wraps integer terms.
+multiplicative variable ``u``.  The one scalar type is ``fractions.Fraction``
+(``Rational``); a Laurent polynomial is a finite map ``degree ->
+coefficient`` with no stored zeros, so equality of polynomials is equality
+of dicts.  A ``tensor.PolyMatrix`` does not store LaurentPoly entries: it is
+a polynomial of integer matrices over one common denominator, so a Rational
+is formed only where an entry is read, and its ``rows`` view wraps integer
+terms.
 Ratios are exact division in the Laurent ring (``lp_ratio``): a quotient
 that is not a Laurent polynomial is no ratio, so no rational function is
 ever formed.
@@ -17,13 +19,7 @@ from fractions import Fraction
 
 from .errors import NotAUnit
 
-# Matrix kernels run on integer matrices over a common denominator; a
-# Rational is formed only where a value is read, where the optional
-# gmpy2.mpq is faster than Fraction.
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rational = Fraction
+Rational = Fraction
 
 
 def rat(num, den=1) -> Rational:
@@ -145,7 +141,7 @@ class LaurentPoly:
             out = LaurentPoly.__new__(LaurentPoly)
             out.terms = t
             return out
-        if isinstance(other, (int, Rational, Fraction)):
+        if isinstance(other, (int, Fraction)):
             c = other if isinstance(other, Rational) else rat(other)
             if c == 0:
                 return LaurentPoly.zero()
@@ -153,8 +149,6 @@ class LaurentPoly:
             out.terms = {d: v * c for d, v in self.terms.items()}
             return out
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -171,7 +165,7 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Rational, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return self.terms == LaurentPoly.const(other).terms
         return NotImplemented
 
@@ -229,7 +223,7 @@ class LaurentPoly:
 def _coerce(x):
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, (int, Rational, Fraction)):
+    if isinstance(x, (int, Fraction)):
         return LaurentPoly.const(x)
     return NotImplemented
 

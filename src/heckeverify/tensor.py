@@ -10,9 +10,10 @@ positive ``int`` common denominator ``den`` and ``mats = {d: C_d}``, each
 ``C_d`` a sparse integer matrix ``{row: {col: int}}``.  The form is
 canonical: no empty degree or row, no stored zero, and ``den`` is the least
 common denominator (its gcd with every stored integer is 1), so equal
-matrices have equal ``den`` and equal ``mats``.  Every kernel works degree
-by degree on the integers and normalizes once per result; a constant matrix
-is the one-key case, so its products are plain integer products.  Rationals
+matrices have equal ``den`` and equal ``mats``.  The constructor brings an
+entry map to that form in one pass.  Every kernel works degree by degree on
+the integers and normalizes once per result; a constant matrix is the
+one-key case, so its products are plain integer products.  Rationals
 are formed only where an entry is read (``get``, ``entries``,
 ``to_dump_dict``); ``rows`` is a read-only entry-wise view built on demand.
 Stored integer matrices are never mutated, so results share them.
@@ -56,11 +57,8 @@ def _split(val) -> tuple[dict, int]:
     """Integer terms and least common denominator of a rational scalar or
     LaurentPoly: ``val == terms / den``."""
     terms = val.terms if isinstance(val, LaurentPoly) else {0: val}
-    den = 1
-    for c in terms.values():
-        den = lcm(den, int(c.denominator))
-    return {d: int(c.numerator) * (den // int(c.denominator))
-            for d, c in terms.items() if c}, den
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {d: c.numerator * (den // c.denominator) for d, c in terms.items() if c}, den
 
 
 def _add_into(acc: dict, m: dict, f: int) -> None:
@@ -137,13 +135,24 @@ class PolyMatrix:
     __slots__ = ("dim", "layout", "mats", "den")
 
     def __init__(self, layout, entries=None):
+        """The matrix with ``entries``, a map ``(r, c) -> value`` of rational
+        scalars or LaurentPolys (zero values allowed), in canonical form."""
         self.layout = tuple(int(d) for d in layout)
         self.dim = _prod(self.layout)
         self.mats: dict[int, dict[int, dict[int, int]]] = {}
         self.den = 1
         if entries:
+            split = {}
             for (r, c), val in entries.items():
-                self._set(r, c, val)
+                if not (0 <= r < self.dim and 0 <= c < self.dim):
+                    raise DimensionMismatch(f"entry ({r},{c}) outside dim {self.dim}")
+                split[r, c] = _split(val)
+            den = lcm(*(d for _, d in split.values()))
+            mats: dict = {}
+            for (r, c), (terms, d) in split.items():
+                for k, v in terms.items():
+                    mats.setdefault(k, {}).setdefault(r, {})[c] = v * (den // d)
+            self.mats, self.den = _canonical(mats, den)
 
     @classmethod
     def _make(cls, layout, mats: dict, den: int) -> "PolyMatrix":
@@ -168,19 +177,6 @@ class PolyMatrix:
         m = cls(layout)
         m.mats = {0: {i: {i: 1} for i in range(m.dim)}}
         return m
-
-    def _set(self, r: int, c: int, val) -> None:
-        if r >= self.dim or c >= self.dim or r < 0 or c < 0:
-            raise DimensionMismatch(f"entry ({r},{c}) outside dim {self.dim}")
-        terms, d = _split(val)
-        den = lcm(self.den, d)
-        mats: dict = {}
-        for k, m in self.mats.items():
-            _add_into(mats.setdefault(k, {}), m, den // self.den)
-            mats[k].get(r, {}).pop(c, None)
-        for k, v in terms.items():
-            mats.setdefault(k, {}).setdefault(r, {})[c] = v * (den // d)
-        self.mats, self.den = _canonical(mats, den)
 
     # -- reading ----------------------------------------------------------
     @property
@@ -239,14 +235,11 @@ class PolyMatrix:
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            return self._matmul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything here
-        return self.scale(other)
+    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The matrix product; ``scale`` multiplies by a scalar."""
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        return self._matmul(other)
 
     def scale(self, s) -> "PolyMatrix":
         terms, d = _split(s)
@@ -279,11 +272,6 @@ class PolyMatrix:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         return self.dim == other.dim and self.den == other.den and self.mats == other.mats
-
-    def __hash__(self):  # pragma: no cover - matrices rarely hashed
-        return hash((self.dim, self.den, frozenset(
-            (d, r, c, v) for d, m in self.mats.items() for r, row in m.items()
-            for c, v in row.items())))
 
     # -- structural operations ---------------------------------------------
     def transpose(self) -> "PolyMatrix":
@@ -333,7 +321,7 @@ class PolyMatrix:
     def evaluate(self, x) -> "PolyMatrix":
         """Specialize the formal variable at a rational point."""
         x = x if isinstance(x, Rational) else rat(x)
-        xn, xd = int(x.numerator), int(x.denominator)
+        xn, xd = x.numerator, x.denominator
         degs = [0, *self.mats]
         lo, hi = min(degs), max(degs)
         if not xn and lo < 0:
@@ -359,7 +347,7 @@ class PolyMatrix:
         """Canonical dump form: entries sorted by (row, col), degrees ascending."""
         ents = []
         for r, c, v in self.entries():
-            ents.append([r, c, [[d, int(v.terms[d].numerator), int(v.terms[d].denominator)]
+            ents.append([r, c, [[d, v.terms[d].numerator, v.terms[d].denominator]
                                 for d in sorted(v.terms)]])
         return {"dim": self.dim, "layout": list(self.layout), "entries": ents}
 

@@ -267,8 +267,7 @@ class OneBoundaryChain:
                 raise InternalMismatch(f"non-monomial internal ratio {ratio}")
         return OneBoundaryResult(matrix=matrix, internal_ratio=ratio)
 
-    def murphy_edges(self, trivial_k: bool = False,
-                     cross_check: bool = True) -> list[CheckReport]:
+    def murphy_edges(self, trivial_k: bool = False) -> list[CheckReport]:
         """Edge coefficients of the expansion against the B-type (or, with
         the boundary off, A-type) Murphy element and its opposite."""
         rep, n = self.rep, self.n
@@ -277,7 +276,7 @@ class OneBoundaryChain:
         tag = "corollary" if trivial_k else "prop1"
         out = []
         try:
-            result = self.build(trivial_k, cross_check)
+            result = self.build(trivial_k)
         except (ConditionFailure, InternalMismatch) as exc:
             return [failed(f"{tag}/build[n={n}]", params=echo, failure={"relation": str(exc)})]
         edges = extract_edges(result.matrix)
@@ -406,11 +405,10 @@ def one_boundary_pass(chain: OneBoundaryChain, names: list[str],
 # One-shot forms on a throwaway chain, kept for the benchmark's oracle
 # (perfbench/worker.py calls both).
 
-def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational | LaurentPoly, *,
-                         trivial_k: bool = False) -> PolyMatrix:
+def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational | LaurentPoly) -> PolyMatrix:
     """Direct trace on ``n`` sites with formal argument ``u`` and the
     inhomogeneity ``u0`` at the last site (``OneBoundaryChain.direct``)."""
-    return OneBoundaryChain(rep, n).direct(u0, trivial_k)
+    return OneBoundaryChain(rep, n).direct(u0)
 
 
 def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,

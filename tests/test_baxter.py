@@ -50,10 +50,8 @@ def test_ybe(dim, seed):
 
 def test_ybe_fault_injection(rep22):
     rep = copy.copy(rep22)
-    bad = PolyMatrix((2, 2))
-    for r, c, v in rep22.g_local.entries():
-        bad._set(r, c, v)
-    bad._set(0, 3, rat(1))  # braid-violating entry
+    entries = {(r, c): v for r, c, v in rep22.g_local.entries()}
+    bad = PolyMatrix((2, 2), {**entries, (0, 3): rat(1)})  # braid-violating entry
     rep.g_local = bad
     assert check_ybe(rep).status == "fail"
 
@@ -120,10 +118,8 @@ def test_unitarity_ratios(rep22):
 
 def test_unitarity_fault_injection(rep22):
     rep = copy.copy(rep22)
-    bad = PolyMatrix((2,))
-    for r, c, v in rep22.g0_local.entries():
-        bad._set(r, c, v)
-    bad._set(1, 1, rat(9, 4))  # breaks the quadratic structure
+    entries = {(r, c): v for r, c, v in rep22.g0_local.entries()}
+    bad = PolyMatrix((2,), {**entries, (1, 1): rat(9, 4)})  # breaks the quadratic structure
     rep.g0_local = bad
     names = {r.check_name: r.status for r in check_unitarity(rep)}
     assert names["baxter/unitarity-k"] == "fail"
@@ -195,12 +191,8 @@ def test_dual_calibration_closed_form_dim2(rep22, kit22):
     This is an independent oracle for the nullspace calibration."""
     q, cp, cm = FIXED.q, FIXED.c_plus, FIXED.c_minus
     d = 2
-    s_mat = PolyMatrix((d,))
-    s_mat._set(0, 0, q)
-    s_mat._set(1, 1, q * q)
-    s_inv = PolyMatrix((d,))
-    s_inv._set(0, 0, 1 / q)
-    s_inv._set(1, 1, 1 / (q * q))
+    s_mat = PolyMatrix((d,), {(0, 0): q, (1, 1): q * q})
+    s_inv = PolyMatrix((d,), {(0, 0): 1 / q, (1, 1): 1 / (q * q)})
     m = rep22.m_local
     u = LaurentPoly.unit(1)
     ident = PolyMatrix.identity((d,))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from heckeverify import baxter, hecke, transfer
+from heckeverify import baxter, cli, hecke, transfer
 from heckeverify.cli import SUITE_NAMES, config_from_dict, main, run_suite
 from heckeverify.errors import CalibrationFailure, ConfigError, DimensionMismatch
 from heckeverify.params import sample_params
@@ -90,6 +90,32 @@ def test_config_rejects_malformed_types(data, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "config error:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--out", "{missing}"],
+    ["suite", "--out", "{dir}"],
+    ["suite", "--config", "{config}"],
+    ["murphy", "--family", "B", "--n", "1", "--out", "{missing}"],
+    ["dump", "--object", "t_open", "--out", "{missing}"],
+], ids=["suite-missing-dir", "suite-directory", "config-out", "murphy", "dump"])
+def test_unwritable_out_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    # the output path is opened before any work, not after the whole run
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for an unwritable output path")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(hecke, "murphy", no_work)
+    monkeypatch.setattr(transfer, "t_open_factorized", no_work)
+    missing = tmp_path / "missing" / "r.json"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"out": str(missing)}))
+    paths = {"missing": missing, "dir": tmp_path, "config": config}
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert captured.out == ""
+    assert not missing.parent.exists()
 
 
 @pytest.mark.parametrize("name,text", [

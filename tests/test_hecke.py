@@ -1,4 +1,5 @@
 import copy
+import hashlib
 
 import pytest
 
@@ -9,6 +10,7 @@ from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient,
                                generator_inverse, murphy, murphy_inverse)
 from heckeverify.params import Params, sample_params
+from heckeverify.reporting import render_report
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify.tensor import PolyMatrix, embed_pair, embed_site
 
@@ -80,8 +82,7 @@ def test_generator_inverse():
     assert inv == rep.g_local - ident.scale(q - 1 / q)
     assert generator_inverse(PolyMatrix.identity((3,)), (rat(1), rat(1))) \
         == PolyMatrix.identity((3,))
-    nil = PolyMatrix((2,))
-    nil._set(0, 1, 1)
+    nil = PolyMatrix((2,), {(0, 1): 1})
     with pytest.raises(NotInvertible):
         generator_inverse(nil, (rat(2), rat(3)))
 
@@ -226,3 +227,38 @@ def test_degenerate_right_boundary():
     rep = build_glN_rep(2, 2, FIXED, degenerate_right=True)
     assert rep.gN_local == PolyMatrix.identity((2,)).scale(FIXED.QN)
     assert check_relations(rep, "C").status == "pass"
+
+
+def _corrupted(rep, k, entry):
+    """A copy of ``rep`` with 1 added to one entry of generator ``k``."""
+    bad = copy.copy(rep)
+    bad.braid = dict(rep.braid)
+    g = rep.generator(k) + PolyMatrix(rep.layout, {entry: 1})
+    if k == 0:
+        bad.b0 = g
+    elif k == rep.sites:
+        bad.bn = g
+    else:
+        bad.braid[k] = g
+    return bad
+
+
+@pytest.mark.parametrize("dim,sites,statuses,digest", [
+    (2, 4, "fff fff fff fff pff pff ppf ppf",
+     "235660132f69845db652acc042730d70db1687ed5f0f4752e30ae9c550c2cda3"),
+    (3, 3, "fff fff fff fff pff pff ppf ppf",
+     "25a9923f5186145cb768130ce151ec1a30007579a0fc1a6b73016828029b29b5"),
+], ids=["2x4", "3x3"])
+def test_relation_failures_pinned(dim, sites, statuses, digest):
+    # one corrupted entry in each of g_1, g_{n-1}, g_0 and g_n, at an
+    # off-diagonal and a diagonal position: the reports pin which relation,
+    # by name and order, finds each corruption first
+    rep = build_glN_rep(dim, sites, FIXED)
+    reports = [check_relations(_corrupted(rep, k, entry), family)
+               for k in (1, sites - 1, 0, sites) for entry in ((1, 0), (0, 0))
+               for family in ("A", "B", "C")]
+    got = " ".join("".join(r.status[0] for r in reports[i:i + 3])
+                   for i in range(0, len(reports), 3))
+    assert got == statuses
+    text = render_report(reports, {})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -16,22 +16,20 @@ U = LaurentPoly.unit
 
 
 def unit_matrix(i, j, d):
-    m = PolyMatrix((d,))
-    m._set(i, j, 1)
-    return m
+    return PolyMatrix((d,), {(i, j): 1})
 
 
 def random_matrix(rng, d, poly=False):
-    m = PolyMatrix((d,))
+    entries = {}
     for r in range(d):
         for c in range(d):
             if rng.random() < 0.7:
                 val = rat(rng.randrange(-5, 6), rng.randrange(1, 5))
                 if poly and rng.random() < 0.5:
-                    m._set(r, c, LaurentPoly({0: val, 1: rat(rng.randrange(-3, 4))}))
+                    entries[r, c] = LaurentPoly({0: val, 1: rat(rng.randrange(-3, 4))})
                 else:
-                    m._set(r, c, val)
-    return m
+                    entries[r, c] = val
+    return PolyMatrix((d,), entries)
 
 
 def trace(m):
@@ -112,9 +110,7 @@ def test_partial_trace_identity_factor():
 
 def test_partial_trace_twist_example():
     q = rat(3, 5)
-    m = PolyMatrix((2,))
-    m._set(0, 0, q)
-    m._set(1, 1, 1 / q)
+    m = PolyMatrix((2,), {(0, 0): q, (1, 1): 1 / q})
     k = kron(m, PolyMatrix.identity((2,)))
     assert k.partial_trace_first() == PolyMatrix.identity((2,)).scale(q + 1 / q)
 
@@ -183,9 +179,14 @@ def test_matmul_agrees_with_evaluation():
     assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
 
 
+@pytest.mark.parametrize("entry", [(2, 0), (0, -1)], ids=["row-past-dim", "negative-col"])
+def test_constructor_rejects_entries_outside_dim(entry):
+    with pytest.raises(DimensionMismatch):
+        PolyMatrix((2,), {entry: 1})
+
+
 def test_dump_dict_shape():
-    m = PolyMatrix((2,))
-    m._set(0, 1, LaurentPoly({1: rat(-3, 4), 0: rat(2)}))
+    m = PolyMatrix((2,), {(0, 1): LaurentPoly({1: rat(-3, 4), 0: rat(2)})})
     d = m.to_dump_dict()
     assert d == {"dim": 2, "layout": [2], "entries": [[0, 1, [[0, 2, 1], [1, -3, 4]]]]}
 
@@ -393,13 +394,6 @@ def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift, lo, hi
     assert _to_ref(rest) == _ref_add(_ref_band(a, None, deg - 1), _ref_band(a, deg + 1, None))
     assert (ma == mb) == (a == b)
     assert ma * mb - ma * mb == PolyMatrix(LAYOUT)
-    # entry-by-entry construction gives the same canonical form
-    built = PolyMatrix(LAYOUT)
-    for (r, c), poly in sorted(b.items()):
-        built._set(r, c, LaurentPoly(poly))
-    for (r, c), poly in sorted(a.items()):
-        built._set(r, c, LaurentPoly(poly))
-    assert built == _from_ref({**b, **a})
 
 
 @settings(max_examples=80, deadline=None)

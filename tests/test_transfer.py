@@ -25,9 +25,7 @@ from conftest import FIXED, SEEDS
 # ---------------------------------------------------------------------------
 
 def test_extract_edges():
-    m = PolyMatrix((2,))
-    m._set(0, 0, LaurentPoly({0: 1, 1: 2, 3: 5}))
-    m._set(1, 1, LaurentPoly({1: 7}))
+    m = PolyMatrix((2,), {(0, 0): LaurentPoly({0: 1, 1: 2, 3: 5}), (1, 1): LaurentPoly({1: 7})})
     e = extract_edges(m)
     assert (e.low_deg, e.high_deg) == (0, 3)
     assert e.low_coeff.get(0, 0) == LaurentPoly.const(1)
