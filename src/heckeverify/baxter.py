@@ -238,13 +238,25 @@ def _pair_trace_maps(rep: HeckeRep):
     return tuple(build_map(kernel) for kernel in _aux_site_pair(rep))
 
 
-def _calibrate_dual(rep: HeckeRep, low_map, high_map, target: list[PolyMatrix]):
-    """Solve ``sum_j u^j Mlow(X_j) + u^{j+2} Mhigh(X_j) = s(u) * K(u)`` for a
-    quadratic matrix pencil ``X`` and scalar polynomial ``s`` of degree <= 2.
+def calibrate_dual(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """The dual boundary pencil ``X(u) = X0 + X1 u + X2 u^2`` of the trace
+    condition at ``end``, calibrated exactly as a one-dimensional nullspace:
+    the identity itself decides.
 
-    Returns (X0, X1, X2) normalized so the first nonzero unknown equals 1.
-    The nullspace must be exactly one-dimensional.
+    ``right``: the auxiliary operator (twist times dual right boundary) that
+    leads the two-boundary trace, ``tr_aux{(X(u) (x) I)(G - u^2 Gi)} =
+    s(u) Kbar+(u)``.  ``left``: the shifted left boundary times twist of the
+    companion condition, ``tr_aux{(X(u) (x) I)(u^2 G - Gi)} = s(u) K-(u)``.
+    ``s`` is an unknown scalar polynomial of degree <= 2.  Returns
+    (X0, X1, X2) normalized so the first nonzero unknown equals 1.
     """
+    if end not in ("left", "right"):
+        raise ValueError("end must be 'left' or 'right'")
+    map_g, map_gi = _pair_trace_maps(rep)
+    neg_gi = [[-x for x in row] for row in map_gi]
+    # the kernel's degree-0 and degree-2 actions
+    low_map, high_map = (map_g, neg_gi) if end == "right" else (neg_gi, map_g)
+    target = _k_coeffs(rep, end == "left")
     d = rep.local_dim
     nm = d * d
     nunk = 3 * nm + 3
@@ -282,44 +294,24 @@ def _calibrate_dual(rep: HeckeRep, low_map, high_map, target: list[PolyMatrix]):
 
 @dataclass
 class BaxterKit:
-    """Calibrated spectral data attached to a representation.
-
-    ``crossing_unit`` is the monomial unit of the crossing substitution.
-    ``aplus`` holds the quadratic auxiliary operator (twist times dual right
-    boundary) entering the two-boundary trace; ``bminus`` the shifted left
-    boundary times twist appearing in the companion trace condition.  Both
-    are calibrated exactly as one-dimensional nullspaces, in the same spirit
-    as the crossing: the identity itself decides.
-    """
+    """The calibrated spectral data the two-boundary family reads: ``aplus``,
+    the right dual pencil (``calibrate_dual(rep, "right")``) that leads the
+    auxiliary trace."""
 
     rep: HeckeRep
-    crossing_unit: Rational
-    crossing_ratio: LaurentPoly
     aplus: tuple[PolyMatrix, PolyMatrix, PolyMatrix]
-    bminus: tuple[PolyMatrix, PolyMatrix, PolyMatrix]
 
     def aplus_at(self, arg: LaurentPoly) -> PolyMatrix:
         return _pencil(self.aplus, arg)
 
-    def bminus_at(self, arg: LaurentPoly) -> PolyMatrix:
-        return _pencil(self.bminus, arg)
-
 
 def build_kit(rep: HeckeRep) -> BaxterKit:
-    chi, ratio = calibrate_crossing(rep)
-    map_g, map_gi = _pair_trace_maps(rep)
-    neg_gi = [[-x for x in row] for row in map_gi]
-    # trace kernel (G - u^2 Gi): degree-0 action G, degree-2 action -Gi
-    aplus = _calibrate_dual(rep, map_g, neg_gi, _k_coeffs(rep, False))
-    # trace kernel (u^2 G - Gi): degree-0 action -Gi, degree-2 action G
-    bminus = _calibrate_dual(rep, neg_gi, map_g, _k_coeffs(rep, True))
-    return BaxterKit(rep=rep, crossing_unit=chi, crossing_ratio=ratio,
-                     aplus=aplus, bminus=bminus)
+    return BaxterKit(rep=rep, aplus=calibrate_dual(rep, "right"))
 
 
 def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
-    """Verify both trace conditions with the calibrated dual operators and
-    report the exact proportionality functions."""
+    """Verify both trace conditions, with the kit's right dual and the left
+    dual calibrated here, and report the exact proportionality functions."""
     gp, gpi = _aux_site_pair(rep)
     u = LaurentPoly.unit(1)
     u2 = LaurentPoly.unit(2)
@@ -327,7 +319,8 @@ def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
     out = []
     for name, dual, kernel, target in (
             ("right", kit.aplus_at(u), gp - gpi.scale(u2), k_bar_plus_hat(rep, u)),
-            ("left", kit.bminus_at(u), gp.scale(u2) - gpi, k_minus_hat(rep, u))):
+            ("left", _pencil(calibrate_dual(rep, "left"), u), gp.scale(u2) - gpi,
+             k_minus_hat(rep, u))):
         lhs = _aux_trace(dual, kernel)
         out.append(ratio_report(f"condition2/{name}-trace", mat_proportional(lhs, target),
                                 entry_failure(lhs), params=echo))

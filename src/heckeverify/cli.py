@@ -22,7 +22,7 @@ SPECIALIZATIONS = 3
 SUITE_NAMES = [
     "relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity",
     "crossing", "prop1", "corollary", "prop2", "hamiltonian",
-    "commuting-family", "explore-generic",
+    "commuting-family", "explore-generic", "condition2", "factorized", "degeneration",
 ]
 
 PARAM_NAMES = ("q", "Q0", "QN", "x0p", "x0m", "xNp", "xNm", "c_minus", "c_plus")
@@ -246,22 +246,32 @@ def _murphy_families(config: RunConfig) -> list[str]:
     return [f for f in config.families() if f != "A" or config.sites >= 2]
 
 
-def _prop2(ctx: SuiteContext, idx: int) -> list[CheckReport]:
-    try:
-        lattice = ctx.lattice(idx)
-    except CalibrationFailure as exc:
-        return [failed("prop2/calibration", params=ctx.rep(idx).params.echo(),
-                       failure={"relation": str(exc)})]
-    return transfer.verify_murphy_two_boundary(lattice)
+def _calibrated(tag: str, check):
+    """``check(ctx, idx)`` with a failing calibration of the kit it reads
+    reported as the failed check ``<tag>/calibration``."""
+    def run(ctx: SuiteContext, idx: int) -> list[CheckReport]:
+        try:
+            return check(ctx, idx)
+        except CalibrationFailure as exc:
+            return [failed(f"{tag}/calibration", params=ctx.rep(idx).params.echo(),
+                           failure={"relation": str(exc)})]
+    return run
 
 
-def _explore_generic(ctx: SuiteContext) -> list[CheckReport]:
-    try:
-        lattice = ctx.lattice(0)
-    except CalibrationFailure as exc:
-        return [info("explore/lattice", note=f"calibration unavailable: {exc}")]
+def _explore_generic(ctx: SuiteContext, idx: int) -> list[CheckReport]:
+    """The lattice theorem at every ``p = +-1..+-N``."""
+    lattice = ctx.lattice(idx)
     return [r for n in range(1, ctx.config.sites + 1)
             for r in transfer.explore_generic(lattice, n)]
+
+
+def _degeneration(ctx: SuiteContext, idx: int) -> list[CheckReport]:
+    """prop2/degeneration on the representation with the same parameters and
+    a scalar right boundary."""
+    config = ctx.config
+    rep_deg = hecke.build_glN_rep(config.local_dim, config.sites, ctx.rep(idx).params,
+                                  degenerate_right=True)
+    return [transfer.check_degeneration(rep_deg)]
 
 
 # suite name -> callable(ctx) giving its reports.  run_suite looks an entry up
@@ -282,10 +292,16 @@ _SUITES = {
     "crossing": _each_spec(lambda ctx, i: [baxter.check_crossing_report(ctx.rep(i))]),
     "prop1": _each_spec(_one_boundary_reports("prop1")),
     "corollary": _each_spec(_one_boundary_reports("corollary")),
-    "prop2": _each_spec(_prop2),
+    "prop2": _each_spec(_calibrated("prop2", lambda ctx, i: transfer.verify_murphy_two_boundary(
+        ctx.lattice(i)))),
     "hamiltonian": _each_spec(_one_boundary_reports("hamiltonian")),
     "commuting-family": _each_spec(_one_boundary_reports("commuting-family")),
-    "explore-generic": _explore_generic,
+    "explore-generic": lambda ctx: _calibrated("explore", _explore_generic)(ctx, 0),
+    "condition2": _each_spec(_calibrated("condition2", lambda ctx, i: baxter.check_condition2(
+        ctx.rep(i), ctx.kit(i)))),
+    "factorized": _each_spec(_calibrated("factorized", lambda ctx, i: transfer.check_factorized(
+        ctx.lattice(i)))),
+    "degeneration": _each_spec(_degeneration),
 }
 
 

@@ -61,13 +61,14 @@ def info(name: str, note: str, params=None, ratio=None, degrees=None) -> CheckRe
                        degrees=degrees, note=note)
 
 
-def ratio_report(name: str, ratio, failure: dict, params=None, degrees=None) -> CheckReport:
+def ratio_report(name: str, ratio, failure: dict, params=None, degrees=None,
+                 note=None) -> CheckReport:
     """Report of a proportionality claim from its ``mat_proportional`` ratio:
     ``failed`` with ``failure`` when there is no ratio, else ``passed`` with
-    the ratio."""
+    the ratio (and ``note``)."""
     if ratio is None:
         return failed(name, failure, params=params)
-    return passed(name, params=params, ratio=str(ratio), degrees=degrees)
+    return passed(name, params=params, ratio=str(ratio), degrees=degrees, note=note)
 
 
 def entry_failure(matrix) -> dict:

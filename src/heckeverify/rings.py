@@ -124,9 +124,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             t: dict = {}
@@ -169,16 +166,7 @@ class LaurentPoly:
             return self.terms == LaurentPoly.const(other).terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- specific operations -------------------------------------------
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by ``u^k``."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {d + k: c for d, c in self.terms.items()}
-        return out
-
     def compose_power(self, k: int) -> "LaurentPoly":
         """Substitute ``u -> u^k`` (k nonzero)."""
         out = LaurentPoly.__new__(LaurentPoly)

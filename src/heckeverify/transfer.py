@@ -10,12 +10,14 @@ outermost pair onto one middle of the double row.
 
 Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
-inhomogeneity lattice ``u = v^p`` it telescopes: at ``p = +-N`` the lowest
-expansion coefficient is the last Murphy element of the two-boundary family
-(or its inverse), at ``p = +-1`` the zeroth one (or its inverse).  The
-suites read only those expansion edges, so ``TwoBoundaryLattice`` computes
-them by exact truncated products; ``t_two_boundary_direct`` gives the full
-matrix.
+inhomogeneity lattice ``u = v^p`` it telescopes: the lowest expansion
+coefficient is the Murphy element ``J_C[p - 1]`` of the two-boundary family
+for ``p = 1..N``, and its inverse at ``-p``.  Every two-boundary claim reads
+expansion edges only, from one exact truncated-product routine
+(``trace_edges``): the lattice points of ``TwoBoundaryLattice`` (the last
+product traced), and the factorized product forms and the one-boundary
+sandwich they are compared with (the last product untraced).
+``t_two_boundary_direct`` gives a full family member.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (ConditionFailure, DimensionMismatch, HeckeVerifyError,
                      InternalMismatch, SpanFailure)
 from .hecke import HeckeRep, _echo, murphy, murphy_inverse
 from .rings import LaurentPoly, Rational, rat, rat_str
-from .reporting import CheckReport, entry_failure, failed, info, passed, ratio_report
+from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, embed_pair, embed_site, flip_indices, independent_rows,
                      kron, lin_solve, mat_proportional, trace_product)
 
@@ -133,17 +135,21 @@ def aux_trace_scalar(rep: HeckeRep) -> LaurentPoly | None:
     return mat_proportional(tr, PolyMatrix.identity((rep.local_dim,)))
 
 
+def _open_sandwich(rep: HeckeRep, n: int, trivial_k: bool = False) -> list[PolyMatrix]:
+    """The factors ``R_n-1..R_1 K- R_1..R_n-1`` of the bulk sandwich, ``K-``
+    the identity with ``trivial_k``."""
+    middle = rep.identity() if trivial_k else embed_site(k_minus_hat(rep), 0, rep.layout)
+    bulk = [r_hat(rep, i) for i in range(1, n)]
+    return [*reversed(bulk), middle, *bulk]
+
+
 def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> PolyMatrix:
     """Bulk sandwich around the left boundary at the diagonal point.
 
     Entries are polynomial of total degree exactly ``2n`` (``2n - 2`` when
     the boundary is switched off for the A-type corollary).
     """
-    out = rep.identity() if trivial_k else embed_site(k_minus_hat(rep), 0, rep.layout)
-    for i in range(1, n):
-        rh = r_hat(rep, i)
-        out = rh * out * rh
-    return out
+    return reduce(mul, _open_sandwich(rep, n, trivial_k))
 
 
 @dataclass
@@ -439,20 +445,20 @@ def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
     return _trace_product(_two_boundary_factors(AuxWorkspace(rep, rep.sites), kit, p))
 
 
-def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
+def _trace_edge(factors: list[PolyMatrix], low: bool, last) -> tuple[int, PolyMatrix]:
     """Degree and coefficient of the lowest (``low``) or highest term of
-    ``tr_aux(F_1 ... F_m)``, ``m >= 2``.
+    ``last(F_1 ... F_m-1, F_m)``, ``m >= 2``, where ``last`` is
+    ``trace_product`` (the auxiliary trace) or ``mul``.
 
     Degrees are signed (negated for the highest term), so both cases look
     for a lowest term.  A term of ``F_1 ... F_j`` above degree ``W - 1`` plus
     the lowest degrees of ``F_1..F_j`` only reaches degrees ``>= L + W`` of
     the product, ``L`` the sum of all lowest degrees.  Dropping such terms
     after every step (and, before it, the terms of ``F_j`` that cannot stay
-    below that bound) leaves the product mod ``v^(L+W)`` exactly.  The last
-    product is traced as it is formed (``trace_product``); tracing is
-    linear, so its traced terms below the bound are exact too.  ``W``
-    doubles while that remainder traces to zero; once it covers the whole
-    degree span nothing is dropped, and zero means zero.
+    below that bound) leaves the product mod ``v^(L+W)`` exactly.  ``last``
+    is linear, so its terms below the bound are exact too.  ``W`` doubles
+    while that remainder is zero; once it covers the whole degree span
+    nothing is dropped, and zero means zero.
     """
     sign = 1 if low else -1
 
@@ -464,7 +470,7 @@ def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
 
     ext = [lowest(f) for f in factors]
     span = sum(f.max_degree() - f.min_degree() for f in factors)
-    last = len(factors) - 1
+    final = len(factors) - 1
     w = 1
     while True:
         top = ext[0] + w - 1
@@ -473,7 +479,7 @@ def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
             if x.is_zero:
                 break
             top += ext[i]
-            step = trace_product if i == last else mul
+            step = last if i == final else mul
             x = upto(step(x, upto(factors[i], top - lowest(x))), top)
         if not x.is_zero:
             deg = sign * lowest(x)
@@ -483,16 +489,17 @@ def _trace_edge(factors: list[PolyMatrix], low: bool) -> tuple[int, PolyMatrix]:
         w *= 2
 
 
-def trace_edges(factors: list[PolyMatrix]) -> ExpansionEdge:
-    """Expansion edges of ``tr_aux(F_1 ... F_m)`` (auxiliary space factor 0)
-    from exact truncated products; equal to ``extract_edges`` of the full
-    traced product, which is never formed."""
+def trace_edges(factors: list[PolyMatrix], last=trace_product) -> ExpansionEdge:
+    """Expansion edges of ``tr_aux(F_1 ... F_m)`` (auxiliary space factor 0),
+    or with ``last=mul`` of the site-space product ``F_1 ... F_m``, from
+    exact truncated products; equal to ``extract_edges`` of the full
+    product, which is never formed."""
     if any(f.is_zero for f in factors):
         raise DimensionMismatch("cannot extract edges of the zero matrix")
-    if len(factors) == 1:
-        return extract_edges(factors[0].partial_trace_first())
-    low_deg, low = _trace_edge(factors, True)
-    high_deg, high = _trace_edge(factors, False)
+    if len(factors) == 1:   # the last product is the one with the identity
+        factors = [PolyMatrix.identity(factors[0].layout), *factors]
+    low_deg, low = _trace_edge(factors, True, last)
+    high_deg, high = _trace_edge(factors, False, last)
     return ExpansionEdge(low_deg, low, high_deg, high)
 
 
@@ -519,15 +526,15 @@ class TwoBoundaryLattice:
 
     def murphy(self, k: int, inverse: bool) -> PolyMatrix:
         """The C-type Murphy element ``J_C[k]`` (or its inverse), built once
-        for the lattice checks and the exploratory sweep."""
+        for all lattice points."""
         if (k, inverse) not in self._murphy:
             build = murphy_inverse if inverse else murphy
             self._murphy[k, inverse] = build(self.rep, "C", k)
         return self._murphy[k, inverse]
 
 
-def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
-    """The telescoped product forms of the two-boundary transfer matrices."""
+def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
+    """The factors of the telescoped product form ``mode`` (minus or plus)."""
     if mode not in ("minus", "plus"):
         raise ValueError(f"unknown mode {mode!r}")
     n = rep.sites
@@ -536,114 +543,83 @@ def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
     kplus = embed_site(k_bar_plus_hat(rep, w), n - 1, rep.layout)
     kminus = embed_site(k_minus_hat(rep, w), 0, rep.layout)
     if mode == "minus":
-        factors = ([kplus] + [r_hat(rep, i, unit(n + i)) for i in range(n - 1, 0, -1)]
-                   + [kminus] + [r_hat(rep, i, unit(n - i)) for i in range(1, n)])
-    else:
-        # g_i^-1 - w g_i == -w (g_i - w^-1 g_i^-1)
-        factors = ([r_hat(rep, i, unit(-i - 2)).scale(unit(i + 2, -1)) for i in range(1, n)]
-                   + [kplus] + [r_hat(rep, i, unit(n - i)) for i in range(n - 1, 0, -1)]
-                   + [kminus])
-    return reduce(mul, factors)
+        return ([kplus] + [r_hat(rep, i, unit(n + i)) for i in range(n - 1, 0, -1)]
+                + [kminus] + [r_hat(rep, i, unit(n - i)) for i in range(1, n)])
+    # g_i^-1 - w g_i == -w (g_i - w^-1 g_i^-1)
+    return ([r_hat(rep, i, unit(-i - 2)).scale(unit(i + 2, -1)) for i in range(1, n)]
+            + [kplus] + [r_hat(rep, i, unit(n - i)) for i in range(n - 1, 0, -1)]
+            + [kminus])
 
 
-def _lattice_points(n: int) -> list[tuple[str, int, int, bool]]:
-    """The four checked lattice points ``(name, p, k, inverse)``: the lowest
-    coefficient at ``u = v^p`` is proportional to ``J_C[k]`` (its inverse
-    with ``inverse``)."""
-    return [("minus", n, n - 1, False), ("minus-opposite", -n, n - 1, True),
-            ("plus", 1, 0, False), ("plus-opposite", -1, 0, True)]
+def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
+    """The telescoped product forms of the two-boundary transfer matrices."""
+    return reduce(mul, _two_boundary_sandwich(rep, mode))
 
 
-@dataclass
-class TwoBoundaryResult:
-    factorized: PolyMatrix
-    direct: PolyMatrix
-    internal_ratio: LaurentPoly | None   # full-matrix ratio (minus mode)
-    edge_ratio: LaurentPoly              # low-edge ratio direct vs factorized
-
-
-def build_t_two_boundary(rep: HeckeRep, kit: BaxterKit, mode: str) -> TwoBoundaryResult:
-    """Factorized two-boundary transfer matrix, cross-checked against the
-    dressed family.
-
-    In minus mode the direct family member is proportional to the factorized
-    product as a full matrix.  In plus mode the full matrices differ, but
-    both expansion edges (the zeroth Murphy element and the top coefficient)
-    must agree up to scalars.
-    """
-    if mode not in ("minus", "plus"):
-        raise ValueError(f"unknown mode {mode!r}")
-    factorized = t_two_boundary_factorized(rep, mode)
-    power = rep.sites if mode == "minus" else 1
-    direct = t_two_boundary_direct(rep, kit, power)
-    internal = None
-    if mode == "minus":
-        internal = mat_proportional(direct, factorized)
-        if internal is None:
-            raise InternalMismatch("two-boundary direct/factorized mismatch")
-    e_dir = extract_edges(direct)
-    e_fac = extract_edges(factorized)
-    edge_ratio = mat_proportional(e_dir.low_coeff, e_fac.low_coeff)
-    if edge_ratio is None:
-        raise InternalMismatch("two-boundary low-edge mismatch")
-    if mat_proportional(e_dir.high_coeff, e_fac.high_coeff) is None:
-        raise InternalMismatch("two-boundary high-edge mismatch")
-    return TwoBoundaryResult(factorized=factorized, direct=direct,
-                             internal_ratio=internal, edge_ratio=edge_ratio)
+def _lattice_report(lattice: TwoBoundaryLattice, name: str, p: int, params: dict,
+                   *, named: bool = False) -> CheckReport:
+    """The lowest coefficient of ``T(u = v^p; v)`` against ``J_C[|p| - 1]``
+    (its inverse for ``p < 0``); with ``named`` a passing report's note
+    names the element."""
+    k, inverse = abs(p) - 1, p < 0
+    element = f"J_C[{k}]" + ("^-1" if inverse else "")
+    edges = lattice.edges(p)
+    return ratio_report(
+        name, mat_proportional(edges.low_coeff, lattice.murphy(k, inverse)),
+        {"relation": "low edge not proportional", "low_deg": edges.low_deg,
+         "element": element},
+        params=params, degrees=f"[{edges.low_deg}, {edges.high_deg}]",
+        note=f"low~{element}" if named else None)
 
 
 def verify_murphy_two_boundary(lattice: TwoBoundaryLattice) -> list[CheckReport]:
-    """The four lattice evaluations of the dressed family against the
-    boundary Murphy elements and their inverses."""
+    """Prop 2: the four boundary lattice points ``p = +-N, +-1`` against the
+    last and the zeroth Murphy element and their inverses."""
     echo = _echo(lattice.rep)
+    n = lattice.rep.sites
+    return [_lattice_report(lattice, f"prop2/{name}", p, echo)
+            for name, p in (("minus", n), ("minus-opposite", -n),
+                            ("plus", 1), ("plus-opposite", -1))]
+
+
+def explore_generic(lattice: TwoBoundaryLattice, n: int) -> list[CheckReport]:
+    """The lattice theorem at ``u = v^(+-n)``: the lowest coefficient is
+    ``J_C[n - 1]`` at ``p = n`` and its inverse at ``p = -n``."""
+    echo = _echo(lattice.rep)
+    echo["n"] = str(n)
+    return [_lattice_report(lattice, f"explore/lattice[p={p}]", p, echo, named=True)
+            for p in (n, -n)]
+
+
+def check_factorized(lattice: TwoBoundaryLattice) -> list[CheckReport]:
+    """Both expansion edges of the minus and plus product forms against those
+    of the dressed family at ``p = N`` and ``p = 1``, read from the lattice."""
+    rep = lattice.rep
+    echo = _echo(rep)
     out = []
-    for name, p, k, inverse in _lattice_points(lattice.rep.sites):
-        edges = lattice.edges(p)
-        out.append(ratio_report(
-            f"prop2/{name}", mat_proportional(edges.low_coeff, lattice.murphy(k, inverse)),
-            {"relation": "low edge not proportional", "low_deg": edges.low_deg},
-            params=echo, degrees=f"[{edges.low_deg}, {edges.high_deg}]"))
+    for mode, p in (("minus", rep.sites), ("plus", 1)):
+        fac = trace_edges(_two_boundary_sandwich(rep, mode), mul)
+        family = lattice.edges(p)
+        low = mat_proportional(family.low_coeff, fac.low_coeff)
+        high = mat_proportional(family.high_coeff, fac.high_coeff)
+        if low is None or high is None:
+            edge = "low" if low is None else "high"
+            out.append(failed(f"factorized/{mode}", {"relation": f"{edge} edge not proportional"},
+                              params=echo))
+        else:
+            out.append(passed(f"factorized/{mode}", params=echo, ratio=f"low {low}; high {high}",
+                              degrees=f"[{fac.low_deg}, {fac.high_deg}]"))
     return out
 
 
 def check_degeneration(rep_deg: HeckeRep) -> CheckReport:
-    """With the right boundary collapsed to a scalar, the two-boundary edge
-    reduces exactly to the one-boundary (B-type) edge."""
-    echo = _echo(rep_deg)
-    edge = extract_edges(t_two_boundary_factorized(rep_deg, "minus")).low_coeff
-    ratio = mat_proportional(edge, murphy(rep_deg, "B", rep_deg.sites - 1))
-    edge_one = extract_edges(t_open_factorized(rep_deg, rep_deg.sites)).low_coeff
-    if mat_proportional(edge, edge_one) is None:
+    """With the right boundary collapsed to a scalar, the lowest coefficient
+    of the minus product form is the one-boundary (B-type) edge: proportional
+    to ``J_B[N - 1]`` and to the lowest coefficient of ``t_open_factorized``."""
+    n = rep_deg.sites
+    edge = trace_edges(_two_boundary_sandwich(rep_deg, "minus"), mul).low_coeff
+    ratio = mat_proportional(edge, murphy(rep_deg, "B", n - 1))
+    if mat_proportional(edge, trace_edges(_open_sandwich(rep_deg, n), mul).low_coeff) is None:
         ratio = None
     return ratio_report("prop2/degeneration", ratio,
-                        {"relation": "degenerate edge does not reduce"}, params=echo)
-
-
-# ---------------------------------------------------------------------------
-# exploratory lattice sweep
-# ---------------------------------------------------------------------------
-
-def explore_generic(lattice: TwoBoundaryLattice, n: int) -> list[CheckReport]:
-    """Evaluate the dressed family at the intermediate lattice points
-    ``u = v^{+-n}`` and tabulate which Murphy elements (if any) appear at
-    the expansion edges.  Informational only; nothing is asserted."""
-    rep = lattice.rep
-    echo = _echo(rep)
-    echo["n"] = str(n)
-    out = []
-    for p in (n, -n):
-        edges = lattice.edges(p)
-        hits = []
-        for k in range(rep.sites):
-            for inverse in (False, True):
-                cand = lattice.murphy(k, inverse)
-                name = f"J_C[{k}]^-1" if inverse else f"J_C[{k}]"
-                if mat_proportional(edges.low_coeff, cand) is not None:
-                    hits.append(f"low~{name}")
-                if mat_proportional(edges.high_coeff, cand) is not None:
-                    hits.append(f"high~{name}")
-        note = "; ".join(hits) if hits else "no Murphy element at the edges"
-        out.append(info(f"explore/lattice[p={p}]",
-                        note=note, params=echo,
-                        degrees=f"[{edges.low_deg}, {edges.high_deg}]"))
-    return out
+                        {"relation": "degenerate edge does not reduce"}, params=_echo(rep_deg))

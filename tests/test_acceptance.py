@@ -13,8 +13,8 @@ from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient)
 from heckeverify.params import sample_params
 from heckeverify.reporting import render_report
-from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
-                                  check_degeneration, verify_murphy_two_boundary)
+from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice, check_degeneration,
+                                  check_factorized, verify_murphy_two_boundary)
 
 SEEDS = (101, 202, 303)
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_report.json"
@@ -90,10 +90,12 @@ def test_criterion_05_two_boundary():
         for rep in reps_for(dim, n):
             kit = build_kit(rep)
             ok = ok and all(r.status == "pass" for r in check_condition2(rep, kit))
-            reports = verify_murphy_two_boundary(TwoBoundaryLattice(rep, kit))
+            lattice = TwoBoundaryLattice(rep, kit)
+            reports = verify_murphy_two_boundary(lattice)
             ok = ok and len(reports) == 4
-            ok = ok and all(r.status == "pass" for r in reports)
-    record(5, ok, "two-boundary trace conditions and all four edge evaluations")
+            ok = ok and all(r.status == "pass" for r in reports + check_factorized(lattice))
+    record(5, ok, "two-boundary trace conditions, all four edge evaluations, "
+                  "and the factorized forms at both edges")
 
 
 def test_criterion_06_degeneration():

@@ -4,8 +4,8 @@ import dataclasses
 import pytest
 
 from heckeverify import baxter, build_glN_rep, build_kit
-from heckeverify.baxter import (calibrate_crossing, check_condition2, check_re,
-                                check_unitarity, check_ybe, k_bar_plus_hat,
+from heckeverify.baxter import (calibrate_crossing, calibrate_dual, check_condition2,
+                                check_re, check_unitarity, check_ybe, k_bar_plus_hat,
                                 k_minus_hat, r_hat)
 from heckeverify.errors import CalibrationFailure
 from heckeverify.params import Params, sample_params
@@ -207,5 +207,5 @@ def test_dual_calibration_closed_form_dim2(rep22, kit22):
     shifted = (rep22.g0_local + ident.scale(u * (q * q * cm))
                - rep22.g0_inv_local.scale(u * u * rat(q) ** 4))
     expected_b = (s_inv * shifted * s_mat) * m
-    got_b = kit22.bminus_at(u)
+    got_b = baxter._pencil(calibrate_dual(rep22, "left"), u)
     assert mat_proportional(got_b, expected_b) is not None

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -196,10 +198,11 @@ def test_lattice_points_evaluated_once(monkeypatch):
         return factors(self, p)
 
     monkeypatch.setattr(transfer.TwoBoundaryLattice, "factors", counting)
-    cfg = config_from_dict({"sites": 3, "suites": ["prop2", "explore-generic"]})
+    cfg = config_from_dict({"sites": 3, "suites": ["prop2", "explore-generic", "factorized"]})
     reports = run_suite(cfg)
     assert not [r for r in reports if r.status == "fail"]
-    # four per specialization for prop2; explore adds only p = +-2 (2N - 4)
+    # four per specialization for prop2; explore adds only p = +-2 (2N - 4),
+    # and factorized reads p = N and p = 1 from the lattice
     assert len(seen) == 4 * 3 + 2
     assert len(set(seen)) == len(seen)
 
@@ -303,14 +306,86 @@ def test_largest_lattice_config():
     cfg = config_from_dict({"local_dim": 2, "sites": 6,
                             "suites": ["prop2", "explore-generic"]})
     reports = run_suite(cfg)
-    assert sum(r.status == "pass" for r in reports) == 4 * 3
+    assert sum(r.status == "pass" for r in reports) == 4 * 3 + 2 * 6
     assert not [r for r in reports if r.status == "fail"]
-    notes = {r.check_name: r.note.split("; ") for r in reports
-             if r.check_name.startswith("explore/")}
+    notes = {r.check_name: r.note for r in reports if r.check_name.startswith("explore/")}
     assert len(notes) == 2 * 6
     for n in range(1, 7):
-        assert f"low~J_C[{n - 1}]" in notes[f"explore/lattice[p={n}]"]
-        assert f"low~J_C[{n - 1}]^-1" in notes[f"explore/lattice[p=-{n}]"]
+        assert notes[f"explore/lattice[p={n}]"] == f"low~J_C[{n - 1}]"
+        assert notes[f"explore/lattice[p=-{n}]"] == f"low~J_C[{n - 1}]^-1"
+
+
+KIT_SUITES = ["prop2", "explore-generic", "condition2", "factorized"]
+
+
+def test_kit_suites_fail_on_calibration_failure(monkeypatch):
+    def no_kit(rep):
+        raise CalibrationFailure("calibration unavailable")
+
+    monkeypatch.setattr(baxter, "build_kit", no_kit)
+    reports = run_suite(config_from_dict({"sites": 2, "suites": KIT_SUITES}))
+    assert [(r.check_name, r.status) for r in reports] == (
+        [("prop2/calibration", "fail")] * 3 + [("explore/calibration", "fail")]
+        + [("condition2/calibration", "fail")] * 3 + [("factorized/calibration", "fail")] * 3)
+
+
+@pytest.mark.parametrize("end", ["right", "left"])
+def test_condition2_fails_on_zeroed_dual(monkeypatch, end):
+    calibrate = baxter.calibrate_dual
+
+    def zeroed(rep, which):
+        pencil = calibrate(rep, which)
+        return tuple(x.scale(0) for x in pencil) if which == end else pencil
+
+    monkeypatch.setattr(baxter, "calibrate_dual", zeroed)
+    reports = run_suite(config_from_dict({"sites": 2, "suites": ["condition2"]}))
+    other = "left" if end == "right" else "right"
+    assert len(reports) == 2 * 3
+    assert {(r.check_name, r.status) for r in reports} == {
+        (f"condition2/{end}-trace", "fail"), (f"condition2/{other}-trace", "pass")}
+
+
+@pytest.mark.parametrize("local_dim,sites", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_default_suite_passes_on_small_configs(local_dim, sites):
+    reports = run_suite(config_from_dict({"local_dim": local_dim, "sites": sites}))
+    assert not [r.check_name for r in reports
+                if r.status == "fail" or r.check_name.endswith("/error")]
+    names = {r.check_name.split("/")[0] for r in reports}
+    assert {"condition2", "factorized", "prop2", "explore"} <= names
+
+
+@pytest.mark.parametrize("local_dim,sites,digest", [
+    (2, 6, "b90c693b2adc81bd12077441b5bd7e4eee0cb260d52805525b41057c562e26c0"),
+    (3, 4, "33019e77942209c509b9463aa5e53d7dd1087055068c2710ca49a77c9da2f898"),
+])
+def test_largest_default_reports_pinned(local_dim, sites, digest):
+    cfg = config_from_dict({"local_dim": local_dim, "sites": sites})
+    text = render_report(run_suite(cfg), cfg.echo())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_suite_names_match_cli():
+    text = README.read_text(encoding="utf-8")
+    listing = text[text.index("Suite names:"):]
+    listing = listing[:listing.index(".\n")]
+    assert re.findall(r"`([a-z0-9-]+)`", listing) == SUITE_NAMES
+    # every suite is named once, in the header of one verified property
+    claims = text[text.index("## What gets verified"):text.index("## Install and test")]
+    heads = [name for bullet in claims.split("\n* **")[1:]
+             for name in re.findall(r"`([a-z0-9-]+)`", bullet[:bullet.index(")")])]
+    assert sorted(heads) == sorted(SUITE_NAMES)
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library use"):]
+    code = section[section.index("```python\n") + len("```python\n"):]
+    code = code[:code.index("```")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 def test_render_report_empty():

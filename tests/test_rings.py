@@ -69,7 +69,6 @@ def test_general_ratio_reduces():
 def test_compose_power_and_shift():
     p = lp({0: 1, 1: 2})
     assert p.compose_power(2) == lp({0: 1, 2: 2})
-    assert p.shift(-3) == lp({-3: 1, -2: 2})
 
 
 def test_evaluate():

@@ -52,13 +52,12 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # (2, 2) runs.  The tracer counts them through the entry-wise ``rows`` view,
 # so the storage form of a matrix cannot move them; only a change in the
 # products the program forms can.
-_LATTICE_SUITES = ["prop2", "explore-generic"]
-
-
 @pytest.mark.parametrize("suites,counts", [
-    ([s for s in cli.SUITE_NAMES if s not in _LATTICE_SUITES], (28965, 867, 42)),
-    (_LATTICE_SUITES, (5823, 402, 26)),
-], ids=["other-suites", "lattice-suites"])
+    (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
+      "prop1", "corollary", "hamiltonian", "commuting-family"], (28965, 867, 42)),
+    (["prop2", "explore-generic"], (3075, 234, 26)),
+    (["condition2", "factorized", "degeneration"], (3339, 324, 18)),
+], ids=["other-suites", "lattice-suites", "claim-suites"])
 def test_traced_counts_pinned(suites, counts):
     config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})
     tracer = _load_tracing().Tracer()

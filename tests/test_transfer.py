@@ -1,18 +1,19 @@
 import copy
+from operator import mul
 
 import pytest
 
 from heckeverify import build_glN_rep, build_kit
-from heckeverify.baxter import k_minus_hat
-from heckeverify.errors import DimensionMismatch, InternalMismatch
+from heckeverify.baxter import check_condition2, k_minus_hat
+from heckeverify.errors import DimensionMismatch
 from heckeverify.hecke import murphy, murphy_inverse
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
 from heckeverify.tensor import PolyMatrix, embed_site, kron, lin_solve, mat_proportional
 from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
-                                  build_t_one_boundary, build_t_two_boundary,
-                                  check_degeneration, explore_generic,
+                                  build_t_one_boundary, check_degeneration,
+                                  check_factorized, explore_generic,
                                   extract_edges, t_two_boundary_direct,
                                   t_two_boundary_factorized, trace_edges,
                                   verify_murphy_two_boundary)
@@ -143,28 +144,37 @@ def test_t_plus_factorized_zero_order(rep22):
     assert fac.max_degree() == n * n + n + 2
 
 
-def test_build_two_boundary_minus(rep22, kit22):
-    res = build_t_two_boundary(rep22, kit22, "minus")
-    assert res.internal_ratio is not None
-    assert not res.internal_ratio.is_zero
+def test_build_two_boundary_minus(rep23, kit23, rep32, kit32):
+    # at p = N the family member is proportional to the minus product form as
+    # a full Laurent matrix
+    for rep, kit in ((rep23, kit23), (rep32, kit32)):
+        direct = t_two_boundary_direct(rep, kit, rep.sites)
+        ratio = mat_proportional(direct, t_two_boundary_factorized(rep, "minus"))
+        assert ratio is not None and not ratio.is_zero
 
 
 def test_build_two_boundary_plus(rep22, kit22):
-    res = build_t_two_boundary(rep22, kit22, "plus")
-    assert res.internal_ratio is None  # only the edges are shared
-    assert res.edge_ratio.is_constant
-    # both edges of the family member match the factorized product
-    from heckeverify.tensor import mat_proportional as mp
-    ed, ef = extract_edges(res.direct), extract_edges(res.factorized)
-    assert mp(ed.high_coeff, ef.high_coeff) is not None
+    # at p = 1 the full matrices differ, but both edges agree up to scalars
+    direct = t_two_boundary_direct(rep22, kit22, 1)
+    factorized = t_two_boundary_factorized(rep22, "plus")
+    assert mat_proportional(direct, factorized) is None
+    ed, ef = extract_edges(direct), extract_edges(factorized)
+    low = mat_proportional(ed.low_coeff, ef.low_coeff)
+    assert low is not None and low.is_constant
+    assert mat_proportional(ed.high_coeff, ef.high_coeff) is not None
 
 
 def test_two_boundary_internal_mismatch_detected(rep22, kit22):
     kit = copy.copy(kit22)
     a0, a1, a2 = kit22.aplus
     kit.aplus = (a0, a1.scale(rat(3)), a2)
-    with pytest.raises(InternalMismatch):
-        build_t_two_boundary(rep22, kit, "minus")
+    direct = t_two_boundary_direct(rep22, kit, rep22.sites)
+    assert mat_proportional(direct, t_two_boundary_factorized(rep22, "minus")) is None
+    # the middle coefficient reaches no expansion edge; the right trace
+    # condition, which reads the whole pencil, catches it
+    assert [r.status for r in check_factorized(TwoBoundaryLattice(rep22, kit))] == [
+        "pass", "pass"]
+    assert [r.status for r in check_condition2(rep22, kit)] == ["fail", "pass"]
 
 
 @pytest.mark.parametrize("dim,sites", [(2, 2), (2, 3), (3, 2)])
@@ -188,6 +198,13 @@ def test_truncated_edges_match_full_matrix(request, which):
             assert (edges.low_deg, edges.high_deg) == (full.low_deg, full.high_deg)
             assert edges.low_coeff == full.low_coeff
             assert edges.high_coeff == full.high_coeff
+    # the same routine with an untraced last product: the factorized forms
+    for mode in ("minus", "plus"):
+        assert trace_edges(transfer._two_boundary_sandwich(rep, mode), mul) == extract_edges(
+            t_two_boundary_factorized(rep, mode))
+    for trivial_k in (False, True):
+        assert trace_edges(transfer._open_sandwich(rep, rep.sites, trivial_k), mul) == (
+            extract_edges(transfer.t_open_factorized(rep, rep.sites, trivial_k=trivial_k)))
 
 
 def _cancelling_factors(case):
@@ -246,6 +263,16 @@ def test_degeneration(fixed_params):
     assert check_degeneration(rep_deg).status == "pass"
     rep_deg3 = build_glN_rep(2, 3, fixed_params, degenerate_right=True)
     assert check_degeneration(rep_deg3).status == "pass"
+
+
+@pytest.mark.parametrize("generator", ["gN_local", "g0_local"])
+def test_degeneration_corrupted_boundary_fails(fixed_params, generator):
+    rep = copy.copy(build_glN_rep(2, 3, fixed_params, degenerate_right=True))
+    g = getattr(rep, generator)
+    setattr(rep, generator, g + PolyMatrix((2,), {(1, 0): rat(2, 5)}))
+    report = check_degeneration(rep)
+    assert (report.status, report.first_failure) == (
+        "fail", {"relation": "degenerate edge does not reduce"})
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +370,32 @@ def test_commuting_family_needs_reflection_solution(rep23):
 
 def test_explore_boundary_case_equals_t_minus(rep23, kit23):
     reports = explore_generic(TwoBoundaryLattice(rep23, kit23), rep23.sites)
-    notes = {r.check_name: r.note for r in reports}
-    assert "low~J_C[2]" in notes["explore/lattice[p=3]"]
-    assert "low~J_C[2]^-1" in notes["explore/lattice[p=-3]"]
+    assert [(r.check_name, r.status, r.note) for r in reports] == [
+        ("explore/lattice[p=3]", "pass", "low~J_C[2]"),
+        ("explore/lattice[p=-3]", "pass", "low~J_C[2]^-1")]
 
 
 def test_explore_intermediate_point_finds_middle_element(rep23, kit23):
     reports = explore_generic(TwoBoundaryLattice(rep23, kit23), 2)
-    notes = {r.check_name: r.note for r in reports}
-    assert "low~J_C[1]" in notes["explore/lattice[p=2]"]
-    assert "low~J_C[1]^-1" in notes["explore/lattice[p=-2]"]
+    assert [(r.check_name, r.status, r.note) for r in reports] == [
+        ("explore/lattice[p=2]", "pass", "low~J_C[1]"),
+        ("explore/lattice[p=-2]", "pass", "low~J_C[1]^-1")]
+
+
+@pytest.mark.parametrize("coeff", [0, 2])
+def test_corrupted_dual_fails_lattice_checks(rep23, kit23, coeff):
+    # one entry of the right dual pencil X0 + X1 u + X2 u^2 changed: X0 leads
+    # the lowest coefficient at every p > 0, X2 at every p < 0
+    kit = copy.copy(kit23)
+    pencil = list(kit23.aplus)
+    pencil[coeff] = pencil[coeff] + PolyMatrix((2,), {(0, 1): rat(1, 3)})
+    kit.aplus = tuple(pencil)
+    lattice = TwoBoundaryLattice(rep23, kit)
+    points = {r.check_name: r for n in range(1, 4) for r in explore_generic(lattice, n)}
+    for p in (1, 2, 3, -1, -2, -3):
+        report = points[f"explore/lattice[p={p}]"]
+        assert report.status == ("fail" if (p > 0) == (coeff == 0) else "pass")
+        assert (report.note is None) == (report.status == "fail")
+    assert [r.status for r in check_factorized(lattice)] == ["fail", "fail"]
+    failing = points["explore/lattice[p=1]" if coeff == 0 else "explore/lattice[p=-1]"]
+    assert failing.first_failure["element"] == ("J_C[0]" if coeff == 0 else "J_C[0]^-1")
