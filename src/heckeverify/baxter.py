@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CalibrationFailure
-from .hecke import HeckeRep, _echo
+from .hecke import HeckeRep, _echo, twist_matrix
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, embed_pair, embed_site, mat_proportional,
@@ -33,24 +33,18 @@ def _pencil(coeffs, w: LaurentPoly) -> PolyMatrix:
     return x0 + x1.scale(w) + x2.scale(w * w)
 
 
-def _k_coeffs(rep: HeckeRep, left: bool) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    """Coefficients of the boundary pencil ``g + c u - u^2 g^{-1}`` at the left
-    end (``g0``, ``c_-``) or the right end (``gN``, ``c_+``)."""
-    if left:
-        g, g_inv, c = rep.g0_local, rep.g0_inv_local, rep.params.c_minus
-    else:
-        g, g_inv, c = rep.gN_local, rep.gN_inv_local, rep.params.c_plus
-    return g, PolyMatrix.identity((rep.local_dim,)).scale(c), -g_inv
-
-
 def k_minus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
     """Left boundary ``g0 + c_- u - u^2 g0^{-1}`` as a local matrix."""
-    return _pencil(_k_coeffs(rep, True), arg if arg is not None else LaurentPoly.unit(1))
+    u = arg if arg is not None else LaurentPoly.unit(1)
+    return _pencil((rep.g0_local, PolyMatrix.identity((rep.local_dim,)).scale(rep.params.c_minus),
+                    -rep.g0_inv_local), u)
 
 
 def k_bar_plus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
     """Right boundary ``gN + c_+ u - u^2 gN^{-1}`` as a local matrix."""
-    return _pencil(_k_coeffs(rep, False), arg if arg is not None else LaurentPoly.unit(1))
+    u = arg if arg is not None else LaurentPoly.unit(1)
+    return _pencil((rep.gN_local, PolyMatrix.identity((rep.local_dim,)).scale(rep.params.c_plus),
+                    -rep.gN_inv_local), u)
 
 
 def _aux_site_pair(rep: HeckeRep) -> tuple[PolyMatrix, PolyMatrix]:
@@ -193,7 +187,7 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
     layout = (d, d)
     perm = permutation_pair(0, 1, layout)
     m1 = embed_site(rep.m_local, 0, layout)
-    m1_inv = embed_site(_diag_inverse(rep.m_local), 0, layout)
+    m1_inv = embed_site(twist_matrix(d, rat(1) / q), 0, layout)
     u = LaurentPoly.unit(1)
     ident = PolyMatrix.identity(layout)
     lhs = (perm * (rep.g_local - rep.g_inv_local.scale(u))).partial_transpose(0) * m1
@@ -214,74 +208,47 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
     return winners[0]
 
 
-def _diag_inverse(m: PolyMatrix) -> PolyMatrix:
-    if any(r != c for r, c in m.support()):
-        raise ValueError("not diagonal")
-    return PolyMatrix(m.layout, {(r, c): rat(1) / v.constant_value() for r, c, v in m.entries()})
+def _dual_condition(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix]:
+    """The trace condition ``tr_aux{(X(u) (x) I) kernel} = s(u) boundary`` of
+    the dual boundary pencil ``X`` at ``end``, as ``(kernel, boundary)``.
 
-
-def _pair_trace_maps(rep: HeckeRep):
-    """The two linear maps X -> tr_aux{(X (x) I) * G-part} with the bulk
-    generator embedded site-first on the (aux, site) pair."""
-    d = rep.local_dim
-
-    def build_map(kernel: PolyMatrix) -> list[list[Rational]]:
-        cols = []
-        for a in range(d):
-            for b in range(d):
-                img = _aux_trace(PolyMatrix((d,), {(a, b): 1}), kernel)
-                vec = [img.get(r, c).coeff(0) for r in range(d) for c in range(d)]
-                cols.append(vec)
-        # column-major -> row-major matrix of the map
-        return [[cols[j][i] for j in range(d * d)] for i in range(d * d)]
-
-    return tuple(build_map(kernel) for kernel in _aux_site_pair(rep))
+    ``right``: the auxiliary operator (twist times dual right boundary) that
+    leads the two-boundary trace, with kernel ``G - u^2 Gi`` and boundary
+    ``Kbar+(u)``.  ``left``: the shifted left boundary times twist of the
+    companion condition, with kernel ``u^2 G - Gi`` and boundary ``K-(u)``.
+    ``G`` and ``Gi`` are the bulk generator and its inverse on the
+    (auxiliary, site) pair.
+    """
+    gp, gpi = _aux_site_pair(rep)
+    u, u2 = LaurentPoly.unit(1), LaurentPoly.unit(2)
+    if end == "right":
+        return gp - gpi.scale(u2), k_bar_plus_hat(rep, u)
+    if end == "left":
+        return gp.scale(u2) - gpi, k_minus_hat(rep, u)
+    raise ValueError("end must be 'left' or 'right'")
 
 
 def calibrate_dual(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """The dual boundary pencil ``X(u) = X0 + X1 u + X2 u^2`` of the trace
-    condition at ``end``, calibrated exactly as a one-dimensional nullspace:
-    the identity itself decides.
+    condition at ``end`` (``_dual_condition``), calibrated exactly as a
+    one-dimensional nullspace: the identity itself decides.
 
-    ``right``: the auxiliary operator (twist times dual right boundary) that
-    leads the two-boundary trace, ``tr_aux{(X(u) (x) I)(G - u^2 Gi)} =
-    s(u) Kbar+(u)``.  ``left``: the shifted left boundary times twist of the
-    companion condition, ``tr_aux{(X(u) (x) I)(u^2 G - Gi)} = s(u) K-(u)``.
-    ``s`` is an unknown scalar polynomial of degree <= 2.  Returns
-    (X0, X1, X2) normalized so the first nonzero unknown equals 1.
+    The unknowns are the entries of ``X0``, ``X1``, ``X2`` (row-major) and
+    the coefficients of the scalar ``s(u) = s0 + s1 u + s2 u^2``; column
+    ``j`` of the system is the image of unknown ``j`` under ``X, s ->
+    tr_aux{(X (x) I) kernel} - s boundary``, read degree by degree.
+    Returns (X0, X1, X2) normalized so the first nonzero unknown equals 1.
     """
-    if end not in ("left", "right"):
-        raise ValueError("end must be 'left' or 'right'")
-    map_g, map_gi = _pair_trace_maps(rep)
-    neg_gi = [[-x for x in row] for row in map_gi]
-    # the kernel's degree-0 and degree-2 actions
-    low_map, high_map = (map_g, neg_gi) if end == "right" else (neg_gi, map_g)
-    target = _k_coeffs(rep, end == "left")
+    kernel, boundary = _dual_condition(rep, end)
     d = rep.local_dim
+    unit = LaurentPoly.unit
+    traces = [_aux_trace(PolyMatrix((d,), {(r, c): 1}), kernel)
+              for r in range(d) for c in range(d)]
+    images = [t.scale(unit(j)) for j in range(3) for t in traces]
+    images += [boundary.scale(-unit(m)) for m in range(3)]
+    entries = [[img.get(r, c) for img in images] for r in range(d) for c in range(d)]
+    basis = nullspace([[x.coeff(deg) for x in row] for deg in range(5) for row in entries])
     nm = d * d
-    nunk = 3 * nm + 3
-    kcoeffs = []
-    for j in range(3):
-        kcoeffs.append([target[j].get(r, c).coeff(0) for r in range(d) for c in range(d)])
-
-    rows = []
-    for deg in range(5):
-        for comp in range(nm):
-            row = [rat(0)] * nunk
-            for j in range(3):
-                if deg == j:
-                    for src in range(nm):
-                        row[j * nm + src] += low_map[comp][src]
-                if deg == j + 2:
-                    for src in range(nm):
-                        row[j * nm + src] += high_map[comp][src]
-            # rhs: - sum_m s_m * K_{deg-m}
-            for m in range(3):
-                if 0 <= deg - m <= 2:
-                    row[3 * nm + m] -= kcoeffs[deg - m][comp]
-            rows.append(row)
-
-    basis = nullspace(rows)
     if len(basis) != 1 or all(x == 0 for x in basis[0][3 * nm:]):
         raise CalibrationFailure(
             f"dual-boundary calibration nullspace has dimension {len(basis)}")
@@ -312,17 +279,13 @@ def build_kit(rep: HeckeRep) -> BaxterKit:
 def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
     """Verify both trace conditions, with the kit's right dual and the left
     dual calibrated here, and report the exact proportionality functions."""
-    gp, gpi = _aux_site_pair(rep)
     u = LaurentPoly.unit(1)
-    u2 = LaurentPoly.unit(2)
     echo = _echo(rep)
     out = []
-    for name, dual, kernel, target in (
-            ("right", kit.aplus_at(u), gp - gpi.scale(u2), k_bar_plus_hat(rep, u)),
-            ("left", _pencil(calibrate_dual(rep, "left"), u), gp.scale(u2) - gpi,
-             k_minus_hat(rep, u))):
-        lhs = _aux_trace(dual, kernel)
-        out.append(ratio_report(f"condition2/{name}-trace", mat_proportional(lhs, target),
+    for end, dual in (("right", kit.aplus), ("left", calibrate_dual(rep, "left"))):
+        kernel, boundary = _dual_condition(rep, end)
+        lhs = _aux_trace(_pencil(dual, u), kernel)
+        out.append(ratio_report(f"condition2/{end}-trace", mat_proportional(lhs, boundary),
                                 entry_failure(lhs), params=echo))
     return out
 

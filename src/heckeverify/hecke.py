@@ -1,9 +1,9 @@
 """Tensor representation of the A/B/C-type Hecke algebras and Murphy elements.
 
-The bulk two-site generator is built from a short list of candidate index
-conventions and validated against the full defining relation set (quadratic,
-braid, and both boundary braid relations); the first candidate passing every
-check is kept, so the convention is selected by the relations themselves.
+The bulk two-site generator is the exchange-hop matrix of one index
+convention; every build validates it against the full defining relation set
+(quadratic, braid, and both boundary braid relations) with the boundary
+generators it is paired with.
 """
 
 from __future__ import annotations
@@ -24,34 +24,19 @@ FAMILIES = ("A", "B", "C")
 # local matrices
 # ---------------------------------------------------------------------------
 
-def _bulk_candidates(d: int, q: Rational):
-    """Candidate two-site braid generators, tried in order.
-
-    Candidate 1 uses the parallel hop term ``e_ab (x) e_ab``; candidates 2
-    and 3 use the exchange hop ``e_ab (x) e_ba`` with the two possible
-    orientations of the diagonal weight ``q^{sgn}``.  Validation, not
-    convention, selects.
-    """
-    qi = rat(1) / q
-
-    def build(hop_swapped: bool, sgn_flipped: bool) -> PolyMatrix:
-        entries = {(k, k): q for k in range(d * d)}
-        for a in range(d):
-            for b in range(d):
-                if a == b:
-                    continue
-                if hop_swapped:  # e_ab (x) e_ba: entry at row (a,b), col (b,a)
-                    r, c = a * d + b, b * d + a
-                else:            # e_ab (x) e_ab: entry at row (a,a), col (b,b)
-                    r, c = a * d + a, b * d + b
-                entries[r, c] = entries.get((r, c), 0) + 1
-                sgn_arg = (b - a) if sgn_flipped else (a - b)
-                entries[a * d + b, a * d + b] -= q if sgn_arg > 0 else qi
-        return PolyMatrix((d, d), entries)
-
-    yield "parallel-hop", build(hop_swapped=False, sgn_flipped=False)
-    yield "exchange-hop", build(hop_swapped=True, sgn_flipped=False)
-    yield "exchange-hop-flipped", build(hop_swapped=True, sgn_flipped=True)
+def _bulk_generator(d: int, q: Rational) -> PolyMatrix:
+    """The two-site braid generator: ``q`` on ``e_aa (x) e_aa``, the exchange
+    hop ``e_ab (x) e_ba`` for ``a != b``, and ``q - q^-1`` on ``e_aa (x) e_bb``
+    for ``a > b``."""
+    entries = {}
+    for a in range(d):
+        entries[a * d + a, a * d + a] = q
+        for b in range(d):
+            if a != b:
+                entries[a * d + b, b * d + a] = 1
+            if a > b:
+                entries[a * d + b, a * d + b] = q - rat(1) / q
+    return PolyMatrix((d, d), entries)
 
 
 def left_boundary_matrix(d: int, Q0: Rational, xp: Rational, xm: Rational) -> PolyMatrix:
@@ -98,7 +83,6 @@ class HeckeRep:
     local_dim: int
     sites: int
     params: Params
-    bulk_variant: str
     g_local: PolyMatrix
     g_inv_local: PolyMatrix
     g0_local: PolyMatrix
@@ -164,7 +148,7 @@ def build_glN_rep(local_dim: int, sites: int, params: Params, *,
     """Build and validate the full tensor representation.
 
     Raises ConstraintViolation when the quadratic constraints (including
-    ``x+ x- = 1`` at each boundary) fail or no bulk candidate satisfies the
+    ``x+ x- = 1`` at each boundary) fail or the bulk generator fails the
     relation set.  With ``degenerate_right`` the right boundary becomes the
     scalar matrix ``QN * I`` (its own quadratic relation holds trivially and
     the ``x`` constraint is vacuous).
@@ -194,19 +178,14 @@ def build_glN_rep(local_dim: int, sites: int, params: Params, *,
     if not qnquad.is_zero:
         raise ConstraintViolation("right boundary quadratic relation fails")
 
-    chosen = None
-    for tag, cand in _bulk_candidates(d, p.q):
-        if _validate_bulk(d, p.q, cand, g0, gN):
-            chosen = (tag, cand)
-            break
-    if chosen is None:
-        raise ConstraintViolation("no bulk candidate satisfies the relation set")
-    tag, g = chosen
+    g = _bulk_generator(d, p.q)
+    if not _validate_bulk(d, p.q, g, g0, gN):
+        raise ConstraintViolation("the bulk generator fails the relation set")
     g_inv = generator_inverse(g, (p.q, p.q))
     g0_inv = generator_inverse(g0, (p.Q0, p.Q0))
     gN_inv = generator_inverse(gN, (p.QN, p.QN))
 
-    rep = HeckeRep(local_dim=d, sites=sites, params=p, bulk_variant=tag,
+    rep = HeckeRep(local_dim=d, sites=sites, params=p,
                    g_local=g, g_inv_local=g_inv, g0_local=g0, g0_inv_local=g0_inv,
                    gN_local=gN, gN_inv_local=gN_inv, m_local=twist_matrix(d, p.q),
                    degenerate_right=degenerate_right)
@@ -239,7 +218,7 @@ def _relation_list(rep: HeckeRep, family: str):
     def quadratic(k, a):
         g = rep.generator(k)
         return (f"quadratic[{k}]", (g - ident.scale(a)) * (g + ident.scale(rat(1) / a)),
-                PolyMatrix.zeros(rep.layout))
+                PolyMatrix(rep.layout))
 
     for i in range(1, n - 1):
         yield words(f"braid[{i},{i + 1}]", (i, i + 1, i), (i + 1, i, i + 1))
@@ -424,7 +403,7 @@ def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int) -> Che
     if family == "C":
         gens = gens + [rep.sites]
     for m in range(1, max_power + 1):
-        total = PolyMatrix.zeros(rep.layout)
+        total = PolyMatrix(rep.layout)
         for i in idx:
             total = total + _power(js[i], m)
             if family == "C":

@@ -180,14 +180,6 @@ class LaurentPoly:
         (deg, c), = self.terms.items()
         return LaurentPoly({-deg: _ONE / c})
 
-    def evaluate(self, x):
-        """Evaluate at a nonzero rational point."""
-        x = x if isinstance(x, Rational) else rat(x)
-        total = _ZERO
-        for d, c in self.terms.items():
-            total += c * x**d
-        return total
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -169,10 +169,6 @@ class PolyMatrix:
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def zeros(cls, layout) -> "PolyMatrix":
-        return cls(layout)
-
-    @classmethod
     def identity(cls, layout) -> "PolyMatrix":
         m = cls(layout)
         m.mats = {0: {i: {i: 1} for i in range(m.dim)}}

@@ -141,7 +141,7 @@ def test_criterion_09_integrability():
         for seed, rep in zip(SEEDS, reps_for(2, n)):
             chain = OneBoundaryChain(rep, n)
             ok = ok and chain.check_commuting_family(seed=seed).status == "pass"
-            ok = ok and all(r.status == "pass" for r in chain.check_hamiltonian(seed=seed))
+            ok = ok and all(r.status == "pass" for r in chain.check_hamiltonian())
     record(9, ok, "commuting family and Hamiltonian span/commutation")
 
 

@@ -109,7 +109,7 @@ def test_unitarity_ratios(rep22):
     expected = LaurentPoly({0: -1, 1: 2 + s * s, 2: -1})
     assert reports["baxter/unitarity-r"].ratio == str(expected)
     # the unit point of the bulk product is (q - 1/q)^2
-    assert expected.evaluate(rat(1)) == s * s
+    assert sum(expected.terms.values()) == s * s
     d0 = Q0 - 1 / Q0
     expected_k = LaurentPoly({0: -1, 1: cm * d0, 2: 2 + d0 * d0 + cm * cm,
                               3: cm * d0, 4: -1})
@@ -171,17 +171,30 @@ def test_condition2_corrupted_kit_fails(rep22, kit22):
 
 
 def test_zero_sides_fail_without_raising(rep22, kit22):
-    z = PolyMatrix.zeros((2,))
+    z = PolyMatrix((2,))
     reports = check_condition2(rep22, dataclasses.replace(kit22, aplus=(z, z, z)))
     assert [r.status for r in reports] == ["fail", "pass"]
     assert reports[0].first_failure == {"value": "0"}
     # a zero boundary matrix makes K(u) K(1/u) zero: a zero ratio is no pass
     rep = copy.copy(rep22)
     rep.params = dataclasses.replace(rep22.params, c_minus=rat(0))
-    rep.g0_local = rep.g0_inv_local = PolyMatrix.zeros((2,))
+    rep.g0_local = rep.g0_inv_local = PolyMatrix((2,))
     names = {r.check_name: r.status for r in check_unitarity(rep)}
     assert names == {"baxter/unitarity-r": "pass", "baxter/unitarity-k": "fail",
                      "baxter/unitarity-kbar": "pass"}
+
+
+@pytest.mark.parametrize("end,g,g_inv,c", [("right", "gN_local", "gN_inv_local", "c_plus"),
+                                          ("left", "g0_local", "g0_inv_local", "c_minus")])
+def test_dual_calibration_fails_on_zero_boundary(rep22, end, g, g_inv, c):
+    # with the boundary pencil zero, every s(u) solves the trace condition
+    # with X = 0: the nullspace is three-dimensional, and no dual is chosen
+    rep = copy.copy(rep22)
+    setattr(rep, g, PolyMatrix((2,)))
+    setattr(rep, g_inv, PolyMatrix((2,)))
+    rep.params = dataclasses.replace(rep22.params, **{c: rat(0)})
+    with pytest.raises(CalibrationFailure, match="nullspace has dimension 3"):
+        calibrate_dual(rep, end)
 
 
 def test_dual_calibration_closed_form_dim2(rep22, kit22):

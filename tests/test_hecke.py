@@ -33,28 +33,48 @@ def test_bulk_matrix_explicit(rep22):
     for r in range(4):
         for c in range(4):
             assert got[r][c] == expected[r][c]
-    assert rep22.bulk_variant == "exchange-hop-flipped"
 
 
-def test_rejected_variant_passes_braid_but_fails_boundary():
-    # The transposed-weight variant satisfies the braid and quadratic
-    # relations on its own (it is a flip conjugate), yet is rejected
-    # because the boundary braid relation singles out one orientation.
-    from heckeverify.hecke import _bulk_candidates, left_boundary_matrix
+def _convention(d, q, hop_swapped, sgn_flipped):
+    """A two-site generator of another index convention: the parallel hop
+    ``e_ab (x) e_ab`` or the exchange hop ``e_ab (x) e_ba``, with the
+    diagonal weight ``q^sgn`` in one orientation or the other."""
+    entries = {(k, k): q for k in range(d * d)}
+    for a in range(d):
+        for b in range(d):
+            if a == b:
+                continue
+            r, c = (a * d + b, b * d + a) if hop_swapped else (a * d + a, b * d + b)
+            entries[r, c] = entries.get((r, c), 0) + 1
+            sgn_arg = (b - a) if sgn_flipped else (a - b)
+            entries[a * d + b, a * d + b] -= q if sgn_arg > 0 else 1 / q
+    return PolyMatrix((d, d), entries)
+
+
+def test_rejected_variant_passes_braid_but_fails_boundary(rep22):
+    # Of the other index conventions, the parallel hop fails even the
+    # quadratic relation; the exchange hop with the transposed weight
+    # satisfies the braid and quadratic relations on its own (it is a flip
+    # conjugate), yet fails both boundary braid relations, which single out
+    # the orientation of the generator the representation uses.
     q = FIXED.q
-    cands = dict(_bulk_candidates(2, q))
-    g = cands["exchange-hop"]
     ident = PolyMatrix.identity((2, 2))
-    assert ((g - ident.scale(q)) * (g + ident.scale(1 / q))).is_zero
+    assert _convention(2, q, True, True) == rep22.g_local
+
+    def quadratic(g):
+        return (g - ident.scale(q)) * (g + ident.scale(1 / q))
+
+    assert not quadratic(_convention(2, q, False, False)).is_zero
+    g = _convention(2, q, True, False)
+    assert quadratic(g).is_zero
     l3 = (2, 2, 2)
     a = embed_pair(g, 0, 1, l3)
     b = embed_pair(g, 1, 2, l3)
     assert a * b * a == b * a * b
-    g0 = left_boundary_matrix(2, FIXED.Q0, FIXED.x0p, FIXED.x0m)
-    l2 = (2, 2)
-    gg = embed_pair(g, 0, 1, l2)
-    e0 = embed_site(g0, 0, l2)
-    assert gg * e0 * gg * e0 != e0 * gg * e0 * gg
+    e0 = embed_site(rep22.g0_local, 0, (2, 2))
+    assert g * e0 * g * e0 != e0 * g * e0 * g
+    en = embed_site(rep22.gN_local, 1, (2, 2))
+    assert en * g * en * g != g * en * g * en
 
 
 def test_left_boundary_explicit(rep22):

@@ -71,11 +71,6 @@ def test_compose_power_and_shift():
     assert p.compose_power(2) == lp({0: 1, 2: 2})
 
 
-def test_evaluate():
-    p = lp({-1: 1, 2: rat(1, 2)})
-    assert p.evaluate(rat(2)) == rat(1, 2) + rat(2)
-
-
 def test_string_forms():
     assert str(LaurentPoly.zero()) == "0"
     assert str(lp({0: rat(3, 2), 1: -1, -2: rat(5, 1)})) == "5/1*u^-2+3/2-u"

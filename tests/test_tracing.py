@@ -54,9 +54,9 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # products the program forms can.
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
-      "prop1", "corollary", "hamiltonian", "commuting-family"], (28965, 867, 42)),
-    (["prop2", "explore-generic"], (3075, 234, 26)),
-    (["condition2", "factorized", "degeneration"], (3339, 324, 18)),
+      "prop1", "corollary", "hamiltonian", "commuting-family"], (29369, 855, 42)),
+    (["prop2", "explore-generic"], (2655, 198, 26)),
+    (["condition2", "factorized", "degeneration"], (2499, 252, 18)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])
 def test_traced_counts_pinned(suites, counts):
     config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})

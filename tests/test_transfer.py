@@ -1,4 +1,6 @@
 import copy
+import random
+from functools import reduce
 from operator import mul
 
 import pytest
@@ -65,7 +67,7 @@ def test_zero_twist_is_no_proportionality(rep22):
     # with M = 0 the auxiliary trace is zero; a zero ratio must not pass the
     # aux-trace check, nor let the direct trace (zero) match 0 * factorized
     rep = copy.copy(rep22)
-    rep.m_local = PolyMatrix.zeros((2,))
+    rep.m_local = PolyMatrix((2,))
     chain = OneBoundaryChain(rep, 2)
     report = chain.check_aux_trace()
     assert (report.status, report.first_failure) == ("fail", {"value": "0"})
@@ -249,7 +251,7 @@ def test_truncated_edges_of_zero_product():
     with pytest.raises(DimensionMismatch):
         trace_edges([ee + ee.scale(LaurentPoly.unit(2))])    # traces to zero
     with pytest.raises(DimensionMismatch):
-        trace_edges([ee, PolyMatrix.zeros(ee.layout)])
+        trace_edges([ee, PolyMatrix(ee.layout)])
 
 
 def test_two_boundary_direct_family_commutes(rep22, kit22):
@@ -303,6 +305,25 @@ def test_hamiltonian_closed_form(n):
 def test_hamiltonian_checks(rep23):
     reports = OneBoundaryChain(rep23, 3).check_hamiltonian()
     assert all(r.status == "pass" for r in reports)
+
+
+def test_hamiltonian_commutation_is_an_identity_in_u(rep23):
+    # T(u) + p(u) E, with p vanishing at the three rationals a sampled check
+    # at seed 0 draws (Random(seed ^ 0xA11CE)), commutes with H at those
+    # points but not for every u, so the check must fail.
+    chain = OneBoundaryChain(rep23, 3)
+    rng = random.Random(0 ^ 0xA11CE)
+    points = [rat(rng.randrange(1, 30), rng.randrange(1, 30)) for _ in range(3)]
+    p = reduce(mul, (LaurentPoly({0: -x, 1: 1}) for x in points))
+    e = PolyMatrix(rep23.layout, {(0, 1): 1})
+    h = chain.hamiltonian().matrix
+    assert h * e != e * h
+    direct = chain.direct
+    chain.direct = lambda u0, trivial_k=False: direct(u0, trivial_k) + e.scale(p)
+    reports = chain.check_hamiltonian()
+    assert [(r.check_name, r.status) for r in reports] == [
+        ("hamiltonian/span", "pass"), ("hamiltonian/commutes", "fail")]
+    assert set(reports[1].first_failure) == {"row", "col", "value"}
 
 
 def _span_basis(rep, n):
