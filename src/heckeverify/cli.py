@@ -164,47 +164,38 @@ def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 class SuiteContext:
-    """Reps, calibrated kits, two-boundary lattices and one-boundary reports
-    per specialization, built lazily and shared."""
+    """The representation, calibrated kit, two-boundary lattice and
+    one-boundary chain of each specialization, built on first use and
+    shared by the suites.  ``run_suite`` takes a fresh context per
+    specialization, so one specialization's objects are alive at a time."""
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self._reps: dict[int, hecke.HeckeRep] = {}
-        self._kits: dict[int, baxter.BaxterKit] = {}
-        self._lattices: dict[int, transfer.TwoBoundaryLattice] = {}
-        self._one_boundary: dict[int, dict] = {}
+        self._built: dict[tuple[str, int], object] = {}
 
     def spec_seed(self, idx: int) -> int:
         return self.config.seed * 1000 + idx
 
+    def _memo(self, kind: str, idx: int, build):
+        if (kind, idx) not in self._built:
+            self._built[kind, idx] = build()
+        return self._built[kind, idx]
+
     def rep(self, idx: int) -> hecke.HeckeRep:
-        if idx not in self._reps:
-            params = sample_params(self.spec_seed(idx), self.config.overrides)
-            self._reps[idx] = hecke.build_glN_rep(self.config.local_dim,
-                                                  self.config.sites, params)
-        return self._reps[idx]
+        config = self.config
+        return self._memo("rep", idx, lambda: hecke.build_glN_rep(
+            config.local_dim, config.sites, sample_params(self.spec_seed(idx), config.overrides)))
 
     def kit(self, idx: int) -> baxter.BaxterKit:
-        if idx not in self._kits:
-            self._kits[idx] = baxter.build_kit(self.rep(idx))
-        return self._kits[idx]
+        return self._memo("kit", idx, lambda: baxter.build_kit(self.rep(idx)))
 
     def lattice(self, idx: int) -> transfer.TwoBoundaryLattice:
-        if idx not in self._lattices:
-            self._lattices[idx] = transfer.TwoBoundaryLattice(self.rep(idx), self.kit(idx))
-        return self._lattices[idx]
+        return self._memo("lattice", idx,
+                          lambda: transfer.TwoBoundaryLattice(self.rep(idx), self.kit(idx)))
 
-    def one_boundary(self, idx: int) -> dict[str, list[CheckReport] | HeckeVerifyError]:
-        """Reports (or the error raised) of every configured one-boundary
-        suite at one specialization, from one ``transfer.one_boundary_pass``."""
-        if idx not in self._one_boundary:
-            config = self.config
-            names = [name for name in transfer.ONE_BOUNDARY_CHECKS
-                     if name in config.suites and not _skipped(name, config)]
-            self._one_boundary[idx] = transfer.one_boundary_pass(
-                transfer.OneBoundaryChain(self.rep(idx), config.sites), names,
-                self.spec_seed(idx))
-        return self._one_boundary[idx]
+    def chain(self, idx: int) -> transfer.OneBoundaryChain:
+        return self._memo("chain", idx,
+                          lambda: transfer.OneBoundaryChain(self.rep(idx), self.config.sites))
 
 
 # suite name -> (test, check name, note): run_suite gives a config passing
@@ -221,24 +212,6 @@ _SKIPS = {
 
 def _skipped(name: str, config: RunConfig) -> bool:
     return name in _SKIPS and _SKIPS[name][0](config)
-
-
-def _one_boundary_reports(name: str):
-    """The check reading suite ``name``'s reports from the one-boundary pass;
-    an error the suite raised there is raised again here."""
-    def check(ctx: SuiteContext, idx: int) -> list[CheckReport]:
-        result = ctx.one_boundary(idx)[name]
-        if isinstance(result, HeckeVerifyError):
-            raise result
-        return result
-    return check
-
-
-def _each_spec(check):
-    """The suite running ``check(ctx, idx)`` at every specialization."""
-    def suite(ctx: SuiteContext) -> list[CheckReport]:
-        return [r for idx in range(SPECIALIZATIONS) for r in check(ctx, idx)]
-    return suite
 
 
 def _murphy_families(config: RunConfig) -> list[str]:
@@ -259,68 +232,67 @@ def _calibrated(tag: str, check):
 
 
 def _explore_generic(ctx: SuiteContext, idx: int) -> list[CheckReport]:
-    """The lattice theorem at every ``p = +-1..+-N``."""
+    """The lattice theorem at every ``p = +-1..+-N``, at the first
+    specialization only."""
+    if idx > 0:
+        return []
     lattice = ctx.lattice(idx)
     return [r for n in range(1, ctx.config.sites + 1)
             for r in transfer.explore_generic(lattice, n)]
 
 
-def _degeneration(ctx: SuiteContext, idx: int) -> list[CheckReport]:
-    """prop2/degeneration on the representation with the same parameters and
-    a scalar right boundary."""
-    config = ctx.config
-    rep_deg = hecke.build_glN_rep(config.local_dim, config.sites, ctx.rep(idx).params,
-                                  degenerate_right=True)
-    return [transfer.check_degeneration(rep_deg)]
-
-
-# suite name -> callable(ctx) giving its reports.  run_suite looks an entry up
-# when it runs that suite, so a wrapper put in this table (perfbench's tracer
-# puts one) takes effect.
+# suite name -> callable(ctx, idx) giving its reports at specialization idx.
+# run_suite looks an entry up each time it runs that suite, so a wrapper put
+# in this table (perfbench's tracer puts one) takes effect.
 _SUITES = {
-    "relations": _each_spec(lambda ctx, i: [
-        hecke.check_relations(ctx.rep(i), f) for f in ctx.config.families()]),
-    "tl": _each_spec(lambda ctx, i: [hecke.check_tl_report(ctx.rep(i))]),
-    "murphy-commute": _each_spec(lambda ctx, i: [
-        hecke.check_murphy_commutation(ctx.rep(i), f) for f in _murphy_families(ctx.config)]),
-    "central": _each_spec(lambda ctx, i: [
-        hecke.check_symmetric_commutant(ctx.rep(i), f, 2) for f in _murphy_families(ctx.config)]),
-    "ybe": _each_spec(lambda ctx, i: [baxter.check_ybe(ctx.rep(i), seed=ctx.spec_seed(i))]),
-    "re": _each_spec(lambda ctx, i: [
-        baxter.check_re(ctx.rep(i), end, seed=ctx.spec_seed(i)) for end in ("left", "right")]),
-    "unitarity": _each_spec(lambda ctx, i: baxter.check_unitarity(ctx.rep(i))),
-    "crossing": _each_spec(lambda ctx, i: [baxter.check_crossing_report(ctx.rep(i))]),
-    "prop1": _each_spec(_one_boundary_reports("prop1")),
-    "corollary": _each_spec(_one_boundary_reports("corollary")),
-    "prop2": _each_spec(_calibrated("prop2", lambda ctx, i: transfer.verify_murphy_two_boundary(
-        ctx.lattice(i)))),
-    "hamiltonian": _each_spec(_one_boundary_reports("hamiltonian")),
-    "commuting-family": _each_spec(_one_boundary_reports("commuting-family")),
-    "explore-generic": lambda ctx: _calibrated("explore", _explore_generic)(ctx, 0),
-    "condition2": _each_spec(_calibrated("condition2", lambda ctx, i: baxter.check_condition2(
-        ctx.rep(i), ctx.kit(i)))),
-    "factorized": _each_spec(_calibrated("factorized", lambda ctx, i: transfer.check_factorized(
-        ctx.lattice(i)))),
-    "degeneration": _each_spec(_degeneration),
+    "relations": lambda ctx, i: [
+        hecke.check_relations(ctx.rep(i), f) for f in ctx.config.families()],
+    "tl": lambda ctx, i: [hecke.check_tl_report(ctx.rep(i))],
+    "murphy-commute": lambda ctx, i: [
+        hecke.check_murphy_commutation(ctx.rep(i), f) for f in _murphy_families(ctx.config)],
+    "central": lambda ctx, i: [
+        hecke.check_symmetric_commutant(ctx.rep(i), f, 2) for f in _murphy_families(ctx.config)],
+    "ybe": lambda ctx, i: [baxter.check_ybe(ctx.rep(i), seed=ctx.spec_seed(i))],
+    "re": lambda ctx, i: [
+        baxter.check_re(ctx.rep(i), end, seed=ctx.spec_seed(i)) for end in ("left", "right")],
+    "unitarity": lambda ctx, i: baxter.check_unitarity(ctx.rep(i)),
+    "crossing": lambda ctx, i: [baxter.check_crossing_report(ctx.rep(i))],
+    "prop1": lambda ctx, i: [ctx.chain(i).check_aux_trace(), *ctx.chain(i).murphy_edges()],
+    "corollary": lambda ctx, i: ctx.chain(i).murphy_edges(trivial_k=True),
+    "prop2": _calibrated("prop2", lambda ctx, i: transfer.verify_murphy_two_boundary(
+        ctx.lattice(i))),
+    "hamiltonian": lambda ctx, i: ctx.chain(i).check_hamiltonian(),
+    "commuting-family": lambda ctx, i: [ctx.chain(i).check_commuting_family(ctx.spec_seed(i))],
+    "explore-generic": _calibrated("explore", _explore_generic),
+    "condition2": _calibrated("condition2", lambda ctx, i: baxter.check_condition2(
+        ctx.rep(i), ctx.kit(i))),
+    "factorized": _calibrated("factorized", lambda ctx, i: transfer.check_factorized(
+        ctx.lattice(i))),
+    "degeneration": lambda ctx, i: [transfer.check_degeneration(hecke.scalar_right(ctx.rep(i)))],
 }
 
 
 def run_suite(config: RunConfig) -> list[CheckReport]:
-    """Execute the configured suites in canonical dependency order."""
+    """Execute the configured suites in canonical order, one specialization
+    at a time on a fresh ``SuiteContext``.  A suite's reports come in
+    specialization order; a suite raising HeckeVerifyError gives the one
+    report ``<name>/error`` instead and is not run again."""
     config.validate()
-    ctx = SuiteContext(config)
-    reports: list[CheckReport] = []
-    for name in SUITE_NAMES:  # canonical order regardless of request order
-        if name not in config.suites:
-            continue
-        if _skipped(name, config):
-            reports.append(info(_SKIPS[name][1], note=_SKIPS[name][2]))
-            continue
-        try:
-            reports.extend(_SUITES[name](ctx))
-        except HeckeVerifyError as exc:
-            reports.append(failed(f"{name}/error", failure={"relation": str(exc)}))
-    return reports
+    suites = [name for name in SUITE_NAMES if name in config.suites]
+    done = {name for name in suites if _skipped(name, config)}   # or raised earlier
+    reports = {name: [info(_SKIPS[name][1], note=_SKIPS[name][2])] if name in done else []
+               for name in suites}
+    for idx in range(SPECIALIZATIONS):
+        ctx = SuiteContext(config)
+        for name in suites:
+            if name in done:
+                continue
+            try:
+                reports[name] += _SUITES[name](ctx, idx)
+            except HeckeVerifyError as exc:
+                reports[name] = [failed(f"{name}/error", failure={"relation": str(exc)})]
+                done.add(name)
+    return [r for name in suites for r in reports[name]]
 
 
 # ---------------------------------------------------------------------------

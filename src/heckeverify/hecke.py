@@ -8,7 +8,7 @@ generators it is paired with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (ConstraintViolation, IndexOutOfRange, NotInvertible,
                      RelationFailure)
@@ -143,15 +143,12 @@ def _validate_bulk(d: int, q: Rational, g: PolyMatrix, g0: PolyMatrix,
     return en * g * en * g == g * en * g * en
 
 
-def build_glN_rep(local_dim: int, sites: int, params: Params, *,
-                  degenerate_right: bool = False) -> HeckeRep:
+def build_glN_rep(local_dim: int, sites: int, params: Params) -> HeckeRep:
     """Build and validate the full tensor representation.
 
     Raises ConstraintViolation when the quadratic constraints (including
     ``x+ x- = 1`` at each boundary) fail or the bulk generator fails the
-    relation set.  With ``degenerate_right`` the right boundary becomes the
-    scalar matrix ``QN * I`` (its own quadratic relation holds trivially and
-    the ``x`` constraint is vacuous).
+    relation set.
     """
     if local_dim < 2 or sites < 1:
         raise ConstraintViolation("need local_dim >= 2 and sites >= 1")
@@ -159,16 +156,13 @@ def build_glN_rep(local_dim: int, sites: int, params: Params, *,
     if p.x0p * p.x0m != 1:
         raise ConstraintViolation(
             f"left boundary needs x0p*x0m = 1, got {rat_str(p.x0p * p.x0m)}")
-    if not degenerate_right and p.xNp * p.xNm != 1:
+    if p.xNp * p.xNm != 1:
         raise ConstraintViolation(
             f"right boundary needs xNp*xNm = 1, got {rat_str(p.xNp * p.xNm)}")
 
     d = local_dim
     g0 = left_boundary_matrix(d, p.Q0, p.x0p, p.x0m)
-    if degenerate_right:
-        gN = PolyMatrix.identity((d,)).scale(p.QN)
-    else:
-        gN = right_boundary_matrix(d, p.QN, p.xNp, p.xNm)
+    gN = right_boundary_matrix(d, p.QN, p.xNp, p.xNm)
 
     ident1 = PolyMatrix.identity((d,))
     q0quad = (g0 - ident1.scale(p.Q0)) * (g0 + ident1.scale(rat(1) / p.Q0))
@@ -187,8 +181,7 @@ def build_glN_rep(local_dim: int, sites: int, params: Params, *,
 
     rep = HeckeRep(local_dim=d, sites=sites, params=p,
                    g_local=g, g_inv_local=g_inv, g0_local=g0, g0_inv_local=g0_inv,
-                   gN_local=gN, gN_inv_local=gN_inv, m_local=twist_matrix(d, p.q),
-                   degenerate_right=degenerate_right)
+                   gN_local=gN, gN_inv_local=gN_inv, m_local=twist_matrix(d, p.q))
     layout = rep.layout
     for i in range(1, sites):
         rep.braid[i] = embed_pair(g, i - 1, i, layout)
@@ -198,6 +191,21 @@ def build_glN_rep(local_dim: int, sites: int, params: Params, *,
     rep.bn = embed_site(gN, sites - 1, layout)
     rep.bn_inv = embed_site(gN_inv, sites - 1, layout)
     return rep
+
+
+def scalar_right(rep: HeckeRep) -> HeckeRep:
+    """``rep`` with the right boundary collapsed to the scalar ``QN * I``.
+
+    Nothing is validated again: a scalar satisfies its quadratic relation
+    and commutes with every generator, so the relations it enters hold, and
+    the others are those ``rep`` was built and validated with.
+    """
+    QN = rep.params.QN
+    gN = PolyMatrix.identity((rep.local_dim,)).scale(QN)
+    gN_inv = generator_inverse(gN, (QN, QN))
+    return replace(rep, gN_local=gN, gN_inv_local=gN_inv, degenerate_right=True,
+                   bn=embed_site(gN, rep.sites - 1, rep.layout),
+                   bn_inv=embed_site(gN_inv, rep.sites - 1, rep.layout))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from operator import add, mul
 
 from .baxter import (BaxterKit, _aux_site_pair, _aux_trace, k_bar_plus_hat,
                      k_minus_hat, r_hat)
-from .errors import (ConditionFailure, DimensionMismatch, HeckeVerifyError,
-                     InternalMismatch, SpanFailure)
+from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
+                     SpanFailure)
 from .hecke import HeckeRep, _echo, murphy, murphy_inverse
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
@@ -181,10 +181,13 @@ class OneBoundaryChain:
     inhomogeneity ``u0`` at site ``n``, and the one-boundary checks on it.
 
     What the checks share is built once, on first use: the auxiliary
-    workspace, the auxiliary scalar, and per ``trivial_k`` the factorized
-    matrix and the middle ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``,
-    which no ``u0`` touches.  A direct trace multiplies only the outermost
-    pair onto the middle.
+    workspace, the auxiliary scalar, the factorized matrix (``prop1`` and
+    ``hamiltonian``) and the middle
+    ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``, which no ``u0``
+    touches (``prop1``, ``hamiltonian`` and ``commuting-family``).  The
+    A-type pair (``trivial_k``) has one reader, ``corollary``, and is built
+    without being kept.  A direct trace multiplies only the outermost pair
+    onto the middle.
     """
 
     def __init__(self, rep: HeckeRep, n: int):
@@ -192,7 +195,7 @@ class OneBoundaryChain:
             raise DimensionMismatch(f"n={n} outside 1..{rep.sites}")
         self.rep = rep
         self.n = n
-        self._built: dict[tuple[str, bool], PolyMatrix] = {}
+        self._built: dict[str, PolyMatrix] = {}
 
     @cached_property
     def ws(self) -> AuxWorkspace:
@@ -202,13 +205,15 @@ class OneBoundaryChain:
     def aux_scalar(self) -> LaurentPoly | None:
         return aux_trace_scalar(self.rep)
 
-    def _memo(self, key: tuple[str, bool], build) -> PolyMatrix:
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
+    def _memo(self, name: str, trivial_k: bool, build) -> PolyMatrix:
+        if trivial_k:
+            return build()
+        if name not in self._built:
+            self._built[name] = build()
+        return self._built[name]
 
     def factorized(self, trivial_k: bool = False) -> PolyMatrix:
-        return self._memo(("factorized", trivial_k),
+        return self._memo("factorized", trivial_k,
                           lambda: t_open_factorized(self.rep, self.n, trivial_k=trivial_k))
 
     def middle(self, trivial_k: bool = False) -> PolyMatrix:
@@ -218,7 +223,7 @@ class OneBoundaryChain:
             return reduce(mul, _double_row(self.ws, None, lambda k: u, k_minus, lambda k: u,
                                            range(1, self.n)),
                           PolyMatrix.identity(self.ws.layout))
-        return self._memo(("middle", trivial_k), build)
+        return self._memo("middle", trivial_k, build)
 
     def direct(self, u0: Rational | LaurentPoly, trivial_k: bool = False) -> PolyMatrix:
         """The direct trace with formal argument ``u``: ``u * u0`` left and
@@ -364,29 +369,6 @@ class OneBoundaryChain:
                 return failed("integrability/commuting-family", params=echo,
                               failure={"specialization": f"({rat_str(r1)},{rat_str(r2)})"})
         return passed("integrability/commuting-family", params=echo)
-
-
-# The one-boundary checks in the order of their pass: name -> reports of a
-# chain at a seed.
-ONE_BOUNDARY_CHECKS = {
-    "prop1": lambda chain, seed: [chain.check_aux_trace(), *chain.murphy_edges()],
-    "hamiltonian": lambda chain, seed: chain.check_hamiltonian(),
-    "commuting-family": lambda chain, seed: [chain.check_commuting_family(seed)],
-    "corollary": lambda chain, seed: chain.murphy_edges(trivial_k=True),
-}
-
-
-def one_boundary_pass(chain: OneBoundaryChain, names: list[str],
-                      seed: int) -> dict[str, list[CheckReport] | HeckeVerifyError]:
-    """Run the named ``ONE_BOUNDARY_CHECKS`` on one chain.  A check that
-    raised HeckeVerifyError gets the error in place of its reports."""
-    out: dict[str, list[CheckReport] | HeckeVerifyError] = {}
-    for name in names:
-        try:
-            out[name] = ONE_BOUNDARY_CHECKS[name](chain, seed)
-        except HeckeVerifyError as exc:
-            out[name] = exc
-    return out
 
 
 # One-shot forms on a throwaway chain, kept for the benchmark's oracle

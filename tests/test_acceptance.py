@@ -10,7 +10,8 @@ from heckeverify.baxter import (calibrate_crossing, check_condition2, check_re,
                                 check_unitarity, check_ybe)
 from heckeverify.cli import RunConfig, run_suite
 from heckeverify.hecke import (check_murphy_commutation, check_relations,
-                               check_symmetric_commutant, check_tl_quotient)
+                               check_symmetric_commutant, check_tl_quotient,
+                               scalar_right)
 from heckeverify.params import sample_params
 from heckeverify.reporting import render_report
 from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice, check_degeneration,
@@ -102,7 +103,7 @@ def test_criterion_06_degeneration():
     ok = True
     for dim, n in _GRID_TWO_BOUNDARY:
         for seed in SEEDS:
-            rep_deg = build_glN_rep(dim, n, sample_params(seed), degenerate_right=True)
+            rep_deg = scalar_right(build_glN_rep(dim, n, sample_params(seed)))
             ok = ok and check_degeneration(rep_deg).status == "pass"
     record(6, ok, "scalar right boundary reduces to the one-boundary edge")
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import re
+import weakref
 
 import pytest
 
@@ -246,29 +247,50 @@ def test_one_boundary_pass_builds_once(monkeypatch):
     assert len(set(seen["aux_trace_scalar"])) == 3
 
 
-def test_one_boundary_error_stays_with_its_suite(monkeypatch):
-    cfg = config_from_dict({"sites": 3, "suites": ONE_BOUNDARY_SUITES})
+@pytest.mark.parametrize("suite,owner,attr,per_spec", [
+    ("hamiltonian", transfer.OneBoundaryChain, "hamiltonian", 2),
+    ("prop2", transfer, "verify_murphy_two_boundary", 4),
+], ids=["hamiltonian", "prop2"])
+def test_one_boundary_error_stays_with_its_suite(monkeypatch, suite, owner, attr, per_spec):
+    """A suite raising at specialization 1 gives one ``<suite>/error`` report
+    in place of all of its own; the other suites' reports do not change."""
+    cfg = config_from_dict({"sites": 3, "suites": [*ONE_BOUNDARY_SUITES, "prop2"]})
     clean = run_suite(cfg)
     bad_params = sample_params(cfg.seed * 1000 + 1)
-    hamiltonian = transfer.OneBoundaryChain.hamiltonian
+    original = getattr(owner, attr)
 
-    def failing(self):
-        if self.rep.params == bad_params:
+    def failing(target):   # a chain or a lattice
+        if target.rep.params == bad_params:
             raise DimensionMismatch("injected")
-        return hamiltonian(self)
+        return original(target)
 
-    monkeypatch.setattr(transfer.OneBoundaryChain, "hamiltonian", failing)
+    monkeypatch.setattr(owner, attr, failing)
     reports = run_suite(cfg)
-    ham = [r for r in reports if r.check_name.startswith("hamiltonian/")]
-    assert [(r.check_name, r.status) for r in ham] == [("hamiltonian/error", "fail")]
-    assert ham[0].first_failure == {"relation": "injected"}
+    mine = [r for r in reports if r.check_name.startswith(f"{suite}/")]
+    assert [(r.check_name, r.status) for r in mine] == [(f"{suite}/error", "fail")]
+    assert mine[0].first_failure == {"relation": "injected"}
 
     def others(rs):
-        return render_report([r for r in rs if not r.check_name.startswith("hamiltonian/")],
+        return render_report([r for r in rs if not r.check_name.startswith(f"{suite}/")],
                              cfg.echo())
 
     assert others(reports) == others(clean)
-    assert len(clean) - len(reports) == 3 * 2 - 1
+    assert len(clean) - len(reports) == 3 * per_spec - 1
+
+
+def test_one_specialization_alive_at_a_time(monkeypatch):
+    peak = {}
+    for cls in (transfer.TwoBoundaryLattice, transfer.OneBoundaryChain):
+        live = weakref.WeakSet()
+
+        def tracking(self, *args, cls=cls, init=cls.__init__, live=live):
+            init(self, *args)
+            live.add(self)
+            peak[cls.__name__] = max(peak.get(cls.__name__, 0), len(live))
+
+        monkeypatch.setattr(cls, "__init__", tracking)
+    assert not [r for r in run_suite(config_from_dict({})) if r.status == "fail"]
+    assert peak == {"TwoBoundaryLattice": 1, "OneBoundaryChain": 1}
 
 
 @pytest.mark.parametrize("local_dim,sites,digest", [

@@ -8,7 +8,8 @@ from heckeverify.errors import (ConstraintViolation, IndexOutOfRange,
                                 NotInvertible, RelationFailure)
 from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient,
-                               generator_inverse, murphy, murphy_inverse)
+                               generator_inverse, murphy, murphy_inverse,
+                               scalar_right)
 from heckeverify.params import Params, sample_params
 from heckeverify.reporting import render_report
 from heckeverify.rings import LaurentPoly, rat
@@ -244,8 +245,11 @@ def test_single_murphy_element_is_not_central(rep23):
 
 
 def test_degenerate_right_boundary():
-    rep = build_glN_rep(2, 2, FIXED, degenerate_right=True)
+    rep = scalar_right(build_glN_rep(2, 2, FIXED))
+    assert rep.degenerate_right
     assert rep.gN_local == PolyMatrix.identity((2,)).scale(FIXED.QN)
+    assert rep.bn == rep.identity().scale(FIXED.QN)
+    assert rep.bn_inv == rep.identity().scale(1 / FIXED.QN)
     assert check_relations(rep, "C").status == "pass"
 
 

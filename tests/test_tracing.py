@@ -56,7 +56,7 @@ def test_traced_run_matches_untraced_and_covers_metrics():
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
       "prop1", "corollary", "hamiltonian", "commuting-family"], (29369, 855, 42)),
     (["prop2", "explore-generic"], (2655, 198, 26)),
-    (["condition2", "factorized", "degeneration"], (2499, 252, 18)),
+    (["condition2", "factorized", "degeneration"], (1989, 189, 18)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])
 def test_traced_counts_pinned(suites, counts):
     config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})
@@ -69,3 +69,27 @@ def test_traced_counts_pinned(suites, counts):
         tracer.uninstall()
     assert (metrics["rings.coeff_mults"], metrics["tensor.matmul.calls"],
             metrics["tensor.matmul.peak_nnz"]) == counts
+
+
+def test_one_boundary_suites_time_their_own_checks():
+    """Each one-boundary suite's span holds the products of its own checks,
+    so ``cli.suite.<name>.s`` is that suite's time."""
+    suites = ["prop1", "corollary", "hamiltonian", "commuting-family"]
+    config = cli.config_from_dict({"local_dim": 2, "sites": 3, "suites": suites})
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        cli.run_suite(config)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    names, spans = tracer.names, tracer.spans
+
+    def suite_of(idx):
+        while not names[spans[idx][0]].startswith("cli.suite."):
+            idx = spans[idx][3]
+        return names[spans[idx][0]][len("cli.suite."):]
+
+    assert {suite_of(i) for i, span in enumerate(spans)
+            if names[span[0]] == "tensor.PolyMatrix._matmul"} == set(suites)
+    assert all(metrics[f"cli.suite.{name}.s"] > 0 for name in suites)

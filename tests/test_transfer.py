@@ -8,7 +8,7 @@ import pytest
 from heckeverify import build_glN_rep, build_kit
 from heckeverify.baxter import check_condition2, k_minus_hat
 from heckeverify.errors import DimensionMismatch
-from heckeverify.hecke import murphy, murphy_inverse
+from heckeverify.hecke import murphy, murphy_inverse, scalar_right
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
@@ -261,15 +261,15 @@ def test_two_boundary_direct_family_commutes(rep22, kit22):
 
 
 def test_degeneration(fixed_params):
-    rep_deg = build_glN_rep(2, 2, fixed_params, degenerate_right=True)
+    rep_deg = scalar_right(build_glN_rep(2, 2, fixed_params))
     assert check_degeneration(rep_deg).status == "pass"
-    rep_deg3 = build_glN_rep(2, 3, fixed_params, degenerate_right=True)
+    rep_deg3 = scalar_right(build_glN_rep(2, 3, fixed_params))
     assert check_degeneration(rep_deg3).status == "pass"
 
 
 @pytest.mark.parametrize("generator", ["gN_local", "g0_local"])
 def test_degeneration_corrupted_boundary_fails(fixed_params, generator):
-    rep = copy.copy(build_glN_rep(2, 3, fixed_params, degenerate_right=True))
+    rep = copy.copy(scalar_right(build_glN_rep(2, 3, fixed_params)))
     g = getattr(rep, generator)
     setattr(rep, generator, g + PolyMatrix((2,), {(1, 0): rat(2, 5)}))
     report = check_degeneration(rep)
