@@ -398,6 +398,79 @@ def trace_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix._make(a.layout[1:], out, a.den * b.den)
 
 
+def _split_aux(m: PolyMatrix) -> dict:
+    """The integer matrix polynomials (over ``m.den``) of the nonzero blocks
+    ``m^{bc}`` of ``m = sum_{b,c} E_bc (x) m^{bc}``, factor 0 auxiliary."""
+    aux = range(m.layout[0])
+    rest = m.dim // m.layout[0]
+    out: dict = {}
+    for d, mat in m.mats.items():
+        for r, row in mat.items():
+            b, rr = divmod(r, rest)
+            parts: list[dict] = [{} for _ in aux]
+            for c, v in row.items():
+                parts[c // rest][c % rest] = v
+            for c, part in zip(aux, parts):
+                if part:
+                    out.setdefault((b, c), {}).setdefault(d, {})[rr] = part
+    return out
+
+
+def aux_blocks(m: PolyMatrix) -> dict[tuple[int, int], PolyMatrix]:
+    """Every auxiliary block ``m^{bc}`` of ``m = sum_{b,c} E_bc (x) m^{bc}``
+    (factor 0 auxiliary, zero blocks included), each on the other factors."""
+    split = _split_aux(m)
+    aux = range(m.layout[0])
+    return {(b, c): PolyMatrix._make(m.layout[1:], split.get((b, c), {}), m.den)
+            for b in aux for c in aux}
+
+
+def trace_sandwich(x: PolyMatrix, blocks: dict[tuple[int, int], PolyMatrix],
+                   y: PolyMatrix) -> PolyMatrix:
+    """``tr_0[x (mid (x) I) y]`` without forming the sandwich: ``x`` and ``y``
+    on the (auxiliary, site) pair, ``blocks`` the ``aux_blocks`` of ``mid``,
+    the result on the other factors of ``mid`` followed by the site.
+
+    With ``x = sum E_ab (x) x^{ab}`` and ``y = sum E_ca (x) y^{ca}`` the trace
+    is ``sum_{b,c} mid^{bc} (x) z^{bc}``, ``z^{bc} = sum_a x^{ab} y^{ca}``: a
+    product of small site matrices per block, then one Kronecker product of
+    each middle block with it, summed in place."""
+    if x.layout != y.layout or len(x.layout) != 2:
+        raise DimensionMismatch("the sandwich ends must live on one (auxiliary, site) pair")
+    aux, site = x.layout
+    if set(blocks) != {(b, c) for b in range(aux) for c in range(aux)}:
+        raise DimensionMismatch(f"need the {aux}x{aux} auxiliary blocks of the middle")
+    xs, ys = _split_aux(x), _split_aux(y)
+    den = lcm(*(mid.den for mid in blocks.values()))
+    out: dict = {}
+    for (b, c), mid in blocks.items():
+        z: dict = {}
+        for a in range(aux):
+            if (a, b) in xs and (c, a) in ys:
+                _product(xs[a, b], ys[c, a], z)
+        f = den // mid.den
+        for dz, zm in z.items():
+            for s, zrow in zm.items():
+                for t, v in zrow.items():
+                    if not v:
+                        continue
+                    v *= f
+                    for dm, mm in mid.mats.items():
+                        o = out.get(dm + dz)
+                        if o is None:
+                            o = out[dm + dz] = {}
+                        for r, mrow in mm.items():
+                            orow = o.get(r * site + s)
+                            if orow is None:
+                                orow = o[r * site + s] = {}
+                            get = orow.get
+                            for col, w in mrow.items():
+                                key = col * site + t
+                                orow[key] = get(key, 0) + w * v
+    layout = next(iter(blocks.values())).layout + (site,)
+    return PolyMatrix._make(layout, out, den * x.den * y.den)
+
+
 def _offsets(layout, st, factors) -> list[int]:
     """Composite offsets of every digit tuple of ``factors``, row-major."""
     out = [0]

@@ -5,8 +5,11 @@ boundary, with an inhomogeneity at the last dressed site.  At the diagonal
 evaluation point it factorizes into a bulk sandwich around the boundary
 matrix; the direct auxiliary-space trace construction is compared against
 that factorized form up to a monomial.  ``OneBoundaryChain`` builds what the
-one-boundary checks share once: every direct trace multiplies only the
-outermost pair onto one middle of the double row.
+one-boundary checks share once.  Its double row is built only on the sites
+each product touches: the middle and the bulk sandwich grow inside out, one
+site per step (``_grow``), and every direct trace closes the middle with the
+outermost pair by one contraction of its auxiliary blocks
+(``tensor.trace_sandwich``).
 
 Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
@@ -34,8 +37,9 @@ from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
 from .hecke import HeckeRep, _echo, murphy, murphy_inverse
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, embed_pair, embed_site, flip_indices, independent_rows,
-                     kron, lin_solve, mat_proportional, trace_product)
+from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, flip_indices,
+                     independent_rows, kron, lin_solve, mat_proportional, trace_product,
+                     trace_sandwich)
 
 
 @dataclass
@@ -95,20 +99,18 @@ class AuxWorkspace:
         return embed_site(local, 0, self.layout)
 
 
-def _double_row(ws: AuxWorkspace, lead: PolyMatrix | None, left,
-                inner: PolyMatrix | None, right, sites: range) -> Iterator[PolyMatrix]:
+def _double_row(ws: AuxWorkspace, lead: PolyMatrix, left, inner: PolyMatrix, right,
+                sites: range) -> Iterator[PolyMatrix]:
     """The factors of the double row ``lead_0 R_0k..R_0j inner R_0j..R_0k``
     over the sites ``j..k`` of ``sites``, before the auxiliary trace: ``lead``
     on the auxiliary space, the left pair operators at arguments ``left(k)``,
     ``inner`` (already on the full layout), the right pair operators at
-    ``right(k)``.  A ``lead`` or ``inner`` of None is dropped.  Yielded one at
-    a time, so a product need not hold them all."""
-    if lead is not None:
-        yield ws.aux_op(lead)
+    ``right(k)``.  Yielded one at a time, so a product need not hold them
+    all."""
+    yield ws.aux_op(lead)
     for k in reversed(sites):
         yield ws.r_left(k, left(k))
-    if inner is not None:
-        yield inner
+    yield inner
     for k in sites:
         yield ws.r_right(k, right(k))
 
@@ -143,13 +145,44 @@ def _open_sandwich(rep: HeckeRep, n: int, trivial_k: bool = False) -> list[PolyM
     return [*reversed(bulk), middle, *bulk]
 
 
+def _grow(seed: PolyMatrix, left: PolyMatrix, right: PolyMatrix, anchor: int | None,
+          steps: int) -> PolyMatrix:
+    """``steps`` times ``X -> L (X (x) I) R``, inside out: each step appends one
+    factor ``k`` to the layout, and the two-factor operators ``L`` and ``R``
+    act on the factors (``anchor``, ``k``), or (``k - 1``, ``k``) when
+    ``anchor`` is None.  Every product runs on the factors built so far."""
+    acc, one = seed, PolyMatrix.identity(left.layout[1:])
+    for _ in range(steps):
+        acc = kron(acc, one)
+        k = len(acc.layout) - 1
+        j = k - 1 if anchor is None else anchor
+        acc = embed_pair(left, j, k, acc.layout) * acc * embed_pair(right, j, k, acc.layout)
+    return acc
+
+
+def _pair_local(rep: HeckeRep, w: LaurentPoly) -> PolyMatrix:
+    """The baxterized pair operator ``g - w g^-1`` on two factors."""
+    return rep.g_local - rep.g_inv_local.scale(w)
+
+
+def _boundary_seed(rep: HeckeRep, trivial_k: bool) -> PolyMatrix:
+    """``K-(u)`` on one factor, the identity with ``trivial_k``."""
+    return PolyMatrix.identity((rep.local_dim,)) if trivial_k else k_minus_hat(rep)
+
+
 def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> PolyMatrix:
-    """Bulk sandwich around the left boundary at the diagonal point.
+    """Bulk sandwich ``R_n-1..R_1 K- R_1..R_n-1`` around the left boundary at
+    the diagonal point (``_open_sandwich``), grown from ``K-`` on site 1 with
+    the pair at sites (k - 1, k), the identity on the sites after ``n``.
 
     Entries are polynomial of total degree exactly ``2n`` (``2n - 2`` when
     the boundary is switched off for the A-type corollary).
     """
-    return reduce(mul, _open_sandwich(rep, n, trivial_k))
+    pair = _pair_local(rep, LaurentPoly.unit(1))
+    grown = _grow(_boundary_seed(rep, trivial_k), pair, pair, None, n - 1)
+    if n == rep.sites:
+        return grown
+    return kron(grown, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
 
 
 @dataclass
@@ -180,14 +213,14 @@ class OneBoundaryChain:
     (Sklyanin's double row) of one representation on ``n`` sites, with the
     inhomogeneity ``u0`` at site ``n``, and the one-boundary checks on it.
 
-    What the checks share is built once, on first use: the auxiliary
-    workspace, the auxiliary scalar, the factorized matrix (``prop1`` and
-    ``hamiltonian``) and the middle
-    ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``, which no ``u0``
-    touches (``prop1``, ``hamiltonian`` and ``commuting-family``).  The
-    A-type pair (``trivial_k``) has one reader, ``corollary``, and is built
-    without being kept.  A direct trace multiplies only the outermost pair
-    onto the middle.
+    What the checks share is built once, on first use: the auxiliary scalar,
+    the factorized matrix (``prop1`` and ``hamiltonian``) and the auxiliary
+    blocks of the middle ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``,
+    which no ``u0`` touches (``prop1``, ``hamiltonian`` and
+    ``commuting-family``).  The A-type pair (``trivial_k``) has one reader,
+    ``corollary``, and is built without being kept.  The middle lives on
+    (auxiliary, site_1..site_n-1) only; a direct trace closes it with the
+    pair at site ``n`` (``trace_sandwich``).
     """
 
     def __init__(self, rep: HeckeRep, n: int):
@@ -195,17 +228,16 @@ class OneBoundaryChain:
             raise DimensionMismatch(f"n={n} outside 1..{rep.sites}")
         self.rep = rep
         self.n = n
-        self._built: dict[str, PolyMatrix] = {}
-
-    @cached_property
-    def ws(self) -> AuxWorkspace:
-        return AuxWorkspace(self.rep, self.n)
+        self._built: dict[str, object] = {}
+        d = rep.local_dim
+        self._flip = flip_indices(0, 1, (d, d))
+        self._twist = embed_site(rep.m_local, 0, (d, d))
 
     @cached_property
     def aux_scalar(self) -> LaurentPoly | None:
         return aux_trace_scalar(self.rep)
 
-    def _memo(self, name: str, trivial_k: bool, build) -> PolyMatrix:
+    def _memo(self, name: str, trivial_k: bool, build):
         if trivial_k:
             return build()
         if name not in self._built:
@@ -216,14 +248,22 @@ class OneBoundaryChain:
         return self._memo("factorized", trivial_k,
                           lambda: t_open_factorized(self.rep, self.n, trivial_k=trivial_k))
 
+    def _left(self, w: LaurentPoly) -> PolyMatrix:
+        """``R_0k(w)`` left of the middle on the (auxiliary, site) pair: the
+        flip times ``g - w g^-1``."""
+        return _pair_local(self.rep, w).relabel(rows=self._flip)
+
+    def _right(self, w: LaurentPoly) -> PolyMatrix:
+        """``R_0k(w)`` right of the middle: ``g - w g^-1`` times the flip."""
+        return _pair_local(self.rep, w).relabel(cols=self._flip)
+
     def middle(self, trivial_k: bool = False) -> PolyMatrix:
-        def build():
-            u = LaurentPoly.unit(1)
-            k_minus = None if trivial_k else self.ws.aux_op(k_minus_hat(self.rep, u))
-            return reduce(mul, _double_row(self.ws, None, lambda k: u, k_minus, lambda k: u,
-                                           range(1, self.n)),
-                          PolyMatrix.identity(self.ws.layout))
-        return self._memo("middle", trivial_k, build)
+        """``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)`` on (auxiliary,
+        site_1..site_n-1), grown from ``K-`` (or the identity) on the
+        auxiliary space, one site per step."""
+        u = LaurentPoly.unit(1)
+        return _grow(_boundary_seed(self.rep, trivial_k), self._left(u), self._right(u), 0,
+                     self.n - 1)
 
     def direct(self, u0: Rational | LaurentPoly, trivial_k: bool = False) -> PolyMatrix:
         """The direct trace with formal argument ``u``: ``u * u0`` left and
@@ -231,10 +271,9 @@ class OneBoundaryChain:
         the formal ``u`` itself for the diagonal point (``u^2`` and ``1``)."""
         u = LaurentPoly.unit(1)
         u0 = LaurentPoly.const(1) * u0
-        n = self.n
-        return _trace_product(_double_row(
-            self.ws, self.rep.m_local, lambda k: u * u0, self.middle(trivial_k),
-            lambda k: u * u0 ** -1, range(n, n + 1)))
+        blocks = self._memo("blocks", trivial_k, lambda: aux_blocks(self.middle(trivial_k)))
+        return trace_sandwich(self._twist * self._left(u * u0), blocks,
+                              self._right(u * u0 ** -1))
 
     def _params(self) -> dict[str, str]:
         echo = _echo(self.rep)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import (PolyMatrix, embed_pair, embed_site, independent_rows, kron,
-                                lin_solve, mat_proportional, nullspace, permutation_pair,
-                                trace_product)
+from heckeverify.tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site,
+                                independent_rows, kron, lin_solve, mat_proportional, nullspace,
+                                permutation_pair, trace_product, trace_sandwich)
 
 U = LaurentPoly.unit
 
@@ -438,3 +438,39 @@ def test_trace_product_matches_partial_trace(layout, data):
     assert got.layout == layout[1:]
     if apart:
         assert got.is_zero and got.den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]), st.data())
+def test_trace_sandwich_matches_trace_product(shape, data):
+    # x and y on the (auxiliary, site) pair, the middle on (auxiliary, rest):
+    # the contraction against the sandwich formed on the full layout
+    d, extra = shape
+    mid_layout = (d,) * (1 + extra)
+    layout = mid_layout + (d,)
+
+    def draw(dim, size):
+        keys = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+        ref = _clean(data.draw(st.dictionaries(keys, _polys, max_size=size)))
+        return {key: LaurentPoly(p) for key, p in ref.items()}
+
+    x = PolyMatrix((d, d), draw(d * d, 12))
+    y = PolyMatrix((d, d), draw(d * d, 12))
+    mid = PolyMatrix(mid_layout, draw(d ** (1 + extra), 30))
+    blocks = aux_blocks(mid)
+    assert sorted(blocks) == [(b, c) for b in range(d) for c in range(d)]
+    got = trace_sandwich(x, blocks, y)
+    last = len(layout) - 1
+    want = trace_product(embed_pair(x, 0, last, layout) * kron(mid, PolyMatrix.identity((d,))),
+                         embed_pair(y, 0, last, layout))
+    assert got == want
+    assert got.layout == layout[1:]
+
+
+def test_trace_sandwich_rejects_mismatched_parts():
+    x = PolyMatrix.identity((2, 2))
+    blocks = aux_blocks(PolyMatrix.identity((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        trace_sandwich(x, blocks, PolyMatrix.identity((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        trace_sandwich(x, aux_blocks(PolyMatrix.identity((3, 2))), x)

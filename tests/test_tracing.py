@@ -54,7 +54,7 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # products the program forms can.
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
-      "prop1", "corollary", "hamiltonian", "commuting-family"], (29369, 855, 42)),
+      "prop1", "corollary", "hamiltonian", "commuting-family"], (25931, 840, 20)),
     (["prop2", "explore-generic"], (2655, 198, 26)),
     (["condition2", "factorized", "degeneration"], (1989, 189, 18)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])

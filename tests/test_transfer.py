@@ -115,6 +115,52 @@ def test_one_boundary_hierarchy_sub_n(rep23):
     assert all(r.status == "pass" for r in reports)
 
 
+@pytest.mark.parametrize("dim,sites", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("trivial_k", [False, True])
+def test_grown_double_rows_match_full_products(dim, sites, trivial_k):
+    # the middle and the bulk sandwich, grown inside out on the sites they
+    # touch, against the products of their factors on the full layouts: the
+    # middle's on (auxiliary, site_1..site_n), identity on site n
+    rep = build_glN_rep(dim, sites, FIXED)
+    u = LaurentPoly.unit(1)
+    one = PolyMatrix.identity((dim,))
+    for n in range(1, sites + 1):
+        ws = transfer.AuxWorkspace(rep, n)
+        inner = (PolyMatrix.identity(ws.layout) if trivial_k
+                 else ws.aux_op(k_minus_hat(rep, u)))
+        full = reduce(mul, transfer._double_row(ws, one, lambda k: u, inner, lambda k: u,
+                                                range(1, n)))
+        middle = OneBoundaryChain(rep, n).middle(trivial_k)
+        assert middle.layout == (dim,) * n
+        assert kron(middle, one) == full
+        assert transfer.t_open_factorized(rep, n, trivial_k=trivial_k) == reduce(
+            mul, transfer._open_sandwich(rep, n, trivial_k))
+
+
+def _drop_block(b, c):
+    """``trace_sandwich`` with the ``(b, c)`` term of its contraction left out."""
+    trace_sandwich = transfer.trace_sandwich
+
+    def corrupted(x, blocks, y):
+        zero = PolyMatrix(blocks[b, c].layout)
+        return trace_sandwich(x, {**blocks, (b, c): zero}, y)
+    return corrupted
+
+
+@pytest.mark.parametrize("mutant", ["block-00", "block-01", "block-10", "block-11", "no-twist"])
+def test_corrupted_contraction_fails_prop1(rep23, monkeypatch, mutant):
+    # the direct-vs-factorized cross-check reaches the contraction that
+    # closes the direct trace: a lost term, or x without the twist M, fails it
+    chain = OneBoundaryChain(rep23, 3)
+    if mutant == "no-twist":
+        monkeypatch.setattr(chain, "_twist", PolyMatrix.identity((2, 2)))
+    else:
+        monkeypatch.setattr(transfer, "trace_sandwich", _drop_block(*map(int, mutant[-2:])))
+    reports = chain.murphy_edges()
+    assert [(r.check_name, r.status) for r in reports] == [("prop1/build[n=3]", "fail")]
+    assert chain.check_aux_trace().status == "pass"
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_corollary_edges(n):
     rep = build_glN_rep(2, n, FIXED)
