@@ -13,8 +13,10 @@ common denominator (its gcd with every stored integer is 1), so equal
 matrices have equal ``den`` and equal ``mats``.  The constructor brings an
 entry map to that form in one pass.  Every kernel works degree by degree on
 the integers and normalizes once per result; a constant matrix is the
-one-key case, so its products are plain integer products.  Rationals
-are formed only where an entry is read (``get``, ``entries``,
+one-key case, so its products are plain integer products.  A product may be
+given a degree window ``[lo, hi]``: the degree pairs whose sum falls outside
+it are skipped, so a truncated product forms only the terms it keeps.
+Rationals are formed only where an entry is read (``get``, ``entries``,
 ``to_dump_dict``); ``rows`` is a read-only entry-wise view built on demand.
 Stored integer matrices are never mutated, so results share them.
 
@@ -103,14 +105,19 @@ def _times_poly(mats: dict, terms: dict) -> dict:
     return out
 
 
-def _product(a: dict, b: dict, out: dict) -> dict:
+def _product(a: dict, b: dict, out: dict, lo: int | None = None,
+             hi: int | None = None) -> dict:
     """The one product kernel: ``out += a * b`` for matrix polynomials, the
-    sum over degree pairs of sparse integer products (zeros left in)."""
+    sum over degree pairs of sparse integer products (zeros left in), only
+    the pairs of degree ``lo <= d <= hi`` (a bound left out is open)."""
     for da, am in a.items():
         for db, bm in b.items():
-            m = out.get(da + db)
+            d = da + db
+            if (lo is not None and d < lo) or (hi is not None and d > hi):
+                continue
+            m = out.get(d)
             if m is None:
-                m = out[da + db] = {}
+                m = out[d] = {}
             for r, arow in am.items():
                 acc = m.get(r)
                 if acc is None:
@@ -241,17 +248,22 @@ class PolyMatrix:
         terms, d = _split(s)
         return PolyMatrix._make(self.layout, _times_poly(self.mats, terms), self.den * d)
 
-    def _matmul(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _matmul(self, other: "PolyMatrix", *, lo: int | None = None,
+                hi: int | None = None) -> "PolyMatrix":
+        """The product's terms of degree ``lo <= d <= hi`` (a bound left out
+        is open), formed from those degree pairs only."""
         if self.dim != other.dim:
             raise DimensionMismatch("matrix product needs equal dims")
-        return PolyMatrix._make(self.layout, _product(self.mats, other.mats, {}),
+        return PolyMatrix._make(self.layout, _product(self.mats, other.mats, {}, lo, hi),
                                 self.den * other.den)
 
-    def band(self, lo: int | None = None, hi: int | None = None) -> "PolyMatrix":
-        """The terms of degree ``lo <= d <= hi``; a bound left out is open."""
-        return PolyMatrix._make(self.layout, {
-            d: m for d, m in self.mats.items()
-            if (lo is None or d >= lo) and (hi is None or d <= hi)}, self.den)
+    def compose_power(self, k: int) -> "PolyMatrix":
+        """Substitute ``u -> u^k``: for ``k != 0`` the degrees are re-keyed
+        ``d -> d*k`` over the same integer matrices; for ``k = 0`` they
+        collide and are summed."""
+        if k == 0:
+            return self._weighted(dict.fromkeys(self.mats, 1), self.den)
+        return self._like({d * k: m for d, m in self.mats.items()})
 
     def relabel(self, rows=None, cols=None) -> "PolyMatrix":
         """Move entry ``(r, c)`` to ``(rows[r], cols[c])`` (a map left out is
@@ -369,11 +381,13 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix._make(a.layout + b.layout, out, a.den * b.den)
 
 
-def trace_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+def trace_product(a: PolyMatrix, b: PolyMatrix, *, lo: int | None = None,
+                  hi: int | None = None) -> PolyMatrix:
     """``tr_0(a * b)``, factor 0 traced out, without forming the product:
     row ``i*R + r`` of ``a`` meets only the columns ``i*R + c`` of ``b``
     (``R`` the dimension of the other factors): the sum over blocks ``i`` of
-    the row block ``i`` of ``a`` times the column block ``i`` of ``b``."""
+    the row block ``i`` of ``a`` times the column block ``i`` of ``b``.  Only
+    the terms of degree ``lo <= d <= hi`` are formed, as in ``_matmul``."""
     if a.dim != b.dim:
         raise DimensionMismatch("matrix product needs equal dims")
     if len(a.layout) < 2:
@@ -394,7 +408,7 @@ def trace_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                     b_cols[i].setdefault(d, {})[k] = parts[i]
     out: dict = {}
     for i in blocks:
-        _product(a_rows[i], b_cols[i], out)
+        _product(a_rows[i], b_cols[i], out, lo, hi)
     return PolyMatrix._make(a.layout[1:], out, a.den * b.den)
 
 
@@ -558,26 +572,38 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
 
 def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     """Gauss-Jordan reduction of a dense rational matrix on its first
-    ``ncols`` columns: the reduced rows and their pivot columns."""
-    a = [[x if isinstance(x, Rational) else rat(x) for x in row] for row in rows]
+    ``ncols`` columns: the reduced rows and their pivot columns.
+
+    Fraction-free: each row is cleared to integers, every elimination step
+    ``p * row - f * pivot_row`` is divided by its content, and a pivot row
+    is divided by its pivot only when returned.  Each row is then a nonzero
+    multiple of its rational Gauss-Jordan counterpart; the pivot rows are
+    equal to theirs, and a row past the rank keeps its later columns (a
+    right-hand side that makes a system inconsistent)."""
+    a = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
     m = len(a)
     pivots: list[int] = []
     for col in range(ncols):
         if len(pivots) == m:
             break
         r = len(pivots)
-        pr = next((i for i in range(r, m) if a[i][col] != 0), None)
+        pr = next((i for i in range(r, m) if a[i][col]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = rat(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
+        prow, p = a[r], a[r][col]
         for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = a[i][col]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    return a, pivots
+    return ([[rat(x, row[col]) for x in row] for row, col in zip(a, pivots)]
+            + [[rat(x) for x in row] for row in a[len(pivots):]], pivots)
 
 
 def nullspace(rows: list[list]) -> list[list]:

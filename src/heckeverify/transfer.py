@@ -15,9 +15,11 @@ Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
 inhomogeneity lattice ``u = v^p`` it telescopes: the lowest expansion
 coefficient is the Murphy element ``J_C[p - 1]`` of the two-boundary family
-for ``p = 1..N``, and its inverse at ``-p``.  Every two-boundary claim reads
-expansion edges only, from one exact truncated-product routine
-(``trace_edges``): the lattice points of ``TwoBoundaryLattice`` (the last
+for ``p = 1..N``, and its inverse at ``-p``.  Every factor is built once in
+a formal ``u`` and re-keyed at its argument (``PolyMatrix.compose_power``).
+Every two-boundary claim reads expansion edges only, from one exact
+truncated-product routine (``trace_edges``), whose products form only the
+degrees it keeps: the lattice points of ``TwoBoundaryLattice`` (the last
 product traced), and the factorized product forms and the one-boundary
 sandwich they are compared with (the last product untraced).
 ``t_two_boundary_direct`` gives a full family member.
@@ -25,7 +27,7 @@ sandwich they are compared with (the last product untraced).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
@@ -58,61 +60,6 @@ def extract_edges(t: PolyMatrix) -> ExpansionEdge:
         raise DimensionMismatch("cannot extract edges of the zero matrix")
     lo, hi = t.min_degree(), t.max_degree()
     return ExpansionEdge(lo, t.coefficient(lo), hi, t.coefficient(hi))
-
-
-# ---------------------------------------------------------------------------
-# auxiliary-space workspace
-# ---------------------------------------------------------------------------
-
-class AuxWorkspace:
-    """Embedded pair operators on the (auxiliary, site_1..site_n) layout.
-
-    The auxiliary space is factor 0.  ``r_left(k, w)`` is the flip times the
-    baxterized pair operator on factors (0, k); ``r_right(k, w)`` puts the
-    flip on the other side.  Both use the bulk generator with its first slot
-    on the auxiliary factor.  The flip is applied as a relabel of the row
-    (left) or column (right) indices, not as a product.
-    """
-
-    def __init__(self, rep: HeckeRep, n: int):
-        self.rep = rep
-        self.n = n
-        self.layout = (rep.local_dim,) * (n + 1)
-        self.gk = {}
-        self.gki = {}
-        self.flip = {}
-        for k in range(1, n + 1):
-            self.gk[k] = embed_pair(rep.g_local, 0, k, self.layout)
-            self.gki[k] = embed_pair(rep.g_inv_local, 0, k, self.layout)
-            self.flip[k] = flip_indices(0, k, self.layout)
-
-    def pair(self, k: int, w: LaurentPoly) -> PolyMatrix:
-        return self.gk[k] - self.gki[k].scale(w)
-
-    def r_left(self, k: int, w: LaurentPoly) -> PolyMatrix:
-        return self.pair(k, w).relabel(rows=self.flip[k])
-
-    def r_right(self, k: int, w: LaurentPoly) -> PolyMatrix:
-        return self.pair(k, w).relabel(cols=self.flip[k])
-
-    def aux_op(self, local: PolyMatrix) -> PolyMatrix:
-        return embed_site(local, 0, self.layout)
-
-
-def _double_row(ws: AuxWorkspace, lead: PolyMatrix, left, inner: PolyMatrix, right,
-                sites: range) -> Iterator[PolyMatrix]:
-    """The factors of the double row ``lead_0 R_0k..R_0j inner R_0j..R_0k``
-    over the sites ``j..k`` of ``sites``, before the auxiliary trace: ``lead``
-    on the auxiliary space, the left pair operators at arguments ``left(k)``,
-    ``inner`` (already on the full layout), the right pair operators at
-    ``right(k)``.  Yielded one at a time, so a product need not hold them
-    all."""
-    yield ws.aux_op(lead)
-    for k in reversed(sites):
-        yield ws.r_left(k, left(k))
-    yield inner
-    for k in sites:
-        yield ws.r_right(k, right(k))
 
 
 def _trace_product(factors: Iterable[PolyMatrix]) -> PolyMatrix:
@@ -200,10 +147,14 @@ class HamiltonianResult:
 def _pivot_entries(basis: list[PolyMatrix]) -> list[tuple[int, int]]:
     """Entries ``(r, c)`` whose rows ``[B(r, c) for B in basis]`` span the row
     space of the entrywise system ``sum_i x_i B_i = H``, chosen greedily in
-    ``(r, c)`` order; an entry outside every basis support has a zero row."""
+    ``(r, c)`` order; an entry outside every basis support has a zero row.
+    A row is read as the integer numerators of the constant terms, each
+    matrix over its own denominator: a nonzero scale per column, which
+    changes neither which rows are equal nor which are independent."""
+    consts = [b.mats.get(0, {}) for b in basis]
     first: dict[tuple, tuple[int, int]] = {}   # distinct row -> its first entry
     for r, c in sorted(set().union(*(b.support() for b in basis))):
-        first.setdefault(tuple(b.get(r, c).coeff(0) for b in basis), (r, c))
+        first.setdefault(tuple(m.get(r, {}).get(c, 0) for m in consts), (r, c))
     rows = list(first)
     return [first[rows[i]] for i in independent_rows(rows)]
 
@@ -428,80 +379,66 @@ def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,
 # two-boundary pipeline
 # ---------------------------------------------------------------------------
 
-def _two_boundary_factors(ws: AuxWorkspace, kit: BaxterKit, p: int) -> list[PolyMatrix]:
-    """The factors of ``T(u = v^p; v)`` before the auxiliary trace: the
-    calibrated dual operator (twist included) leads, and the pair at site
-    ``k`` takes ``v^(p+k)`` on the left and ``v^(p-k)`` on the right."""
-    unit = LaurentPoly.unit
-    return list(_double_row(ws, kit.aplus_at(unit(p)), lambda k: unit(p + k),
-                            ws.aux_op(k_minus_hat(ws.rep, unit(p))), lambda k: unit(p - k),
-                            range(1, ws.n + 1)))
-
-
 def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
     """The dressed family member ``T(u = v^p; v)`` as a full Laurent matrix.
 
     The calibrated dual operator (twist included) leads the trace; the left
     boundary is dressed by the full inhomogeneity lattice.
     """
-    return _trace_product(_two_boundary_factors(AuxWorkspace(rep, rep.sites), kit, p))
+    return _trace_product(TwoBoundaryLattice(rep, kit).factors(p))
 
 
-def _trace_edge(factors: list[PolyMatrix], low: bool, last) -> tuple[int, PolyMatrix]:
+def _trace_edge(factors: list[PolyMatrix], low: bool, traced: bool) -> tuple[int, PolyMatrix]:
     """Degree and coefficient of the lowest (``low``) or highest term of
-    ``last(F_1 ... F_m-1, F_m)``, ``m >= 2``, where ``last`` is
-    ``trace_product`` (the auxiliary trace) or ``mul``.
+    ``F_1 ... F_m``, ``m >= 2``, the last product traced over the auxiliary
+    space (``trace_product``) when ``traced``.
 
     Degrees are signed (negated for the highest term), so both cases look
     for a lowest term.  A term of ``F_1 ... F_j`` above degree ``W - 1`` plus
     the lowest degrees of ``F_1..F_j`` only reaches degrees ``>= L + W`` of
-    the product, ``L`` the sum of all lowest degrees.  Dropping such terms
-    after every step (and, before it, the terms of ``F_j`` that cannot stay
-    below that bound) leaves the product mod ``v^(L+W)`` exactly.  ``last``
-    is linear, so its terms below the bound are exact too.  ``W`` doubles
-    while that remainder is zero; once it covers the whole degree span
-    nothing is dropped, and zero means zero.
+    the product, ``L`` the sum of all lowest degrees.  So every product is
+    formed only in the signed degrees below that bound (its window), which
+    leaves the product mod ``v^(L+W)`` exactly; the trace is linear, so its
+    terms below the bound are exact too.  ``W`` doubles while that remainder
+    is zero; once it covers the whole degree span nothing is dropped, and
+    zero means zero.
     """
-    sign = 1 if low else -1
-
-    def lowest(m: PolyMatrix) -> int:
-        return m.min_degree() if low else -m.max_degree()
-
-    def upto(m: PolyMatrix, top: int) -> PolyMatrix:   # signed degrees <= top
-        return m.band(hi=top) if low else m.band(lo=-top)
-
-    ext = [lowest(f) for f in factors]
+    ext = [f.min_degree() if low else -f.max_degree() for f in factors]
     span = sum(f.max_degree() - f.min_degree() for f in factors)
     final = len(factors) - 1
     w = 1
     while True:
         top = ext[0] + w - 1
-        x = upto(factors[0], top)
+        x = factors[0]
         for i in range(1, len(factors)):
+            top += ext[i]
+            lo, hi = (None, top) if low else (-top, None)
+            # names looked up here, so a wrapped trace_product or _matmul is seen
+            if traced and i == final:
+                x = trace_product(x, factors[i], lo=lo, hi=hi)
+            else:
+                x = x._matmul(factors[i], lo=lo, hi=hi)
             if x.is_zero:
                 break
-            top += ext[i]
-            step = last if i == final else mul
-            x = upto(step(x, upto(factors[i], top - lowest(x))), top)
         if not x.is_zero:
-            deg = sign * lowest(x)
+            deg = x.min_degree() if low else x.max_degree()
             return deg, x.coefficient(deg)
         if w > span:
             raise DimensionMismatch("cannot extract edges of the zero matrix")
         w *= 2
 
 
-def trace_edges(factors: list[PolyMatrix], last=trace_product) -> ExpansionEdge:
+def trace_edges(factors: list[PolyMatrix], traced: bool = True) -> ExpansionEdge:
     """Expansion edges of ``tr_aux(F_1 ... F_m)`` (auxiliary space factor 0),
-    or with ``last=mul`` of the site-space product ``F_1 ... F_m``, from
+    or with ``traced=False`` of the site-space product ``F_1 ... F_m``, from
     exact truncated products; equal to ``extract_edges`` of the full
     product, which is never formed."""
     if any(f.is_zero for f in factors):
         raise DimensionMismatch("cannot extract edges of the zero matrix")
     if len(factors) == 1:   # the last product is the one with the identity
         factors = [PolyMatrix.identity(factors[0].layout), *factors]
-    low_deg, low = _trace_edge(factors, True, last)
-    high_deg, high = _trace_edge(factors, False, last)
+    low_deg, low = _trace_edge(factors, True, traced)
+    high_deg, high = _trace_edge(factors, False, traced)
     return ExpansionEdge(low_deg, low, high_deg, high)
 
 
@@ -509,17 +446,33 @@ class TwoBoundaryLattice:
     """Expansion edges of the dressed family ``T(u = v^p; v)`` of one
     representation and kit along the inhomogeneity lattice, each ``p``
     evaluated once.  Only the edges are computed (``trace_edges``); the
-    full matrix is ``t_two_boundary_direct``."""
+    full matrix is ``t_two_boundary_direct``.
+
+    The factors of ``T(u; v)`` before the auxiliary trace, on the
+    (auxiliary, site_1..site_N) layout, are built once in a formal ``u``,
+    each with the shift ``s`` of its argument ``v^(p+s)``: the calibrated
+    dual operator (twist included) leads and ``K-`` sits in the middle, both
+    at ``v^p``; the pair at site ``k`` takes ``v^(p+k)`` left of it (the flip
+    applied to its rows) and ``v^(p-k)`` right of it (to its columns).
+    """
 
     def __init__(self, rep: HeckeRep, kit: BaxterKit):
         self.rep = rep
         self.kit = kit
-        self.ws = AuxWorkspace(rep, rep.sites)
+        layout = (rep.local_dim,) * (rep.sites + 1)
+        u = LaurentPoly.unit(1)
+        pairs = [(embed_pair(_pair_local(rep, u), 0, k, layout), flip_indices(0, k, layout), k)
+                 for k in range(1, rep.sites + 1)]
+        self._formal = [(embed_site(kit.aplus_at(u), 0, layout), 0),
+                        *((pair.relabel(rows=flip), k) for pair, flip, k in reversed(pairs)),
+                        (embed_site(k_minus_hat(rep), 0, layout), 0),
+                        *((pair.relabel(cols=flip), -k) for pair, flip, k in pairs)]
         self._edges: dict[int, ExpansionEdge] = {}
         self._murphy: dict[tuple[int, bool], PolyMatrix] = {}
 
     def factors(self, p: int) -> list[PolyMatrix]:
-        return _two_boundary_factors(self.ws, self.kit, p)
+        """The factors of ``T(u = v^p; v)``: the formal ones at ``u = v^(p+s)``."""
+        return [f.compose_power(p + s) for f, s in self._formal]
 
     def edges(self, p: int) -> ExpansionEdge:
         if p not in self._edges:
@@ -536,21 +489,23 @@ class TwoBoundaryLattice:
 
 
 def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
-    """The factors of the telescoped product form ``mode`` (minus or plus)."""
+    """The factors of the telescoped product form ``mode`` (minus or plus),
+    each built in a formal ``u`` and re-keyed at its argument ``u^e``."""
     if mode not in ("minus", "plus"):
         raise ValueError(f"unknown mode {mode!r}")
     n = rep.sites
-    unit = LaurentPoly.unit
-    w = unit(n if mode == "minus" else 1)
-    kplus = embed_site(k_bar_plus_hat(rep, w), n - 1, rep.layout)
-    kminus = embed_site(k_minus_hat(rep, w), 0, rep.layout)
+    bulk = {i: r_hat(rep, i) for i in range(1, n)}
+    kplus = embed_site(k_bar_plus_hat(rep), n - 1, rep.layout)
+    kminus = embed_site(k_minus_hat(rep), 0, rep.layout)
     if mode == "minus":
-        return ([kplus] + [r_hat(rep, i, unit(n + i)) for i in range(n - 1, 0, -1)]
-                + [kminus] + [r_hat(rep, i, unit(n - i)) for i in range(1, n)])
-    # g_i^-1 - w g_i == -w (g_i - w^-1 g_i^-1)
-    return ([r_hat(rep, i, unit(-i - 2)).scale(unit(i + 2, -1)) for i in range(1, n)]
-            + [kplus] + [r_hat(rep, i, unit(n - i)) for i in range(n - 1, 0, -1)]
-            + [kminus])
+        factors = [(kplus, n), *((bulk[i], n + i) for i in range(n - 1, 0, -1)),
+                   (kminus, n), *((bulk[i], n - i) for i in range(1, n))]
+    else:
+        # g_i^-1 - w g_i == -w (g_i - w^-1 g_i^-1) at w = u^(i+2)
+        u = LaurentPoly.unit(1)
+        factors = [*((rep.braid_inv[i] - rep.braid[i].scale(u), i + 2) for i in range(1, n)),
+                   (kplus, 1), *((bulk[i], n - i) for i in range(n - 1, 0, -1)), (kminus, 1)]
+    return [f.compose_power(e) for f, e in factors]
 
 
 def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
@@ -600,7 +555,7 @@ def check_factorized(lattice: TwoBoundaryLattice) -> list[CheckReport]:
     echo = _echo(rep)
     out = []
     for mode, p in (("minus", rep.sites), ("plus", 1)):
-        fac = trace_edges(_two_boundary_sandwich(rep, mode), mul)
+        fac = trace_edges(_two_boundary_sandwich(rep, mode), traced=False)
         family = lattice.edges(p)
         low = mat_proportional(family.low_coeff, fac.low_coeff)
         high = mat_proportional(family.high_coeff, fac.high_coeff)
@@ -619,9 +574,10 @@ def check_degeneration(rep_deg: HeckeRep) -> CheckReport:
     of the minus product form is the one-boundary (B-type) edge: proportional
     to ``J_B[N - 1]`` and to the lowest coefficient of ``t_open_factorized``."""
     n = rep_deg.sites
-    edge = trace_edges(_two_boundary_sandwich(rep_deg, "minus"), mul).low_coeff
+    edge = trace_edges(_two_boundary_sandwich(rep_deg, "minus"), traced=False).low_coeff
+    one_boundary = trace_edges(_open_sandwich(rep_deg, n), traced=False).low_coeff
     ratio = mat_proportional(edge, murphy(rep_deg, "B", n - 1))
-    if mat_proportional(edge, trace_edges(_open_sandwich(rep_deg, n), mul).low_coeff) is None:
+    if mat_proportional(edge, one_boundary) is None:
         ratio = None
     return ratio_report("prop2/degeneration", ratio,
                         {"relation": "degenerate edge does not reduce"}, params=_echo(rep_deg))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site,
+from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, embed_pair, embed_site,
                                 independent_rows, kron, lin_solve, mat_proportional, nullspace,
                                 permutation_pair, trace_product, trace_sandwich)
 
@@ -288,6 +288,15 @@ def _ref_band(a, lo, hi):
                    for key, poly in a.items()})
 
 
+def _ref_compose(a, k):
+    out = {}
+    for key, poly in a.items():
+        sub = out[key] = {}
+        for d, c in poly.items():
+            sub[d * k] = sub.get(d * k, Fraction(0)) + c
+    return _clean(out)
+
+
 def _ref_derivative(a):
     return _clean({key: {0: sum(-2 * d * c for d, c in poly.items())}
                    for key, poly in a.items()})
@@ -375,7 +384,11 @@ def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift, lo, hi
     shifted = ma.scale(U(shift)).evaluate(rat(x.numerator, x.denominator))
     assert _to_ref(shifted) == _ref_evaluate(_ref_scale(a, {shift: Fraction(1)}), x)
     assert _to_ref(ma.coefficient(deg)) == _ref_coefficient(a, deg)
-    assert _to_ref(ma.band(lo, hi)) == _ref_band(a, lo, hi)
+    # a windowed product forms the product's terms of degree lo..hi only
+    assert _to_ref(ma._matmul(mb, lo=lo, hi=hi)) == _ref_band(_ref_matmul(a, b), lo, hi)
+    # u -> u^k re-keys the degrees; at k = 0 they all collide in degree 0
+    for k in range(-2, 3):
+        assert _to_ref(ma.compose_power(k)) == _ref_compose(a, k)
     assert _to_ref(ma.derivative_at_one()) == _ref_derivative(a)
     assert _to_ref(kron(ma, mb)) == _ref_kron(a, b)
     assert _to_ref(ma.transpose()) == {(c, r): poly for (r, c), poly in a.items()}
@@ -389,7 +402,7 @@ def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift, lo, hi
         degs = [d for poly in a.values() for d in poly]
         assert (ma.min_degree(), ma.max_degree()) == (min(degs), max(degs))
     # removing one degree cancels its whole key
-    rest = ma - ma.band(deg, deg)
+    rest = ma - ma.coefficient(deg).scale(U(deg))
     assert deg not in rest.mats
     assert _to_ref(rest) == _ref_add(_ref_band(a, None, deg - 1), _ref_band(a, deg + 1, None))
     assert (ma == mb) == (a == b)
@@ -438,6 +451,9 @@ def test_trace_product_matches_partial_trace(layout, data):
     assert got.layout == layout[1:]
     if apart:
         assert got.is_zero and got.den == 1
+    # the windowed trace forms the terms of degree lo..hi only
+    lo, hi = data.draw(_bounds), data.draw(_bounds)
+    assert _to_ref(trace_product(ma, mb, lo=lo, hi=hi)) == _ref_band(_to_ref(got), lo, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,3 +490,82 @@ def test_trace_sandwich_rejects_mismatched_parts():
         trace_sandwich(x, blocks, PolyMatrix.identity((2, 3)))
     with pytest.raises(DimensionMismatch):
         trace_sandwich(x, aux_blocks(PolyMatrix.identity((3, 2))), x)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against a rational Gauss-Jordan reference
+# ---------------------------------------------------------------------------
+
+def _ref_rref(rows, ncols):
+    """Gauss-Jordan on Fractions: normalize each pivot row, clear its column."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+@st.composite
+def _low_rank_systems(draw):
+    """An m x n product of random m x r and r x n matrices (rank <= r < m),
+    some entries plain ints, and a right-hand side that is ``A x`` or ``A x``
+    with one entry bumped (usually inconsistent)."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, m - 1))
+    left = [[draw(_coeffs) for _ in range(r)] for _ in range(m)]
+    right = [[draw(_coeffs) for _ in range(n)] for _ in range(r)]
+    a = [[sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0)) for j in range(n)]
+         for i in range(m)]
+    if draw(st.booleans()):
+        a = [[int(x) if x.denominator == 1 else x for x in row] for row in a]
+    x = [draw(_coeffs) for _ in range(n)]
+    rhs = [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a]
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, m - 1))] += 1
+    return a, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_low_rank_systems())
+def test_fraction_free_rref_matches_rational_reference(system):
+    a, rhs = system
+    n = len(a[0])
+    aug = [row + [b] for row, b in zip(a, rhs)]
+    for rows in (a, aug):
+        got, pivots = _rref(rows, n)
+        want, want_pivots = _ref_rref(rows, n)
+        assert pivots == want_pivots
+        rank = len(pivots)
+        assert got[:rank] == want[:rank]
+        assert all(type(x) is Fraction for row in got for x in row)
+        # a row past the rank is a nonzero multiple of the reference's, so it
+        # keeps a right-hand side that makes the system inconsistent
+        for mine, ref in zip(got[rank:], want[rank:]):
+            assert not any(mine[:n]) and not any(ref[:n])
+            assert [x != 0 for x in mine] == [x != 0 for x in ref]
+            if any(ref):
+                c = next(x / y for x, y in zip(mine, ref) if y)
+                assert mine == [c * y for y in ref]
+    ref_aug, ref_pivots = _ref_rref(aug, n)
+    consistent = not any(row[n] for row in ref_aug[len(ref_pivots):])
+    sol = lin_solve(a, rhs)
+    assert (sol is not None) == consistent
+    if consistent:
+        assert [sum((v * w for v, w in zip(row, sol)), Fraction(0)) for row in a] == rhs
+        assert sol == [next((row[n] for row, p in zip(ref_aug, ref_pivots) if p == j),
+                            Fraction(0)) for j in range(n)]
+    basis = nullspace(a)
+    assert len(basis) == n - len(_ref_rref(a, n)[1])
+    assert all(sum((v * w for v, w in zip(row, vec)), Fraction(0)) == 0
+               for vec in basis for row in a)
+    assert independent_rows(a) == _ref_rref([list(col) for col in zip(*a)], len(a))[1]

@@ -51,12 +51,13 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # (rings.coeff_mults, tensor.matmul.calls, tensor.matmul.peak_nnz) of traced
 # (2, 2) runs.  The tracer counts them through the entry-wise ``rows`` view,
 # so the storage form of a matrix cannot move them; only a change in the
-# products the program forms can.
+# products the program forms can.  A windowed product is counted on its whole
+# operands, term pairs outside the window included.
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
       "prop1", "corollary", "hamiltonian", "commuting-family"], (25931, 840, 20)),
-    (["prop2", "explore-generic"], (2655, 198, 26)),
-    (["condition2", "factorized", "degeneration"], (1989, 189, 18)),
+    (["prop2", "explore-generic"], (5751, 198, 26)),
+    (["condition2", "factorized", "degeneration"], (4965, 189, 18)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])
 def test_traced_counts_pinned(suites, counts):
     config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})
@@ -93,3 +94,26 @@ def test_one_boundary_suites_time_their_own_checks():
     assert {suite_of(i) for i, span in enumerate(spans)
             if names[span[0]] == "tensor.PolyMatrix._matmul"} == set(suites)
     assert all(metrics[f"cli.suite.{name}.s"] > 0 for name in suites)
+
+
+def test_lattice_last_products_are_traced():
+    """The edge routine looks ``trace_product`` up when it runs, so the
+    lattice's traced last products are seen by the tracer, under
+    ``transfer.trace_edges``."""
+    config = cli.config_from_dict({"local_dim": 2, "sites": 3,
+                                   "suites": ["prop2", "explore-generic"]})
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        cli.run_suite(config)
+    finally:
+        tracer.uninstall()
+    names, spans = tracer.names, tracer.spans
+
+    def parent_name(idx):
+        parent = spans[idx][3]
+        return names[spans[parent][0]] if parent >= 0 else None
+
+    parents = [parent_name(i) for i, span in enumerate(spans)
+               if names[span[0]] == "tensor.trace_product"]
+    assert "transfer.trace_edges" in parents

@@ -12,7 +12,8 @@ from heckeverify.hecke import murphy, murphy_inverse, scalar_right
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
-from heckeverify.tensor import PolyMatrix, embed_site, kron, lin_solve, mat_proportional
+from heckeverify.tensor import (PolyMatrix, embed_pair, embed_site, flip_indices, kron,
+                                lin_solve, mat_proportional)
 from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   build_t_one_boundary, check_degeneration,
                                   check_factorized, explore_generic,
@@ -115,6 +116,32 @@ def test_one_boundary_hierarchy_sub_n(rep23):
     assert all(r.status == "pass" for r in reports)
 
 
+def _pair_factor(rep, k, w, layout, left):
+    """The pair ``g - w g^-1`` at factors (0, k) of ``layout``, formed by
+    arithmetic, with the flip on its rows (``left``) or its columns."""
+    pair = (embed_pair(rep.g_local, 0, k, layout)
+            - embed_pair(rep.g_inv_local, 0, k, layout).scale(w))
+    flip = flip_indices(0, k, layout)
+    return pair.relabel(rows=flip) if left else pair.relabel(cols=flip)
+
+
+@pytest.mark.parametrize("dim,sites", [(2, 3), (3, 2)])
+def test_lattice_factors_match_arithmetic_factors(dim, sites):
+    # the factors re-keyed from their formal u equal the ones formed with
+    # v^e at every lattice point, the collisions at p = +-k included
+    rep = build_glN_rep(dim, sites, FIXED)
+    kit = build_kit(rep)
+    lattice = TwoBoundaryLattice(rep, kit)
+    layout = (dim,) * (sites + 1)
+    v = LaurentPoly.unit
+    for p in [*range(1, sites + 1), *range(-sites, 0)]:
+        want = [embed_site(kit.aplus_at(v(p)), 0, layout),
+                *(_pair_factor(rep, k, v(p + k), layout, True) for k in range(sites, 0, -1)),
+                embed_site(k_minus_hat(rep, v(p)), 0, layout),
+                *(_pair_factor(rep, k, v(p - k), layout, False) for k in range(1, sites + 1))]
+        assert lattice.factors(p) == want
+
+
 @pytest.mark.parametrize("dim,sites", [(2, 4), (3, 3)])
 @pytest.mark.parametrize("trivial_k", [False, True])
 def test_grown_double_rows_match_full_products(dim, sites, trivial_k):
@@ -125,11 +152,11 @@ def test_grown_double_rows_match_full_products(dim, sites, trivial_k):
     u = LaurentPoly.unit(1)
     one = PolyMatrix.identity((dim,))
     for n in range(1, sites + 1):
-        ws = transfer.AuxWorkspace(rep, n)
-        inner = (PolyMatrix.identity(ws.layout) if trivial_k
-                 else ws.aux_op(k_minus_hat(rep, u)))
-        full = reduce(mul, transfer._double_row(ws, one, lambda k: u, inner, lambda k: u,
-                                                range(1, n)))
+        layout = (dim,) * (n + 1)
+        inner = (PolyMatrix.identity(layout) if trivial_k
+                 else embed_site(k_minus_hat(rep, u), 0, layout))
+        full = reduce(mul, [*(_pair_factor(rep, k, u, layout, True) for k in range(n - 1, 0, -1)),
+                            inner, *(_pair_factor(rep, k, u, layout, False) for k in range(1, n))])
         middle = OneBoundaryChain(rep, n).middle(trivial_k)
         assert middle.layout == (dim,) * n
         assert kron(middle, one) == full
@@ -248,10 +275,11 @@ def test_truncated_edges_match_full_matrix(request, which):
             assert edges.high_coeff == full.high_coeff
     # the same routine with an untraced last product: the factorized forms
     for mode in ("minus", "plus"):
-        assert trace_edges(transfer._two_boundary_sandwich(rep, mode), mul) == extract_edges(
-            t_two_boundary_factorized(rep, mode))
+        assert trace_edges(transfer._two_boundary_sandwich(rep, mode), traced=False) == (
+            extract_edges(t_two_boundary_factorized(rep, mode)))
     for trivial_k in (False, True):
-        assert trace_edges(transfer._open_sandwich(rep, rep.sites, trivial_k), mul) == (
+        sandwich = transfer._open_sandwich(rep, rep.sites, trivial_k)
+        assert trace_edges(sandwich, traced=False) == (
             extract_edges(transfer.t_open_factorized(rep, rep.sites, trivial_k=trivial_k)))
 
 
