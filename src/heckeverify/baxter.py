@@ -1,6 +1,11 @@
 """Spectral-parameter dependence: baxterized R and K matrices and their
 consistency identities (Yang-Baxter, reflection, unitarity, crossing).
 
+Every baxterized bulk matrix is ``r_local``, ``g - a g^{-1}`` on two
+factors, embedded where it acts: the site pairs of ``r_hat``, the
+three-factor Yang-Baxter space, the reflection and crossing spaces, and the
+(auxiliary, site) pair of every auxiliary trace.
+
 Normalization drops every overall exponential prefactor, so all downstream
 statements are proportionality claims with a Laurent-polynomial ratio.
 Additive spectral shifts are realized multiplicatively; identities in two
@@ -21,10 +26,15 @@ from .tensor import (PolyMatrix, embed_pair, embed_site, mat_proportional,
                      nullspace, permutation_pair, trace_product)
 
 
+def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
+    """The baxterized generator ``g - a g^{-1}`` on two factors."""
+    return rep.g_local - rep.g_inv_local.scale(a)
+
+
 def r_hat(rep: HeckeRep, i: int, arg: LaurentPoly | None = None) -> PolyMatrix:
     """Baxterized bulk matrix ``g_i - u g_i^{-1}`` on the site space."""
     u = arg if arg is not None else LaurentPoly.unit(1)
-    return rep.braid[i] - rep.braid_inv[i].scale(u)
+    return embed_pair(r_local(rep, u), i - 1, i, rep.layout)
 
 
 def _pencil(coeffs, w: LaurentPoly) -> PolyMatrix:
@@ -47,11 +57,10 @@ def k_bar_plus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
                     -rep.gN_inv_local), u)
 
 
-def _aux_site_pair(rep: HeckeRep) -> tuple[PolyMatrix, PolyMatrix]:
-    """The bulk generator and its inverse on the (auxiliary, site) pair,
-    first slot on the site factor: the kernel of every auxiliary trace."""
-    layout = (rep.local_dim,) * 2
-    return embed_pair(rep.g_local, 1, 0, layout), embed_pair(rep.g_inv_local, 1, 0, layout)
+def _aux_kernel(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
+    """``r_local`` on the (auxiliary, site) pair, first slot on the site
+    factor: the kernel of every auxiliary trace."""
+    return embed_pair(r_local(rep, a), 1, 0, (rep.local_dim,) * 2)
 
 
 def _aux_trace(x: PolyMatrix, kernel: PolyMatrix) -> PolyMatrix:
@@ -78,23 +87,18 @@ def check_ybe(rep: HeckeRep, seed: int = 0) -> CheckReport:
     with one argument formal and the second specialized at three rationals.
 
     The three points prove the identity in ``r`` as well: every factor is
-    ``g - a g^{-1}`` with ``a`` one of ``u/r``, ``u``, ``r``, so the residual
+    ``r_local(a)`` with ``a`` one of ``u/r``, ``u``, ``r``, so the residual
     ``lhs - rhs`` times ``r`` has degree <= 2 in ``r`` (coefficients Laurent
     in ``u``).  A polynomial of degree <= 2 vanishing at three distinct
     points is zero.
     """
-    d = rep.local_dim
-    layout = (d, d, d)
-    g12 = embed_pair(rep.g_local, 0, 1, layout)
-    g12i = embed_pair(rep.g_inv_local, 0, 1, layout)
-    g23 = embed_pair(rep.g_local, 1, 2, layout)
-    g23i = embed_pair(rep.g_inv_local, 1, 2, layout)
+    layout = (rep.local_dim,) * 3
 
     def r12(a: LaurentPoly) -> PolyMatrix:
-        return g12 - g12i.scale(a)
+        return embed_pair(r_local(rep, a), 0, 1, layout)
 
     def r23(a: LaurentPoly) -> PolyMatrix:
-        return g23 - g23i.scale(a)
+        return embed_pair(r_local(rep, a), 1, 2, layout)
 
     u = LaurentPoly.unit(1)
     echo = _echo(rep)
@@ -119,12 +123,7 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
     Laurent in ``u``).  A polynomial of degree <= 4 vanishing at five
     distinct points is zero.
     """
-    d = rep.local_dim
-    layout = (d, d)
-
-    def rr(a: LaurentPoly) -> PolyMatrix:
-        return rep.g_local - rep.g_inv_local.scale(a)
-
+    layout = (rep.local_dim,) * 2
     if end == "left":
         def kk(a: LaurentPoly) -> PolyMatrix:
             return embed_site(k_minus_hat(rep, a), 0, layout)
@@ -141,8 +140,8 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
         udivr = LaurentPoly.unit(1, rat(1) / r)
         umulr = LaurentPoly.unit(1, r)
         rc = LaurentPoly.const(r)
-        lhs = rr(udivr) * kk(u) * rr(umulr) * kk(rc)
-        rhs = kk(rc) * rr(umulr) * kk(u) * rr(udivr)
+        lhs = r_local(rep, udivr) * kk(u) * r_local(rep, umulr) * kk(rc)
+        rhs = kk(rc) * r_local(rep, umulr) * kk(u) * r_local(rep, udivr)
         if lhs != rhs:
             return failed(f"baxter/re-{end}", params=echo,
                           failure={"specialization": rat_str(r), **entry_failure(lhs - rhs)})
@@ -156,9 +155,8 @@ def check_unitarity(rep: HeckeRep) -> list[CheckReport]:
     ident2 = PolyMatrix.identity((d, d))
     ident1 = PolyMatrix.identity((d,))
     echo = _echo(rep)
-    # (g - u g^-1)(u g - g^-1), the cleared product at inverted argument
-    prod = (rep.g_local - rep.g_inv_local.scale(u)) * \
-           (rep.g_local.scale(u) - rep.g_inv_local)
+    # R(u) * u R(1/u), the cleared product at inverted argument
+    prod = r_local(rep, u) * r_local(rep, LaurentPoly.unit(-1)).scale(u)
     out = [ratio_report("baxter/unitarity-r", mat_proportional(prod, ident2),
                         entry_failure(prod), params=echo)]
     for name, kfun in (("k", k_minus_hat), ("kbar", k_bar_plus_hat)):
@@ -190,13 +188,14 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
     m1_inv = embed_site(twist_matrix(d, rat(1) / q), 0, layout)
     u = LaurentPoly.unit(1)
     ident = PolyMatrix.identity(layout)
-    lhs = (perm * (rep.g_local - rep.g_inv_local.scale(u))).partial_transpose(0) * m1
+    lhs = (perm * r_local(rep, u)).partial_transpose(0) * m1
 
     winners = []
     for sign in (1, -1):
         for k in range(-2 * d, 2 * d + 1):
             chi = q**k * sign
-            crossed = perm * (rep.g_local.scale(u) - rep.g_inv_local.scale(chi))
+            # u R(chi / u) = u g - chi g^-1
+            crossed = perm * r_local(rep, LaurentPoly.unit(-1, chi)).scale(u)
             full = lhs * crossed.partial_transpose(1) * m1_inv
             ratio = mat_proportional(full, ident)
             if ratio is not None:
@@ -213,18 +212,17 @@ def _dual_condition(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix]:
     the dual boundary pencil ``X`` at ``end``, as ``(kernel, boundary)``.
 
     ``right``: the auxiliary operator (twist times dual right boundary) that
-    leads the two-boundary trace, with kernel ``G - u^2 Gi`` and boundary
-    ``Kbar+(u)``.  ``left``: the shifted left boundary times twist of the
-    companion condition, with kernel ``u^2 G - Gi`` and boundary ``K-(u)``.
-    ``G`` and ``Gi`` are the bulk generator and its inverse on the
-    (auxiliary, site) pair.
+    leads the two-boundary trace, with kernel ``R(u^2) = G - u^2 Gi`` and
+    boundary ``Kbar+(u)``.  ``left``: the shifted left boundary times twist
+    of the companion condition, with kernel ``u^2 R(u^-2) = u^2 G - Gi`` and
+    boundary ``K-(u)``.  ``R``, ``G`` and ``Gi`` are on the (auxiliary,
+    site) pair (``_aux_kernel``).
     """
-    gp, gpi = _aux_site_pair(rep)
     u, u2 = LaurentPoly.unit(1), LaurentPoly.unit(2)
     if end == "right":
-        return gp - gpi.scale(u2), k_bar_plus_hat(rep, u)
+        return _aux_kernel(rep, u2), k_bar_plus_hat(rep, u)
     if end == "left":
-        return gp.scale(u2) - gpi, k_minus_hat(rep, u)
+        return _aux_kernel(rep, LaurentPoly.unit(-2)).scale(u2), k_minus_hat(rep, u)
     raise ValueError("end must be 'left' or 'right'")
 
 

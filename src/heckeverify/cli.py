@@ -268,7 +268,8 @@ _SUITES = {
         ctx.rep(i), ctx.kit(i))),
     "factorized": _calibrated("factorized", lambda ctx, i: transfer.check_factorized(
         ctx.lattice(i))),
-    "degeneration": lambda ctx, i: [transfer.check_degeneration(hecke.scalar_right(ctx.rep(i)))],
+    "degeneration": lambda ctx, i: [transfer.check_degeneration(
+        hecke.scalar_right(ctx.rep(i)), ctx.chain(i))],
 }
 
 

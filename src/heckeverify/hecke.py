@@ -4,6 +4,9 @@ The bulk two-site generator is the exchange-hop matrix of one index
 convention; every build validates it against the full defining relation set
 (quadratic, braid, and both boundary braid relations) with the boundary
 generators it is paired with.
+
+The Murphy elements of a family are one tower (``murphy_tower``): the
+family's base word multiplied out once, then ``J_i = g_i J_{i-1} g_i``.
 """
 
 from __future__ import annotations
@@ -319,72 +322,74 @@ def check_tl_report(rep: HeckeRep) -> CheckReport:
 # Murphy elements
 # ---------------------------------------------------------------------------
 
-def _murphy_word(rep: HeckeRep, family: str, i: int) -> list[tuple[int, int]]:
-    """The ``i``-th Murphy element of the family as a generator word of
-    ``(index, +-1)`` letters, read left to right.
-
-    Every family follows ``J_i = g_i J_{i-1} g_i``: A starts from
-    ``J_1 = g1^2``, B from ``J_0 = g0``, C from the conjugated right-boundary
-    word ``J_0 = g1^-1 .. g_{n-1}^-1 gN g_{n-1} .. g1 g0``.
-    """
-    if family not in FAMILIES:
-        raise IndexOutOfRange(f"unknown family {family!r}")
-    n = rep.sites
-    lo = 1 if family == "A" else 0
-    if not lo <= i <= n - 1:
-        raise IndexOutOfRange(f"{family}-type index {i} outside {lo}..{n - 1}")
-    if family == "A":
-        core = [(1, 1), (1, 1)]
-    elif family == "B":
-        core = [(0, 1)]
-    else:
-        core = ([(k, -1) for k in range(1, n)] + [(n, 1)]
-                + [(k, 1) for k in range(n - 1, 0, -1)] + [(0, 1)])
-    left = [(k, 1) for k in range(i, lo, -1)]
-    return left + core + left[::-1]
-
-
 def _word_product(rep: HeckeRep, word: list[tuple[int, int]]) -> PolyMatrix:
-    """Product of a generator word, left to right, after cancelling adjacent
-    ``g_k g_k^-1`` pairs."""
-    reduced: list[tuple[int, int]] = []
-    for k, e in word:
-        if reduced and reduced[-1] == (k, -e):
-            reduced.pop()
-        else:
-            reduced.append((k, e))
-    mats = [rep.generator(k) if e == 1 else rep.generator_inv(k) for k, e in reduced]
+    """Product of a generator word of ``(index, +-1)`` letters, left to
+    right."""
+    mats = [rep.generator(k) if e == 1 else rep.generator_inv(k) for k, e in word]
     out = mats[0]
     for m in mats[1:]:
         out = out * m
     return out
 
 
-def murphy(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
-    """The ``i``-th Murphy element of the family.
+def _family_indices(rep: HeckeRep, family: str) -> range:
+    if family not in FAMILIES:
+        raise IndexOutOfRange(f"unknown family {family!r}")
+    return range(1, rep.sites) if family == "A" else range(0, rep.sites)
 
-    Families: A uses indices 1..n-1 starting from ``g1^2``; B uses 0..n-1
-    starting from ``g0``; C uses 0..n-1 starting from the conjugated
-    right-boundary word times ``g0``.
+
+def murphy_tower(rep: HeckeRep, family: str, inverse: bool = False) -> list[PolyMatrix]:
+    """The family's Murphy elements (their inverses with ``inverse``) in
+    index order, by ``J_i = g_i J_{i-1} g_i`` from the base word.
+
+    A starts from ``J_1 = g1^2``, B from ``J_0 = g0``, C from the conjugated
+    right-boundary word ``J_0 = g1^-1 .. g_{n-1}^-1 gN g_{n-1} .. g1 g0``.
+    The inverse tower starts from the reversed base word of inverse
+    generators and steps with ``g_i^-1``.
     """
-    return _word_product(rep, _murphy_word(rep, family, i))
+    idx = _family_indices(rep, family)
+    if not idx:
+        return []
+    n = rep.sites
+    if family == "A":
+        base = [(1, 1), (1, 1)]
+    elif family == "B":
+        base = [(0, 1)]
+    else:
+        base = ([(k, -1) for k in range(1, n)] + [(n, 1)]
+                + [(k, 1) for k in range(n - 1, 0, -1)] + [(0, 1)])
+    if inverse:
+        base = [(k, -e) for k, e in reversed(base)]
+    step = rep.generator_inv if inverse else rep.generator
+    tower = [_word_product(rep, base)]
+    for i in idx[1:]:
+        tower.append(step(i) * tower[-1] * step(i))
+    return tower
+
+
+def _tower_entry(rep: HeckeRep, family: str, i: int, inverse: bool) -> PolyMatrix:
+    idx = _family_indices(rep, family)
+    if i not in idx:
+        raise IndexOutOfRange(f"{family}-type index {i} outside {idx.start}..{idx.stop - 1}")
+    return murphy_tower(rep, family, inverse)[i - idx.start]
+
+
+def murphy(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
+    """The ``i``-th Murphy element of the family, read from its tower:
+    A uses indices 1..n-1, B and C 0..n-1."""
+    return _tower_entry(rep, family, i, False)
 
 
 def murphy_inverse(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
-    """Exact inverse of a Murphy element: the reversed word of inverse
-    generators."""
-    return _word_product(rep, [(k, -e) for k, e in reversed(_murphy_word(rep, family, i))])
-
-
-def _family_indices(rep: HeckeRep, family: str) -> range:
-    return range(1, rep.sites) if family == "A" else range(0, rep.sites)
+    """Exact inverse of a Murphy element, read from the inverse tower."""
+    return _tower_entry(rep, family, i, True)
 
 
 def check_murphy_commutation(rep: HeckeRep, family: str) -> CheckReport:
     """Pairwise commutation of the family's Murphy elements."""
     echo = _echo(rep)
     idx = list(_family_indices(rep, family))
-    js = {i: murphy(rep, family, i) for i in idx}
+    js = dict(zip(idx, murphy_tower(rep, family)))
     for a in idx:
         for b in idx:
             if b <= a:
@@ -403,8 +408,8 @@ def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int) -> Che
     """
     echo = _echo(rep)
     idx = list(_family_indices(rep, family))
-    js = {i: murphy(rep, family, i) for i in idx}
-    jinvs = {i: murphy_inverse(rep, family, i) for i in idx} if family == "C" else {}
+    js = dict(zip(idx, murphy_tower(rep, family)))
+    jinvs = dict(zip(idx, murphy_tower(rep, family, True))) if family == "C" else {}
     gens = list(range(1, rep.sites))
     if family in ("B", "C"):
         gens = [0] + gens

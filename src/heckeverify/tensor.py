@@ -282,15 +282,6 @@ class PolyMatrix:
         return self.dim == other.dim and self.den == other.den and self.mats == other.mats
 
     # -- structural operations ---------------------------------------------
-    def transpose(self) -> "PolyMatrix":
-        def flip(m):
-            out: dict = {}
-            for r, row in m.items():
-                for c, v in row.items():
-                    out.setdefault(c, {})[r] = v
-            return out
-        return self._like(_per_degree(self.mats, flip))
-
     def partial_transpose(self, factor: int) -> "PolyMatrix":
         """Transpose the indices of one tensor factor only."""
         if factor >= len(self.layout):

@@ -11,18 +11,22 @@ site per step (``_grow``), and every direct trace closes the middle with the
 outermost pair by one contraction of its auxiliary blocks
 (``tensor.trace_sandwich``).
 
+Every bulk ``R`` is ``baxter.r_local`` embedded where it acts.
+
 Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
 inhomogeneity lattice ``u = v^p`` it telescopes: the lowest expansion
 coefficient is the Murphy element ``J_C[p - 1]`` of the two-boundary family
-for ``p = 1..N``, and its inverse at ``-p``.  Every factor is built once in
-a formal ``u`` and re-keyed at its argument (``PolyMatrix.compose_power``).
-Every two-boundary claim reads expansion edges only, from one exact
+(read from the C tower, ``hecke.murphy_tower``) for ``p = 1..N``, and its
+inverse at ``-p``.  Every factor is built once in a formal ``u`` and
+re-keyed at its argument (``PolyMatrix.compose_power``).  Every
+two-boundary claim reads expansion edges only, from one exact
 truncated-product routine (``trace_edges``), whose products form only the
 degrees it keeps: the lattice points of ``TwoBoundaryLattice`` (the last
-product traced), and the factorized product forms and the one-boundary
-sandwich they are compared with (the last product untraced).
-``t_two_boundary_direct`` gives a full family member.
+product traced) and the factorized product forms (the last product
+untraced).  The degenerate minus form is compared with the one-boundary
+bulk sandwich of ``OneBoundaryChain.factorized``.  ``t_two_boundary_direct``
+gives a full family member.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
 
-from .baxter import (BaxterKit, _aux_site_pair, _aux_trace, k_bar_plus_hat,
-                     k_minus_hat, r_hat)
+from .baxter import (BaxterKit, _aux_kernel, _aux_trace, k_bar_plus_hat,
+                     k_minus_hat, r_hat, r_local)
 from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
                      SpanFailure)
-from .hecke import HeckeRep, _echo, murphy, murphy_inverse
+from .hecke import HeckeRep, _echo, murphy, murphy_inverse, murphy_tower
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, flip_indices,
@@ -79,17 +83,8 @@ def _trace_product(factors: Iterable[PolyMatrix]) -> PolyMatrix:
 def aux_trace_scalar(rep: HeckeRep) -> LaurentPoly | None:
     """Nonzero scalar ``f`` with ``tr_aux{(M (x) I) * (g - w g^-1)} = f(w) I``
     for the site-first embedded bulk generator, or None when there is none."""
-    gp, gpi = _aux_site_pair(rep)
-    tr = _aux_trace(rep.m_local, gp - gpi.scale(LaurentPoly.unit(1)))
+    tr = _aux_trace(rep.m_local, _aux_kernel(rep, LaurentPoly.unit(1)))
     return mat_proportional(tr, PolyMatrix.identity((rep.local_dim,)))
-
-
-def _open_sandwich(rep: HeckeRep, n: int, trivial_k: bool = False) -> list[PolyMatrix]:
-    """The factors ``R_n-1..R_1 K- R_1..R_n-1`` of the bulk sandwich, ``K-``
-    the identity with ``trivial_k``."""
-    middle = rep.identity() if trivial_k else embed_site(k_minus_hat(rep), 0, rep.layout)
-    bulk = [r_hat(rep, i) for i in range(1, n)]
-    return [*reversed(bulk), middle, *bulk]
 
 
 def _grow(seed: PolyMatrix, left: PolyMatrix, right: PolyMatrix, anchor: int | None,
@@ -107,11 +102,6 @@ def _grow(seed: PolyMatrix, left: PolyMatrix, right: PolyMatrix, anchor: int | N
     return acc
 
 
-def _pair_local(rep: HeckeRep, w: LaurentPoly) -> PolyMatrix:
-    """The baxterized pair operator ``g - w g^-1`` on two factors."""
-    return rep.g_local - rep.g_inv_local.scale(w)
-
-
 def _boundary_seed(rep: HeckeRep, trivial_k: bool) -> PolyMatrix:
     """``K-(u)`` on one factor, the identity with ``trivial_k``."""
     return PolyMatrix.identity((rep.local_dim,)) if trivial_k else k_minus_hat(rep)
@@ -119,13 +109,13 @@ def _boundary_seed(rep: HeckeRep, trivial_k: bool) -> PolyMatrix:
 
 def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> PolyMatrix:
     """Bulk sandwich ``R_n-1..R_1 K- R_1..R_n-1`` around the left boundary at
-    the diagonal point (``_open_sandwich``), grown from ``K-`` on site 1 with
+    the diagonal point, ``R_k = r_hat(k)``, grown from ``K-`` on site 1 with
     the pair at sites (k - 1, k), the identity on the sites after ``n``.
 
     Entries are polynomial of total degree exactly ``2n`` (``2n - 2`` when
     the boundary is switched off for the A-type corollary).
     """
-    pair = _pair_local(rep, LaurentPoly.unit(1))
+    pair = r_local(rep, LaurentPoly.unit(1))
     grown = _grow(_boundary_seed(rep, trivial_k), pair, pair, None, n - 1)
     if n == rep.sites:
         return grown
@@ -202,11 +192,11 @@ class OneBoundaryChain:
     def _left(self, w: LaurentPoly) -> PolyMatrix:
         """``R_0k(w)`` left of the middle on the (auxiliary, site) pair: the
         flip times ``g - w g^-1``."""
-        return _pair_local(self.rep, w).relabel(rows=self._flip)
+        return r_local(self.rep, w).relabel(rows=self._flip)
 
     def _right(self, w: LaurentPoly) -> PolyMatrix:
         """``R_0k(w)`` right of the middle: ``g - w g^-1`` times the flip."""
-        return _pair_local(self.rep, w).relabel(cols=self._flip)
+        return r_local(self.rep, w).relabel(cols=self._flip)
 
     def middle(self, trivial_k: bool = False) -> PolyMatrix:
         """``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)`` on (auxiliary,
@@ -235,7 +225,7 @@ class OneBoundaryChain:
         """The quantum-trace requirement gating the one-boundary factorization."""
         f = self.aux_scalar
         if f is None:
-            tr = _aux_trace(self.rep.m_local, _aux_site_pair(self.rep)[0])
+            tr = _aux_trace(self.rep.m_local, _aux_kernel(self.rep, LaurentPoly.unit(1)))
             return failed("transfer/aux-trace", params=self._params(), failure=entry_failure(tr))
         return passed("transfer/aux-trace", params=self._params(), ratio=str(f))
 
@@ -461,14 +451,14 @@ class TwoBoundaryLattice:
         self.kit = kit
         layout = (rep.local_dim,) * (rep.sites + 1)
         u = LaurentPoly.unit(1)
-        pairs = [(embed_pair(_pair_local(rep, u), 0, k, layout), flip_indices(0, k, layout), k)
+        pairs = [(embed_pair(r_local(rep, u), 0, k, layout), flip_indices(0, k, layout), k)
                  for k in range(1, rep.sites + 1)]
         self._formal = [(embed_site(kit.aplus_at(u), 0, layout), 0),
                         *((pair.relabel(rows=flip), k) for pair, flip, k in reversed(pairs)),
                         (embed_site(k_minus_hat(rep), 0, layout), 0),
                         *((pair.relabel(cols=flip), -k) for pair, flip, k in pairs)]
         self._edges: dict[int, ExpansionEdge] = {}
-        self._murphy: dict[tuple[int, bool], PolyMatrix] = {}
+        self._towers: dict[bool, list[PolyMatrix]] = {}
 
     def factors(self, p: int) -> list[PolyMatrix]:
         """The factors of ``T(u = v^p; v)``: the formal ones at ``u = v^(p+s)``."""
@@ -480,12 +470,12 @@ class TwoBoundaryLattice:
         return self._edges[p]
 
     def murphy(self, k: int, inverse: bool) -> PolyMatrix:
-        """The C-type Murphy element ``J_C[k]`` (or its inverse), built once
-        for all lattice points."""
-        if (k, inverse) not in self._murphy:
-            build = murphy_inverse if inverse else murphy
-            self._murphy[k, inverse] = build(self.rep, "C", k)
-        return self._murphy[k, inverse]
+        """The C-type Murphy element ``J_C[k]`` (or its inverse), read from
+        the C tower (or the inverse tower), built once for all lattice
+        points."""
+        if inverse not in self._towers:
+            self._towers[inverse] = murphy_tower(self.rep, "C", inverse)
+        return self._towers[inverse][k]
 
 
 def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
@@ -501,9 +491,10 @@ def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
         factors = [(kplus, n), *((bulk[i], n + i) for i in range(n - 1, 0, -1)),
                    (kminus, n), *((bulk[i], n - i) for i in range(1, n))]
     else:
-        # g_i^-1 - w g_i == -w (g_i - w^-1 g_i^-1) at w = u^(i+2)
-        u = LaurentPoly.unit(1)
-        factors = [*((rep.braid_inv[i] - rep.braid[i].scale(u), i + 2) for i in range(1, n)),
+        # g_i^-1 - w g_i == -w R_i(w^-1) at w = u^(i+2)
+        minus_u = LaurentPoly.unit(1, -1)
+        factors = [*((r_hat(rep, i, LaurentPoly.unit(-1)).scale(minus_u), i + 2)
+                     for i in range(1, n)),
                    (kplus, 1), *((bulk[i], n - i) for i in range(n - 1, 0, -1)), (kminus, 1)]
     return [f.compose_power(e) for f, e in factors]
 
@@ -569,15 +560,16 @@ def check_factorized(lattice: TwoBoundaryLattice) -> list[CheckReport]:
     return out
 
 
-def check_degeneration(rep_deg: HeckeRep) -> CheckReport:
+def check_degeneration(rep_deg: HeckeRep, chain: OneBoundaryChain) -> CheckReport:
     """With the right boundary collapsed to a scalar, the lowest coefficient
     of the minus product form is the one-boundary (B-type) edge: proportional
-    to ``J_B[N - 1]`` and to the lowest coefficient of ``t_open_factorized``."""
+    to ``J_B[N - 1]`` and to the lowest coefficient of the bulk sandwich
+    ``chain.factorized()`` that ``prop1`` reads, which no right boundary
+    enters.  ``chain`` spans all ``N`` sites."""
     n = rep_deg.sites
     edge = trace_edges(_two_boundary_sandwich(rep_deg, "minus"), traced=False).low_coeff
-    one_boundary = trace_edges(_open_sandwich(rep_deg, n), traced=False).low_coeff
     ratio = mat_proportional(edge, murphy(rep_deg, "B", n - 1))
-    if mat_proportional(edge, one_boundary) is None:
+    if mat_proportional(edge, extract_edges(chain.factorized()).low_coeff) is None:
         ratio = None
     return ratio_report("prop2/degeneration", ratio,
                         {"relation": "degenerate edge does not reduce"}, params=_echo(rep_deg))

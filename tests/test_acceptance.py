@@ -104,7 +104,8 @@ def test_criterion_06_degeneration():
     for dim, n in _GRID_TWO_BOUNDARY:
         for seed in SEEDS:
             rep_deg = scalar_right(build_glN_rep(dim, n, sample_params(seed)))
-            ok = ok and check_degeneration(rep_deg).status == "pass"
+            chain = OneBoundaryChain(rep_deg, n)
+            ok = ok and check_degeneration(rep_deg, chain).status == "pass"
     record(6, ok, "scalar right boundary reduces to the one-boundary edge")
 
 

@@ -48,12 +48,18 @@ def test_ybe(dim, seed):
     assert check_ybe(rep, seed=seed).status == "pass"
 
 
-def test_ybe_fault_injection(rep22):
-    rep = copy.copy(rep22)
-    entries = {(r, c): v for r, c, v in rep22.g_local.entries()}
-    bad = PolyMatrix((2, 2), {**entries, (0, 3): rat(1)})  # braid-violating entry
-    rep.g_local = bad
-    assert check_ybe(rep).status == "fail"
+def test_ybe_fault_injection():
+    # every baxterized matrix is the one r_local: a bulk generator with a
+    # braid-violating entry fails each identity that reads it
+    for dim in (2, 3):
+        rep = copy.copy(build_glN_rep(dim, 2, FIXED))
+        entries = {(r, c): v for r, c, v in rep.g_local.entries()}
+        rep.g_local = PolyMatrix((dim, dim), {**entries, (0, dim * dim - 1): rat(1)})
+        reports = [check_ybe(rep), check_re(rep, "left"), check_re(rep, "right"),
+                   *check_unitarity(rep), baxter.check_crossing_report(rep)]
+        status = {r.check_name: r.status for r in reports}
+        for name in ("ybe", "re-left", "re-right", "unitarity-r", "crossing"):
+            assert status[f"baxter/{name}"] == "fail", (dim, name)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -308,20 +308,20 @@ def test_one_boundary_reports_pinned(local_dim, sites, digest, tmp_path):
 
 def test_murphy_targets_built_once(monkeypatch):
     seen = []
-    for name in ("murphy", "murphy_inverse"):
-        build = getattr(hecke, name)
+    build = hecke.murphy_tower
 
-        def counting(rep, family, i, build=build, name=name):
-            seen.append((rep.params, name, family, i))
-            return build(rep, family, i)
+    def counting(rep, family, inverse=False):
+        seen.append((rep.params, family, inverse))
+        return build(rep, family, inverse)
 
-        monkeypatch.setattr(transfer, name, counting)
+    monkeypatch.setattr(hecke, "murphy_tower", counting)
+    monkeypatch.setattr(transfer, "murphy_tower", counting)
     cfg = config_from_dict({"sites": 3, "suites": ["prop2", "explore-generic"]})
     assert not [r for r in run_suite(cfg) if r.status == "fail"]
-    # prop2 needs J_C[0], J_C[2] and inverses per specialization; explore adds
-    # J_C[1] and its inverse at specialization 0
-    assert len(seen) == 4 * 3 + 2
+    # the C tower and its inverse, once each per specialization
+    assert len(seen) == 2 * 3
     assert len(set(seen)) == len(seen)
+    assert {(family, inverse) for _, family, inverse in seen} == {("C", False), ("C", True)}
 
 
 def test_largest_lattice_config():

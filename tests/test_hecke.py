@@ -187,23 +187,33 @@ def test_murphy_inverses(rep23):
             assert murphy(rep23, family, i) * murphy_inverse(rep23, family, i) == ident
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_murphy_follows_recursion(dim):
-    # J_i = g_i J_{i-1} g_i from J_1 = g1^2 (A), J_0 = g0 (B) and
-    # J_0 = g1^-1 g2^-1 gN g2 g1 g0 (C, three sites); inverses likewise
-    rep = build_glN_rep(dim, 3, FIXED)
-    g, gi = rep.braid, rep.braid_inv
-    j = {"A": {1: g[1] * g[1]}, "B": {0: rep.b0},
-         "C": {0: gi[1] * gi[2] * rep.bn * g[2] * g[1] * rep.b0}}
-    ji = {"A": {1: gi[1] * gi[1]}, "B": {0: rep.b0_inv},
-          "C": {0: rep.b0_inv * gi[1] * gi[2] * rep.bn_inv * g[2] * g[1]}}
-    for family in ("A", "B", "C"):
-        for i in range(min(j[family]) + 1, 3):
-            j[family][i] = g[i] * j[family][i - 1] * g[i]
-            ji[family][i] = gi[i] * ji[family][i - 1] * gi[i]
-        for i in j[family]:
-            assert murphy(rep, family, i) == j[family][i]
-            assert murphy_inverse(rep, family, i) == ji[family][i]
+def _word(rep, letters):
+    """The product of a generator word of ``(index, +-1)`` letters."""
+    mats = [rep.generator(k) if e == 1 else rep.generator_inv(k) for k, e in letters]
+    out = mats[0]
+    for m in mats[1:]:
+        out = out * m
+    return out
+
+
+@pytest.mark.parametrize("dim,sites", [(2, 4), (3, 3)], ids=["2", "3"])
+def test_murphy_follows_recursion(dim, sites):
+    # the tower against the paper's full words g_i..g_1 base g_1..g_i from
+    # J_1 = g1^2 (A), J_0 = g0 (B), J_0 = g1^-1..g_{N-1}^-1 gN g_{N-1}..g1 g0
+    # (C), and J_i^-1 as the reversed word of inverses
+    rep = build_glN_rep(dim, sites, FIXED)
+    n = sites
+    bases = {"A": [(1, 1), (1, 1)], "B": [(0, 1)],
+             "C": [*((k, -1) for k in range(1, n)), (n, 1),
+                   *((k, 1) for k in range(n - 1, 0, -1)), (0, 1)]}
+    for family, base in bases.items():
+        lo = 1 if family == "A" else 0
+        for i in range(lo, n):
+            left = [(k, 1) for k in range(i, lo, -1)]
+            word = left + base + left[::-1]
+            assert murphy(rep, family, i) == _word(rep, word)
+            assert murphy_inverse(rep, family, i) == _word(
+                rep, [(k, -e) for k, e in reversed(word)])
 
 
 def test_murphy_b_with_trivial_boundary_is_a_type(rep23):

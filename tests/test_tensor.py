@@ -115,14 +115,19 @@ def test_partial_trace_twist_example():
     assert k.partial_trace_first() == PolyMatrix.identity((2,)).scale(q + 1 / q)
 
 
+def _transposed(m):
+    """The transpose of ``m``, from its entry map."""
+    return PolyMatrix(m.layout, {(c, r): v for r, c, v in m.entries()})
+
+
 def test_partial_transpose():
     rng = random.Random(23)
     a = random_matrix(rng, 2, poly=True)
     b = random_matrix(rng, 3, poly=True)
     k = kron(a, b)
     k.layout = (2, 3)
-    assert k.partial_transpose(0) == kron(a.transpose(), b)
-    assert k.partial_transpose(1) == kron(a, b.transpose())
+    assert k.partial_transpose(0) == kron(_transposed(a), b)
+    assert k.partial_transpose(1) == kron(a, _transposed(b))
     assert k.partial_transpose(0).partial_transpose(0) == k
     diag = PolyMatrix.identity((2, 2)).scale(rat(5, 7))
     assert diag.partial_transpose(1) == diag
@@ -132,8 +137,8 @@ def test_partial_transpose_middle_factor():
     rng = random.Random(41)
     a, b, c = (random_matrix(rng, 2, poly=True) for _ in range(3))
     x = kron(kron(a, b), c)
-    assert x.partial_transpose(1) == kron(kron(a, b.transpose()), c)
-    assert x.partial_transpose(2) == kron(kron(a, b), c.transpose())
+    assert x.partial_transpose(1) == kron(kron(a, _transposed(b)), c)
+    assert x.partial_transpose(2) == kron(kron(a, b), _transposed(c))
 
 
 def test_mat_proportional_zero_against_support():
@@ -391,7 +396,6 @@ def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift, lo, hi
         assert _to_ref(ma.compose_power(k)) == _ref_compose(a, k)
     assert _to_ref(ma.derivative_at_one()) == _ref_derivative(a)
     assert _to_ref(kron(ma, mb)) == _ref_kron(a, b)
-    assert _to_ref(ma.transpose()) == {(c, r): poly for (r, c), poly in a.items()}
     for factor in (0, 1):
         assert _to_ref(ma.partial_transpose(factor)) == _ref_partial_transpose(a, factor)
     assert _to_ref(ma.relabel(rows=prow, cols=pcol)) == {

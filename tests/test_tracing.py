@@ -55,9 +55,9 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # operands, term pairs outside the window included.
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
-      "prop1", "corollary", "hamiltonian", "commuting-family"], (25931, 840, 20)),
-    (["prop2", "explore-generic"], (5751, 198, 26)),
-    (["condition2", "factorized", "degeneration"], (4965, 189, 18)),
+      "prop1", "corollary", "hamiltonian", "commuting-family"], (25898, 831, 20)),
+    (["prop2", "explore-generic"], (5733, 192, 26)),
+    (["condition2", "factorized", "degeneration"], (5013, 183, 18)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])
 def test_traced_counts_pinned(suites, counts):
     config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})
