@@ -101,12 +101,13 @@ def check_ybe(rep: HeckeRep, seed: int = 0) -> CheckReport:
         return embed_pair(r_local(rep, a), 1, 2, layout)
 
     u = LaurentPoly.unit(1)
+    r12u, r23u = r12(u), r23(u)
     echo = _echo(rep)
     for r in _sample_points(seed, 3):
         udivr = LaurentPoly.unit(1, rat(1) / r)
         rc = LaurentPoly.const(r)
-        lhs = r12(udivr) * r23(u) * r12(rc)
-        rhs = r23(rc) * r12(u) * r23(udivr)
+        lhs = r12(udivr) * r23u * r12(rc)
+        rhs = r23(rc) * r12u * r23(udivr)
         if lhs != rhs:
             return failed("baxter/ybe", params=echo,
                           failure={"specialization": rat_str(r), **entry_failure(lhs - rhs)})
@@ -133,15 +134,15 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
     else:
         raise ValueError("end must be 'left' or 'right'")
 
-    u = LaurentPoly.unit(1)
+    ku = kk(LaurentPoly.unit(1))
     echo = _echo(rep)
     echo["end"] = end
     for r in _sample_points(seed, 5):
-        udivr = LaurentPoly.unit(1, rat(1) / r)
-        umulr = LaurentPoly.unit(1, r)
-        rc = LaurentPoly.const(r)
-        lhs = r_local(rep, udivr) * kk(u) * r_local(rep, umulr) * kk(rc)
-        rhs = kk(rc) * r_local(rep, umulr) * kk(u) * r_local(rep, udivr)
+        rdiv = r_local(rep, LaurentPoly.unit(1, rat(1) / r))
+        rmul = r_local(rep, LaurentPoly.unit(1, r))
+        kr = kk(LaurentPoly.const(r))
+        lhs = rdiv * ku * rmul * kr
+        rhs = kr * rmul * ku * rdiv
         if lhs != rhs:
             return failed(f"baxter/re-{end}", params=echo,
                           failure={"specialization": rat_str(r), **entry_failure(lhs - rhs)})
@@ -263,7 +264,6 @@ class BaxterKit:
     the right dual pencil (``calibrate_dual(rep, "right")``) that leads the
     auxiliary trace."""
 
-    rep: HeckeRep
     aplus: tuple[PolyMatrix, PolyMatrix, PolyMatrix]
 
     def aplus_at(self, arg: LaurentPoly) -> PolyMatrix:
@@ -271,7 +271,7 @@ class BaxterKit:
 
 
 def build_kit(rep: HeckeRep) -> BaxterKit:
-    return BaxterKit(rep=rep, aplus=calibrate_dual(rep, "right"))
+    return BaxterKit(aplus=calibrate_dual(rep, "right"))
 
 
 def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:

@@ -15,6 +15,7 @@ from .params import parse_rational, sample_params
 from .reporting import (CheckReport, failed, info, render_matrix_dump,
                         render_report)
 from .rings import rat_str
+from .tensor import PolyMatrix
 
 DEFAULT_SEED = 101
 SPECIALIZATIONS = 3
@@ -164,14 +165,14 @@ def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 class SuiteContext:
-    """The representation, calibrated kit, two-boundary lattice and
-    one-boundary chain of each specialization, built on first use and
-    shared by the suites.  ``run_suite`` takes a fresh context per
+    """The representation, calibrated kit, Murphy towers, two-boundary
+    lattice and one-boundary chain of each specialization, built on first
+    use and shared by the suites.  ``run_suite`` takes a fresh context per
     specialization, so one specialization's objects are alive at a time."""
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self._built: dict[tuple[str, int], object] = {}
+        self._built: dict[tuple, object] = {}
 
     def spec_seed(self, idx: int) -> int:
         return self.config.seed * 1000 + idx
@@ -185,6 +186,12 @@ class SuiteContext:
         config = self.config
         return self._memo("rep", idx, lambda: hecke.build_glN_rep(
             config.local_dim, config.sites, sample_params(self.spec_seed(idx), config.overrides)))
+
+    def tower(self, idx: int, family: str, inverse: bool = False) -> list[PolyMatrix]:
+        """The family's Murphy elements (``hecke.murphy_tower``), or their
+        inverses with ``inverse``, in index order."""
+        return self._memo(("tower", family, inverse), idx,
+                          lambda: hecke.murphy_tower(self.rep(idx), family, inverse))
 
     def kit(self, idx: int) -> baxter.BaxterKit:
         return self._memo("kit", idx, lambda: baxter.build_kit(self.rep(idx)))
@@ -231,36 +238,47 @@ def _calibrated(tag: str, check):
     return run
 
 
+def _edge_elements(ctx: SuiteContext, idx: int, family: str) -> tuple[PolyMatrix, PolyMatrix]:
+    """``J[N - 1]`` of the family and its inverse: the last tower entries."""
+    return ctx.tower(idx, family)[-1], ctx.tower(idx, family, True)[-1]
+
+
 def _explore_generic(ctx: SuiteContext, idx: int) -> list[CheckReport]:
     """The lattice theorem at every ``p = +-1..+-N``, at the first
     specialization only."""
     if idx > 0:
         return []
-    lattice = ctx.lattice(idx)
+    lattice, towers = ctx.lattice(idx), (ctx.tower(idx, "C"), ctx.tower(idx, "C", True))
     return [r for n in range(1, ctx.config.sites + 1)
-            for r in transfer.explore_generic(lattice, n)]
+            for r in transfer.explore_generic(lattice, n, *towers)]
 
 
 # suite name -> callable(ctx, idx) giving its reports at specialization idx.
 # run_suite looks an entry up each time it runs that suite, so a wrapper put
-# in this table (perfbench's tracer puts one) takes effect.
+# in this table (perfbench's tracer puts one) takes effect.  The corollary's
+# chain, with the boundary off, has no other reader and is not kept.
 _SUITES = {
     "relations": lambda ctx, i: [
         hecke.check_relations(ctx.rep(i), f) for f in ctx.config.families()],
     "tl": lambda ctx, i: [hecke.check_tl_report(ctx.rep(i))],
     "murphy-commute": lambda ctx, i: [
-        hecke.check_murphy_commutation(ctx.rep(i), f) for f in _murphy_families(ctx.config)],
+        hecke.check_murphy_commutation(ctx.rep(i), f, ctx.tower(i, f))
+        for f in _murphy_families(ctx.config)],
     "central": lambda ctx, i: [
-        hecke.check_symmetric_commutant(ctx.rep(i), f, 2) for f in _murphy_families(ctx.config)],
+        hecke.check_symmetric_commutant(
+            ctx.rep(i), f, 2, ctx.tower(i, f) + (ctx.tower(i, f, True) if f == "C" else []))
+        for f in _murphy_families(ctx.config)],
     "ybe": lambda ctx, i: [baxter.check_ybe(ctx.rep(i), seed=ctx.spec_seed(i))],
     "re": lambda ctx, i: [
         baxter.check_re(ctx.rep(i), end, seed=ctx.spec_seed(i)) for end in ("left", "right")],
     "unitarity": lambda ctx, i: baxter.check_unitarity(ctx.rep(i)),
     "crossing": lambda ctx, i: [baxter.check_crossing_report(ctx.rep(i))],
-    "prop1": lambda ctx, i: [ctx.chain(i).check_aux_trace(), *ctx.chain(i).murphy_edges()],
-    "corollary": lambda ctx, i: ctx.chain(i).murphy_edges(trivial_k=True),
+    "prop1": lambda ctx, i: [ctx.chain(i).check_aux_trace(),
+                             *ctx.chain(i).murphy_edges(*_edge_elements(ctx, i, "B"))],
+    "corollary": lambda ctx, i: transfer.OneBoundaryChain(
+        ctx.rep(i), ctx.config.sites, trivial_k=True).murphy_edges(*_edge_elements(ctx, i, "A")),
     "prop2": _calibrated("prop2", lambda ctx, i: transfer.verify_murphy_two_boundary(
-        ctx.lattice(i))),
+        ctx.lattice(i), ctx.tower(i, "C"), ctx.tower(i, "C", True))),
     "hamiltonian": lambda ctx, i: ctx.chain(i).check_hamiltonian(),
     "commuting-family": lambda ctx, i: [ctx.chain(i).check_commuting_family(ctx.spec_seed(i))],
     "explore-generic": _calibrated("explore", _explore_generic),
@@ -269,7 +287,7 @@ _SUITES = {
     "factorized": _calibrated("factorized", lambda ctx, i: transfer.check_factorized(
         ctx.lattice(i))),
     "degeneration": lambda ctx, i: [transfer.check_degeneration(
-        hecke.scalar_right(ctx.rep(i)), ctx.chain(i))],
+        hecke.scalar_right(ctx.rep(i)), ctx.chain(i), ctx.tower(i, "B")[-1])],
 }
 
 

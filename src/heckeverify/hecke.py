@@ -7,11 +7,15 @@ generators it is paired with.
 
 The Murphy elements of a family are one tower (``murphy_tower``): the
 family's base word multiplied out once, then ``J_i = g_i J_{i-1} g_i``.
+The checks take the elements as arguments: each tower is built once per
+representation and shared (``cli.SuiteContext.tower``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import mul
 
 from .errors import (ConstraintViolation, IndexOutOfRange, NotInvertible,
                      RelationFailure)
@@ -385,11 +389,13 @@ def murphy_inverse(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
     return _tower_entry(rep, family, i, True)
 
 
-def check_murphy_commutation(rep: HeckeRep, family: str) -> CheckReport:
-    """Pairwise commutation of the family's Murphy elements."""
+def check_murphy_commutation(rep: HeckeRep, family: str,
+                             tower: list[PolyMatrix]) -> CheckReport:
+    """Pairwise commutation of the family's Murphy elements, ``tower`` in
+    index order (``murphy_tower``)."""
     echo = _echo(rep)
     idx = list(_family_indices(rep, family))
-    js = dict(zip(idx, murphy_tower(rep, family)))
+    js = dict(zip(idx, tower))
     for a in idx:
         for b in idx:
             if b <= a:
@@ -400,37 +406,22 @@ def check_murphy_commutation(rep: HeckeRep, family: str) -> CheckReport:
     return passed(f"murphy-commute/{family}", params=echo)
 
 
-def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int) -> CheckReport:
-    """Power sums of Murphy elements centralize the family's generators.
+def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int,
+                              elements: list[PolyMatrix]) -> CheckReport:
+    """Power sums ``sum_e e^m`` of the Murphy ``elements`` centralize the
+    family's generators.
 
-    For C the symmetric functions must include the inverses, so the checked
-    sums are ``sum_i (J_i^m + J_i^-m)``.
+    For C the symmetric functions must include the inverses, so there the
+    elements are the tower and the inverse tower, and the checked sums are
+    ``sum_i (J_i^m + J_i^-m)``.
     """
     echo = _echo(rep)
-    idx = list(_family_indices(rep, family))
-    js = dict(zip(idx, murphy_tower(rep, family)))
-    jinvs = dict(zip(idx, murphy_tower(rep, family, True))) if family == "C" else {}
-    gens = list(range(1, rep.sites))
-    if family in ("B", "C"):
-        gens = [0] + gens
-    if family == "C":
-        gens = gens + [rep.sites]
+    gens = [*_family_indices(rep, family), *([rep.sites] if family == "C" else [])]
     for m in range(1, max_power + 1):
-        total = PolyMatrix(rep.layout)
-        for i in idx:
-            total = total + _power(js[i], m)
-            if family == "C":
-                total = total + _power(jinvs[i], m)
+        total = sum((reduce(mul, [e] * m) for e in elements), PolyMatrix(rep.layout))
         for gidx in gens:
             gmat = rep.generator(gidx)
             if total * gmat != gmat * total:
                 return failed(f"central/{family}", params=echo,
                               failure={"power": m, "generator": gidx})
     return passed(f"central/{family}", params=echo)
-
-
-def _power(m: PolyMatrix, n: int) -> PolyMatrix:
-    out = m
-    for _ in range(n - 1):
-        out = out * m
-    return out

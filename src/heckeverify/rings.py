@@ -147,18 +147,6 @@ class LaurentPoly:
             return out
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.invert_unit() ** (-n)
-        out = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms

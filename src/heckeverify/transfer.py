@@ -5,11 +5,12 @@ boundary, with an inhomogeneity at the last dressed site.  At the diagonal
 evaluation point it factorizes into a bulk sandwich around the boundary
 matrix; the direct auxiliary-space trace construction is compared against
 that factorized form up to a monomial.  ``OneBoundaryChain`` builds what the
-one-boundary checks share once.  Its double row is built only on the sites
-each product touches: the middle and the bulk sandwich grow inside out, one
-site per step (``_grow``), and every direct trace closes the middle with the
-outermost pair by one contraction of its auxiliary blocks
-(``tensor.trace_sandwich``).
+one-boundary checks share once; its boundary is fixed when it is built
+(``trivial_k`` switches ``K-`` off for the A-type corollary).  Its double
+row is built only on the sites each product touches: the middle and the
+bulk sandwich grow inside out, one site per step (``_grow``), and every
+direct trace closes the middle with the outermost pair by one contraction
+of its auxiliary blocks (``tensor.trace_sandwich``).
 
 Every bulk ``R`` is ``baxter.r_local`` embedded where it acts.
 
@@ -17,16 +18,16 @@ Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
 inhomogeneity lattice ``u = v^p`` it telescopes: the lowest expansion
 coefficient is the Murphy element ``J_C[p - 1]`` of the two-boundary family
-(read from the C tower, ``hecke.murphy_tower``) for ``p = 1..N``, and its
-inverse at ``-p``.  Every factor is built once in a formal ``u`` and
-re-keyed at its argument (``PolyMatrix.compose_power``).  Every
-two-boundary claim reads expansion edges only, from one exact
+for ``p = 1..N``, and its inverse at ``-p``.  Every factor is built once in
+a formal ``u`` and re-keyed at its argument (``PolyMatrix.compose_power``).
+Every two-boundary claim reads expansion edges only, from one exact
 truncated-product routine (``trace_edges``), whose products form only the
 degrees it keeps: the lattice points of ``TwoBoundaryLattice`` (the last
 product traced) and the factorized product forms (the last product
 untraced).  The degenerate minus form is compared with the one-boundary
 bulk sandwich of ``OneBoundaryChain.factorized``.  ``t_two_boundary_direct``
-gives a full family member.
+gives a full family member.  Every check takes the Murphy elements it
+compares against from the caller's shared towers (``hecke.murphy_tower``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .baxter import (BaxterKit, _aux_kernel, _aux_trace, k_bar_plus_hat,
                      k_minus_hat, r_hat, r_local)
 from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
                      SpanFailure)
-from .hecke import HeckeRep, _echo, murphy, murphy_inverse, murphy_tower
+from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, flip_indices,
@@ -153,23 +154,24 @@ class OneBoundaryChain:
     """The open transfer matrix ``t(u; u0) = tr_0 M_0 R_0n..R_01 K-_0 R_01..R_0n``
     (Sklyanin's double row) of one representation on ``n`` sites, with the
     inhomogeneity ``u0`` at site ``n``, and the one-boundary checks on it.
+    With ``trivial_k`` the boundary ``K-`` is the identity: the A-type chain
+    of the corollary.
 
     What the checks share is built once, on first use: the auxiliary scalar,
     the factorized matrix (``prop1`` and ``hamiltonian``) and the auxiliary
     blocks of the middle ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``,
     which no ``u0`` touches (``prop1``, ``hamiltonian`` and
-    ``commuting-family``).  The A-type pair (``trivial_k``) has one reader,
-    ``corollary``, and is built without being kept.  The middle lives on
-    (auxiliary, site_1..site_n-1) only; a direct trace closes it with the
-    pair at site ``n`` (``trace_sandwich``).
+    ``commuting-family``).  The middle lives on (auxiliary, site_1..site_n-1)
+    only; a direct trace closes it with the pair at site ``n``
+    (``trace_sandwich``).
     """
 
-    def __init__(self, rep: HeckeRep, n: int):
+    def __init__(self, rep: HeckeRep, n: int, trivial_k: bool = False):
         if not 1 <= n <= rep.sites:
             raise DimensionMismatch(f"n={n} outside 1..{rep.sites}")
         self.rep = rep
         self.n = n
-        self._built: dict[str, object] = {}
+        self.trivial_k = trivial_k
         d = rep.local_dim
         self._flip = flip_indices(0, 1, (d, d))
         self._twist = embed_site(rep.m_local, 0, (d, d))
@@ -178,16 +180,9 @@ class OneBoundaryChain:
     def aux_scalar(self) -> LaurentPoly | None:
         return aux_trace_scalar(self.rep)
 
-    def _memo(self, name: str, trivial_k: bool, build):
-        if trivial_k:
-            return build()
-        if name not in self._built:
-            self._built[name] = build()
-        return self._built[name]
-
-    def factorized(self, trivial_k: bool = False) -> PolyMatrix:
-        return self._memo("factorized", trivial_k,
-                          lambda: t_open_factorized(self.rep, self.n, trivial_k=trivial_k))
+    @cached_property
+    def factorized(self) -> PolyMatrix:
+        return t_open_factorized(self.rep, self.n, trivial_k=self.trivial_k)
 
     def _left(self, w: LaurentPoly) -> PolyMatrix:
         """``R_0k(w)`` left of the middle on the (auxiliary, site) pair: the
@@ -198,23 +193,26 @@ class OneBoundaryChain:
         """``R_0k(w)`` right of the middle: ``g - w g^-1`` times the flip."""
         return r_local(self.rep, w).relabel(cols=self._flip)
 
-    def middle(self, trivial_k: bool = False) -> PolyMatrix:
+    def middle(self) -> PolyMatrix:
         """``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)`` on (auxiliary,
         site_1..site_n-1), grown from ``K-`` (or the identity) on the
         auxiliary space, one site per step."""
         u = LaurentPoly.unit(1)
-        return _grow(_boundary_seed(self.rep, trivial_k), self._left(u), self._right(u), 0,
-                     self.n - 1)
+        return _grow(_boundary_seed(self.rep, self.trivial_k), self._left(u), self._right(u),
+                     0, self.n - 1)
 
-    def direct(self, u0: Rational | LaurentPoly, trivial_k: bool = False) -> PolyMatrix:
+    @cached_property
+    def _blocks(self) -> dict[tuple[int, int], PolyMatrix]:
+        return aux_blocks(self.middle())
+
+    def direct(self, u0: Rational | LaurentPoly) -> PolyMatrix:
         """The direct trace with formal argument ``u``: ``u * u0`` left and
         ``u / u0`` right of the middle at site ``n``.  ``u0`` is a rational, or
         the formal ``u`` itself for the diagonal point (``u^2`` and ``1``)."""
         u = LaurentPoly.unit(1)
         u0 = LaurentPoly.const(1) * u0
-        blocks = self._memo("blocks", trivial_k, lambda: aux_blocks(self.middle(trivial_k)))
-        return trace_sandwich(self._twist * self._left(u * u0), blocks,
-                              self._right(u * u0 ** -1))
+        return trace_sandwich(self._twist * self._left(u * u0), self._blocks,
+                              self._right(u * u0.invert_unit()))
 
     def _params(self) -> dict[str, str]:
         echo = _echo(self.rep)
@@ -229,9 +227,9 @@ class OneBoundaryChain:
             return failed("transfer/aux-trace", params=self._params(), failure=entry_failure(tr))
         return passed("transfer/aux-trace", params=self._params(), ratio=str(f))
 
-    def build(self, trivial_k: bool = False, cross_check: bool = True) -> OneBoundaryResult:
-        """Factorized diagonal-point transfer matrix with its side condition
-        and (optionally) the direct-trace cross-check.
+    def build(self) -> OneBoundaryResult:
+        """Factorized diagonal-point transfer matrix with its side condition,
+        cross-checked against the direct trace.
 
         Raises ConditionFailure when the quantum-trace requirement fails and
         InternalMismatch when the two constructions disagree beyond a monomial.
@@ -240,33 +238,31 @@ class OneBoundaryChain:
         if f is None:
             raise ConditionFailure("auxiliary quantum trace is not scalar")
         rep, n = self.rep, self.n
-        matrix = self.factorized(trivial_k)
-        ratio = None
-        if cross_check:
-            direct = self.direct(LaurentPoly.unit(1), trivial_k)
-            if n < rep.sites:   # the factorized form is the identity on the other sites
-                direct = kron(direct, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
-            ratio = mat_proportional(direct, matrix.scale(f.compose_power(2)))
-            if ratio is None:
-                raise InternalMismatch("direct and factorized constructions disagree")
-            if not ratio.is_single_term:
-                raise InternalMismatch(f"non-monomial internal ratio {ratio}")
+        matrix = self.factorized
+        direct = self.direct(LaurentPoly.unit(1))
+        if n < rep.sites:   # the factorized form is the identity on the other sites
+            direct = kron(direct, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
+        ratio = mat_proportional(direct, matrix.scale(f.compose_power(2)))
+        if ratio is None:
+            raise InternalMismatch("direct and factorized constructions disagree")
+        if not ratio.is_single_term:
+            raise InternalMismatch(f"non-monomial internal ratio {ratio}")
         return OneBoundaryResult(matrix=matrix, internal_ratio=ratio)
 
-    def murphy_edges(self, trivial_k: bool = False) -> list[CheckReport]:
-        """Edge coefficients of the expansion against the B-type (or, with
-        the boundary off, A-type) Murphy element and its opposite."""
-        rep, n = self.rep, self.n
+    def murphy_edges(self, element: PolyMatrix, element_inv: PolyMatrix) -> list[CheckReport]:
+        """Edge coefficients of the expansion against ``element``, the Murphy
+        element ``J[n - 1]`` of the B-type (or, with the boundary off, A-type)
+        family, and its inverse ``element_inv``."""
+        n = self.n
         echo = self._params()
-        family = "A" if trivial_k else "B"
-        tag = "corollary" if trivial_k else "prop1"
+        tag = "corollary" if self.trivial_k else "prop1"
         out = []
         try:
-            result = self.build(trivial_k)
+            result = self.build()
         except (ConditionFailure, InternalMismatch) as exc:
             return [failed(f"{tag}/build[n={n}]", params=echo, failure={"relation": str(exc)})]
         edges = extract_edges(result.matrix)
-        expected_span = 2 * n if not trivial_k else 2 * (n - 1)
+        expected_span = 2 * (n - 1) if self.trivial_k else 2 * n
         span_ok = edges.low_deg == 0 and edges.high_deg == expected_span
         degs = f"[{edges.low_deg}, {edges.high_deg}]"
         if not span_ok:
@@ -276,12 +272,10 @@ class OneBoundaryChain:
             out.append(passed(f"{tag}/degree-span[n={n}]", params=echo, degrees=degs))
 
         out.append(ratio_report(
-            f"{tag}/low-edge[n={n}]",
-            mat_proportional(edges.low_coeff, murphy(rep, family, n - 1)),
+            f"{tag}/low-edge[n={n}]", mat_proportional(edges.low_coeff, element),
             {"relation": "low edge not proportional to Murphy element"}, params=echo))
         out.append(ratio_report(
-            f"{tag}/high-edge[n={n}]",
-            mat_proportional(edges.high_coeff, murphy_inverse(rep, family, n - 1)),
+            f"{tag}/high-edge[n={n}]", mat_proportional(edges.high_coeff, element_inv),
             {"relation": "high edge not proportional to inverse element"}, params=echo))
         return out
 
@@ -298,7 +292,7 @@ class OneBoundaryChain:
         rep, n = self.rep, self.n
         if n < 2:
             raise DimensionMismatch("the Hamiltonian needs at least two sites")
-        h = self.factorized().derivative_at_one()
+        h = self.factorized.derivative_at_one()
         names = ["identity", *(f"g[{i}]" for i in range(1, n)), "g[0]"]
         basis = [PolyMatrix.identity(h.layout), *(rep.braid[i] for i in range(1, n)), rep.b0]
         pivots = _pivot_entries(basis)
@@ -362,7 +356,10 @@ def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational | LaurentPoly) -> P
 
 def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,
                          cross_check: bool = True) -> OneBoundaryResult:
-    return OneBoundaryChain(rep, n).build(trivial_k, cross_check)
+    chain = OneBoundaryChain(rep, n, trivial_k)
+    if cross_check or chain.aux_scalar is None:   # build raises on the latter
+        return chain.build()
+    return OneBoundaryResult(matrix=chain.factorized, internal_ratio=None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +455,6 @@ class TwoBoundaryLattice:
                         (embed_site(k_minus_hat(rep), 0, layout), 0),
                         *((pair.relabel(cols=flip), -k) for pair, flip, k in pairs)]
         self._edges: dict[int, ExpansionEdge] = {}
-        self._towers: dict[bool, list[PolyMatrix]] = {}
 
     def factors(self, p: int) -> list[PolyMatrix]:
         """The factors of ``T(u = v^p; v)``: the formal ones at ``u = v^(p+s)``."""
@@ -468,14 +464,6 @@ class TwoBoundaryLattice:
         if p not in self._edges:
             self._edges[p] = trace_edges(self.factors(p))
         return self._edges[p]
-
-    def murphy(self, k: int, inverse: bool) -> PolyMatrix:
-        """The C-type Murphy element ``J_C[k]`` (or its inverse), read from
-        the C tower (or the inverse tower), built once for all lattice
-        points."""
-        if inverse not in self._towers:
-            self._towers[inverse] = murphy_tower(self.rep, "C", inverse)
-        return self._towers[inverse][k]
 
 
 def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
@@ -504,38 +492,44 @@ def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
     return reduce(mul, _two_boundary_sandwich(rep, mode))
 
 
-def _lattice_report(lattice: TwoBoundaryLattice, name: str, p: int, params: dict,
-                   *, named: bool = False) -> CheckReport:
+def _lattice_report(lattice: TwoBoundaryLattice, tower: list[PolyMatrix],
+                    tower_inv: list[PolyMatrix], name: str, p: int, params: dict,
+                    *, named: bool = False) -> CheckReport:
     """The lowest coefficient of ``T(u = v^p; v)`` against ``J_C[|p| - 1]``
-    (its inverse for ``p < 0``); with ``named`` a passing report's note
-    names the element."""
+    of the C ``tower`` (its inverse, from ``tower_inv``, for ``p < 0``);
+    with ``named`` a passing report's note names the element."""
     k, inverse = abs(p) - 1, p < 0
     element = f"J_C[{k}]" + ("^-1" if inverse else "")
     edges = lattice.edges(p)
     return ratio_report(
-        name, mat_proportional(edges.low_coeff, lattice.murphy(k, inverse)),
+        name, mat_proportional(edges.low_coeff, (tower_inv if inverse else tower)[k]),
         {"relation": "low edge not proportional", "low_deg": edges.low_deg,
          "element": element},
         params=params, degrees=f"[{edges.low_deg}, {edges.high_deg}]",
         note=f"low~{element}" if named else None)
 
 
-def verify_murphy_two_boundary(lattice: TwoBoundaryLattice) -> list[CheckReport]:
+def verify_murphy_two_boundary(lattice: TwoBoundaryLattice, tower: list[PolyMatrix],
+                               tower_inv: list[PolyMatrix]) -> list[CheckReport]:
     """Prop 2: the four boundary lattice points ``p = +-N, +-1`` against the
-    last and the zeroth Murphy element and their inverses."""
+    last and the zeroth Murphy element of the C ``tower`` and their inverses
+    (``tower_inv``)."""
     echo = _echo(lattice.rep)
     n = lattice.rep.sites
-    return [_lattice_report(lattice, f"prop2/{name}", p, echo)
+    return [_lattice_report(lattice, tower, tower_inv, f"prop2/{name}", p, echo)
             for name, p in (("minus", n), ("minus-opposite", -n),
                             ("plus", 1), ("plus-opposite", -1))]
 
 
-def explore_generic(lattice: TwoBoundaryLattice, n: int) -> list[CheckReport]:
+def explore_generic(lattice: TwoBoundaryLattice, n: int, tower: list[PolyMatrix],
+                    tower_inv: list[PolyMatrix]) -> list[CheckReport]:
     """The lattice theorem at ``u = v^(+-n)``: the lowest coefficient is
-    ``J_C[n - 1]`` at ``p = n`` and its inverse at ``p = -n``."""
+    ``J_C[n - 1]`` of the C ``tower`` at ``p = n`` and its inverse (from
+    ``tower_inv``) at ``p = -n``."""
     echo = _echo(lattice.rep)
     echo["n"] = str(n)
-    return [_lattice_report(lattice, f"explore/lattice[p={p}]", p, echo, named=True)
+    return [_lattice_report(lattice, tower, tower_inv, f"explore/lattice[p={p}]", p,
+                            echo, named=True)
             for p in (n, -n)]
 
 
@@ -560,16 +554,18 @@ def check_factorized(lattice: TwoBoundaryLattice) -> list[CheckReport]:
     return out
 
 
-def check_degeneration(rep_deg: HeckeRep, chain: OneBoundaryChain) -> CheckReport:
+def check_degeneration(rep_deg: HeckeRep, chain: OneBoundaryChain,
+                       element: PolyMatrix) -> CheckReport:
     """With the right boundary collapsed to a scalar, the lowest coefficient
     of the minus product form is the one-boundary (B-type) edge: proportional
-    to ``J_B[N - 1]`` and to the lowest coefficient of the bulk sandwich
-    ``chain.factorized()`` that ``prop1`` reads, which no right boundary
-    enters.  ``chain`` spans all ``N`` sites."""
-    n = rep_deg.sites
+    to ``element``, the Murphy element ``J_B[N - 1]``, and to the lowest
+    coefficient of the bulk sandwich ``chain.factorized`` that ``prop1``
+    reads, which no right boundary enters.  ``chain`` spans all ``N`` sites.
+    No B-type word contains ``gN``, so ``J_B[N - 1]`` of the representation
+    before the collapse serves ``rep_deg``."""
     edge = trace_edges(_two_boundary_sandwich(rep_deg, "minus"), traced=False).low_coeff
-    ratio = mat_proportional(edge, murphy(rep_deg, "B", n - 1))
-    if mat_proportional(edge, extract_edges(chain.factorized()).low_coeff) is None:
+    ratio = mat_proportional(edge, element)
+    if mat_proportional(edge, extract_edges(chain.factorized).low_coeff) is None:
         ratio = None
     return ratio_report("prop2/degeneration", ratio,
                         {"relation": "degenerate edge does not reduce"}, params=_echo(rep_deg))

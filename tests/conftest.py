@@ -1,6 +1,7 @@
 import pytest
 
 from heckeverify import build_glN_rep, build_kit
+from heckeverify.hecke import murphy, murphy_inverse
 from heckeverify.params import Params, sample_params
 from heckeverify.rings import rat
 
@@ -49,3 +50,10 @@ def kit32(rep32):
 
 def seeded_params(seed):
     return sample_params(seed)
+
+
+def chain_edges(chain):
+    """``chain.murphy_edges`` against ``J[n - 1]`` and its inverse of the
+    chain's family: A with the boundary off, B with it on."""
+    family, k = ("A" if chain.trivial_k else "B"), chain.n - 1
+    return chain.murphy_edges(murphy(chain.rep, family, k), murphy_inverse(chain.rep, family, k))

@@ -11,11 +11,13 @@ from heckeverify.baxter import (calibrate_crossing, check_condition2, check_re,
 from heckeverify.cli import RunConfig, run_suite
 from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient,
-                               scalar_right)
+                               murphy, murphy_tower, scalar_right)
 from heckeverify.params import sample_params
 from heckeverify.reporting import render_report
 from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice, check_degeneration,
                                   check_factorized, verify_murphy_two_boundary)
+
+from conftest import chain_edges
 
 SEEDS = (101, 202, 303)
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "default_report.json"
@@ -69,7 +71,7 @@ def test_criterion_03_one_boundary_hierarchy():
             t0 = time.time()
             chain = OneBoundaryChain(rep, n)
             ok = ok and chain.check_aux_trace().status == "pass"
-            reports = chain.murphy_edges()
+            reports = chain_edges(chain)
             ok = ok and all(r.status == "pass" for r in reports)
             worst = max(worst, time.time() - t0)
     record(3, ok and worst < 120,
@@ -80,7 +82,7 @@ def test_criterion_04_corollary():
     ok = True
     for dim, n in _GRID_ONE_BOUNDARY:
         for rep in reps_for(dim, n):
-            reports = OneBoundaryChain(rep, n).murphy_edges(trivial_k=True)
+            reports = chain_edges(OneBoundaryChain(rep, n, trivial_k=True))
             ok = ok and all(r.status == "pass" for r in reports)
     record(4, ok, "trivial-boundary hierarchy yields the A-type elements")
 
@@ -92,7 +94,8 @@ def test_criterion_05_two_boundary():
             kit = build_kit(rep)
             ok = ok and all(r.status == "pass" for r in check_condition2(rep, kit))
             lattice = TwoBoundaryLattice(rep, kit)
-            reports = verify_murphy_two_boundary(lattice)
+            reports = verify_murphy_two_boundary(
+                lattice, murphy_tower(rep, "C"), murphy_tower(rep, "C", True))
             ok = ok and len(reports) == 4
             ok = ok and all(r.status == "pass" for r in reports + check_factorized(lattice))
     record(5, ok, "two-boundary trace conditions, all four edge evaluations, "
@@ -105,7 +108,8 @@ def test_criterion_06_degeneration():
         for seed in SEEDS:
             rep_deg = scalar_right(build_glN_rep(dim, n, sample_params(seed)))
             chain = OneBoundaryChain(rep_deg, n)
-            ok = ok and check_degeneration(rep_deg, chain).status == "pass"
+            element = murphy(rep_deg, "B", n - 1)
+            ok = ok and check_degeneration(rep_deg, chain, element).status == "pass"
     record(6, ok, "scalar right boundary reduces to the one-boundary edge")
 
 
@@ -116,9 +120,12 @@ def test_criterion_07_murphy_structure():
             for family in ("A", "B", "C"):
                 if family == "A" and n < 2:
                     continue
-                ok = ok and check_murphy_commutation(rep, family).status == "pass"
-            ok = ok and check_symmetric_commutant(rep, "B", 2).status == "pass"
-            ok = ok and check_symmetric_commutant(rep, "C", 1).status == "pass"
+                tower = murphy_tower(rep, family)
+                ok = ok and check_murphy_commutation(rep, family, tower).status == "pass"
+            b_tower = murphy_tower(rep, "B")
+            c_both = murphy_tower(rep, "C") + murphy_tower(rep, "C", True)
+            ok = ok and check_symmetric_commutant(rep, "B", 2, b_tower).status == "pass"
+            ok = ok and check_symmetric_commutant(rep, "C", 1, c_both).status == "pass"
     record(7, ok, "pairwise commutation and centralizing power sums")
 
 

@@ -238,12 +238,22 @@ def test_one_boundary_pass_builds_once(monkeypatch):
             return build(rep, *args, **kwargs)
 
         monkeypatch.setattr(transfer, name, counting)
+    chains = []
+    init = transfer.OneBoundaryChain.__init__
+
+    def tracking(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        chains.append((self.rep.params, self.trivial_k))
+
+    monkeypatch.setattr(transfer.OneBoundaryChain, "__init__", tracking)
     cfg = config_from_dict({"sites": 3, "suites": ONE_BOUNDARY_SUITES})
     assert not [r for r in run_suite(cfg) if r.status == "fail"]
-    # once per (specialization, trivial_k), and once per specialization
+    # one chain per (specialization, trivial_k), and each builds its
+    # factorized matrix and its aux scalar once
+    assert len(chains) == len(set(chains)) == 3 * 2
     assert len(seen["t_open_factorized"]) == 3 * 2
     assert len(set(seen["t_open_factorized"])) == 3 * 2
-    assert len(seen["aux_trace_scalar"]) == 3
+    assert len(seen["aux_trace_scalar"]) == 3 * 2
     assert len(set(seen["aux_trace_scalar"])) == 3
 
 
@@ -259,10 +269,10 @@ def test_one_boundary_error_stays_with_its_suite(monkeypatch, suite, owner, attr
     bad_params = sample_params(cfg.seed * 1000 + 1)
     original = getattr(owner, attr)
 
-    def failing(target):   # a chain or a lattice
+    def failing(target, *args):   # a chain or a lattice, and the C towers
         if target.rep.params == bad_params:
             raise DimensionMismatch("injected")
-        return original(target)
+        return original(target, *args)
 
     monkeypatch.setattr(owner, attr, failing)
     reports = run_suite(cfg)
@@ -279,18 +289,23 @@ def test_one_boundary_error_stays_with_its_suite(monkeypatch, suite, owner, attr
 
 
 def test_one_specialization_alive_at_a_time(monkeypatch):
-    peak = {}
+    peak, specs = {}, {}
     for cls in (transfer.TwoBoundaryLattice, transfer.OneBoundaryChain):
         live = weakref.WeakSet()
 
-        def tracking(self, *args, cls=cls, init=cls.__init__, live=live):
-            init(self, *args)
+        def tracking(self, *args, cls=cls, init=cls.__init__, live=live, **kwargs):
+            init(self, *args, **kwargs)
             live.add(self)
             peak[cls.__name__] = max(peak.get(cls.__name__, 0), len(live))
+            specs[cls.__name__] = max(specs.get(cls.__name__, 0),
+                                      len({x.rep.params for x in live}))
 
         monkeypatch.setattr(cls, "__init__", tracking)
     assert not [r for r in run_suite(config_from_dict({})) if r.status == "fail"]
-    assert peak == {"TwoBoundaryLattice": 1, "OneBoundaryChain": 1}
+    # the corollary's chain lives next to the shared one, on the same
+    # specialization; every other object is alone
+    assert peak == {"TwoBoundaryLattice": 1, "OneBoundaryChain": 2}
+    assert specs == {"TwoBoundaryLattice": 1, "OneBoundaryChain": 1}
 
 
 @pytest.mark.parametrize("local_dim,sites,digest", [
@@ -315,13 +330,13 @@ def test_murphy_targets_built_once(monkeypatch):
         return build(rep, family, inverse)
 
     monkeypatch.setattr(hecke, "murphy_tower", counting)
-    monkeypatch.setattr(transfer, "murphy_tower", counting)
-    cfg = config_from_dict({"sites": 3, "suites": ["prop2", "explore-generic"]})
-    assert not [r for r in run_suite(cfg) if r.status == "fail"]
-    # the C tower and its inverse, once each per specialization
-    assert len(seen) == 2 * 3
+    assert not [r for r in run_suite(config_from_dict({})) if r.status == "fail"]
+    # every (specialization, family, direction) of the full default run,
+    # each built once: A, B and C, forward and inverse
+    assert len(seen) == 6 * 3
     assert len(set(seen)) == len(seen)
-    assert {(family, inverse) for _, family, inverse in seen} == {("C", False), ("C", True)}
+    assert {(family, inverse) for _, family, inverse in seen} == {
+        (family, inverse) for family in "ABC" for inverse in (False, True)}
 
 
 def test_largest_lattice_config():

@@ -9,7 +9,7 @@ from heckeverify.errors import (ConstraintViolation, IndexOutOfRange,
 from heckeverify.hecke import (check_murphy_commutation, check_relations,
                                check_symmetric_commutant, check_tl_quotient,
                                generator_inverse, murphy, murphy_inverse,
-                               scalar_right)
+                               murphy_tower, scalar_right)
 from heckeverify.params import Params, sample_params
 from heckeverify.reporting import render_report
 from heckeverify.rings import LaurentPoly, rat
@@ -230,21 +230,31 @@ def test_murphy_b_with_trivial_boundary_is_a_type(rep23):
 def test_murphy_commutation(dim, sites):
     rep = build_glN_rep(dim, sites, FIXED)
     for family in ("A", "B", "C"):
-        assert check_murphy_commutation(rep, family).status == "pass"
+        assert check_murphy_commutation(rep, family, murphy_tower(rep, family)).status == "pass"
 
 
 def test_murphy_commutation_detects_corruption(rep23):
     rep = copy.copy(rep23)
     rep.b0 = rep23.braid[2]  # breaks [J_0, J_1] = 0
-    report = check_murphy_commutation(rep, "B")
+    report = check_murphy_commutation(rep, "B", murphy_tower(rep, "B"))
     assert report.status == "fail"
     assert report.first_failure["pair"] == "(0,1)"
 
 
 def test_symmetric_commutant(rep23, rep22):
-    assert check_symmetric_commutant(rep23, "B", 2).status == "pass"
-    assert check_symmetric_commutant(rep23, "A", 2).status == "pass"
-    assert check_symmetric_commutant(rep22, "C", 1).status == "pass"
+    assert check_symmetric_commutant(rep23, "B", 2, murphy_tower(rep23, "B")).status == "pass"
+    assert check_symmetric_commutant(rep23, "A", 2, murphy_tower(rep23, "A")).status == "pass"
+    c_both = murphy_tower(rep22, "C") + murphy_tower(rep22, "C", True)
+    assert check_symmetric_commutant(rep22, "C", 1, c_both).status == "pass"
+
+
+@pytest.mark.parametrize("dim,sites", [(2, 3), (3, 3)])
+def test_b_tower_ignores_right_boundary(dim, sites):
+    # no B-type word contains gN, so the B tower of a representation serves
+    # the one with its right boundary collapsed to a scalar (degeneration)
+    rep = build_glN_rep(dim, sites, FIXED)
+    for inverse in (False, True):
+        assert murphy_tower(rep, "B", inverse) == murphy_tower(scalar_right(rep), "B", inverse)
 
 
 def test_single_murphy_element_is_not_central(rep23):

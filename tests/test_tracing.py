@@ -55,7 +55,7 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # operands, term pairs outside the window included.
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
-      "prop1", "corollary", "hamiltonian", "commuting-family"], (25898, 831, 20)),
+      "prop1", "corollary", "hamiltonian", "commuting-family"], (25622, 798, 20)),
     (["prop2", "explore-generic"], (5733, 192, 26)),
     (["condition2", "factorized", "degeneration"], (5013, 183, 18)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])

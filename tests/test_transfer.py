@@ -8,7 +8,7 @@ import pytest
 from heckeverify import build_glN_rep, build_kit
 from heckeverify.baxter import check_condition2, k_minus_hat
 from heckeverify.errors import DimensionMismatch
-from heckeverify.hecke import murphy, murphy_inverse, scalar_right
+from heckeverify.hecke import murphy, murphy_inverse, murphy_tower, scalar_right
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
@@ -21,7 +21,7 @@ from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   t_two_boundary_factorized, trace_edges,
                                   verify_murphy_two_boundary)
 
-from conftest import FIXED, SEEDS
+from conftest import FIXED, SEEDS, chain_edges
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def test_zero_twist_is_no_proportionality(rep22):
     chain = OneBoundaryChain(rep, 2)
     report = chain.check_aux_trace()
     assert (report.status, report.first_failure) == ("fail", {"value": "0"})
-    reports = chain.murphy_edges()
+    reports = chain_edges(chain)
     assert [(r.check_name, r.status) for r in reports] == [("prop1/build[n=2]", "fail")]
 
 
@@ -100,7 +100,7 @@ def test_one_boundary_internal_ratio_value(rep22):
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_boundary_edges(n):
     rep = build_glN_rep(2, n, FIXED)
-    reports = OneBoundaryChain(rep, n).murphy_edges()
+    reports = chain_edges(OneBoundaryChain(rep, n))
     assert all(r.status == "pass" for r in reports)
     res = build_t_one_boundary(rep, n, cross_check=False)
     assert res.matrix.min_degree() == 0
@@ -112,7 +112,7 @@ def test_one_boundary_edges(n):
 
 def test_one_boundary_hierarchy_sub_n(rep23):
     # n below the chain length acts as identity on the remaining sites
-    reports = OneBoundaryChain(rep23, 2).murphy_edges()
+    reports = chain_edges(OneBoundaryChain(rep23, 2))
     assert all(r.status == "pass" for r in reports)
 
 
@@ -166,7 +166,7 @@ def test_grown_double_rows_match_full_products(dim, sites, trivial_k):
                  else embed_site(k_minus_hat(rep, u), 0, layout))
         full = reduce(mul, [*(_pair_factor(rep, k, u, layout, True) for k in range(n - 1, 0, -1)),
                             inner, *(_pair_factor(rep, k, u, layout, False) for k in range(1, n))])
-        middle = OneBoundaryChain(rep, n).middle(trivial_k)
+        middle = OneBoundaryChain(rep, n, trivial_k).middle()
         assert middle.layout == (dim,) * n
         assert kron(middle, one) == full
         assert transfer.t_open_factorized(rep, n, trivial_k=trivial_k) == reduce(
@@ -192,7 +192,7 @@ def test_corrupted_contraction_fails_prop1(rep23, monkeypatch, mutant):
         monkeypatch.setattr(chain, "_twist", PolyMatrix.identity((2, 2)))
     else:
         monkeypatch.setattr(transfer, "trace_sandwich", _drop_block(*map(int, mutant[-2:])))
-    reports = chain.murphy_edges()
+    reports = chain_edges(chain)
     assert [(r.check_name, r.status) for r in reports] == [("prop1/build[n=3]", "fail")]
     assert chain.check_aux_trace().status == "pass"
 
@@ -200,7 +200,7 @@ def test_corrupted_contraction_fails_prop1(rep23, monkeypatch, mutant):
 @pytest.mark.parametrize("n", [2, 3])
 def test_corollary_edges(n):
     rep = build_glN_rep(2, n, FIXED)
-    reports = OneBoundaryChain(rep, n).murphy_edges(trivial_k=True)
+    reports = chain_edges(OneBoundaryChain(rep, n, trivial_k=True))
     assert all(r.status == "pass" for r in reports)
     res = build_t_one_boundary(rep, n, trivial_k=True, cross_check=False)
     edges = extract_edges(res.matrix)
@@ -211,6 +211,11 @@ def test_corollary_edges(n):
 # ---------------------------------------------------------------------------
 # two-boundary pipeline
 # ---------------------------------------------------------------------------
+
+def _c_towers(rep):
+    """The C tower and its inverse, which the lattice checks read."""
+    return murphy_tower(rep, "C"), murphy_tower(rep, "C", True)
+
 
 def test_t_minus_factorized_zero_order(rep22):
     fac = t_two_boundary_factorized(rep22, "minus")
@@ -265,7 +270,7 @@ def test_two_boundary_internal_mismatch_detected(rep22, kit22):
 def test_murphy_two_boundary_four_points(dim, sites):
     rep = build_glN_rep(dim, sites, FIXED)
     kit = build_kit(rep)
-    reports = verify_murphy_two_boundary(TwoBoundaryLattice(rep, kit))
+    reports = verify_murphy_two_boundary(TwoBoundaryLattice(rep, kit), *_c_towers(rep))
     assert len(reports) == 4
     assert all(r.status == "pass" for r in reports)
 
@@ -346,7 +351,8 @@ def test_two_boundary_direct_family_commutes(rep22, kit22):
 def test_degeneration(fixed_params):
     for sites in (2, 3):
         rep_deg = scalar_right(build_glN_rep(2, sites, fixed_params))
-        assert check_degeneration(rep_deg, OneBoundaryChain(rep_deg, sites)).status == "pass"
+        chain, element = OneBoundaryChain(rep_deg, sites), murphy(rep_deg, "B", sites - 1)
+        assert check_degeneration(rep_deg, chain, element).status == "pass"
 
 
 @pytest.mark.parametrize("generator", ["gN_local", "g0_local"])
@@ -354,7 +360,7 @@ def test_degeneration_corrupted_boundary_fails(fixed_params, generator):
     rep = copy.copy(scalar_right(build_glN_rep(2, 3, fixed_params)))
     g = getattr(rep, generator)
     setattr(rep, generator, g + PolyMatrix((2,), {(1, 0): rat(2, 5)}))
-    report = check_degeneration(rep, OneBoundaryChain(rep, 3))
+    report = check_degeneration(rep, OneBoundaryChain(rep, 3), murphy(rep, "B", 2))
     assert (report.status, report.first_failure) == (
         "fail", {"relation": "degenerate edge does not reduce"})
 
@@ -401,7 +407,7 @@ def test_hamiltonian_commutation_is_an_identity_in_u(rep23):
     h = chain.hamiltonian().matrix
     assert h * e != e * h
     direct = chain.direct
-    chain.direct = lambda u0, trivial_k=False: direct(u0, trivial_k) + e.scale(p)
+    chain.direct = lambda u0: direct(u0) + e.scale(p)
     reports = chain.check_hamiltonian()
     assert [(r.check_name, r.status) for r in reports] == [
         ("hamiltonian/span", "pass"), ("hamiltonian/commutes", "fail")]
@@ -472,14 +478,14 @@ def test_commuting_family_needs_reflection_solution(rep23):
 # ---------------------------------------------------------------------------
 
 def test_explore_boundary_case_equals_t_minus(rep23, kit23):
-    reports = explore_generic(TwoBoundaryLattice(rep23, kit23), rep23.sites)
+    reports = explore_generic(TwoBoundaryLattice(rep23, kit23), rep23.sites, *_c_towers(rep23))
     assert [(r.check_name, r.status, r.note) for r in reports] == [
         ("explore/lattice[p=3]", "pass", "low~J_C[2]"),
         ("explore/lattice[p=-3]", "pass", "low~J_C[2]^-1")]
 
 
 def test_explore_intermediate_point_finds_middle_element(rep23, kit23):
-    reports = explore_generic(TwoBoundaryLattice(rep23, kit23), 2)
+    reports = explore_generic(TwoBoundaryLattice(rep23, kit23), 2, *_c_towers(rep23))
     assert [(r.check_name, r.status, r.note) for r in reports] == [
         ("explore/lattice[p=2]", "pass", "low~J_C[1]"),
         ("explore/lattice[p=-2]", "pass", "low~J_C[1]^-1")]
@@ -494,7 +500,7 @@ def test_corrupted_dual_fails_lattice_checks(rep23, kit23, coeff):
     pencil[coeff] = pencil[coeff] + PolyMatrix((2,), {(0, 1): rat(1, 3)})
     kit.aplus = tuple(pencil)
     lattice = TwoBoundaryLattice(rep23, kit)
-    points = {r.check_name: r for n in range(1, 4) for r in explore_generic(lattice, n)}
+    points = {r.check_name: r for n in range(1, 4) for r in explore_generic(lattice, n, *_c_towers(rep23))}
     for p in (1, 2, 3, -1, -2, -3):
         report = points[f"explore/lattice[p={p}]"]
         assert report.status == ("fail" if (p > 0) == (coeff == 0) else "pass")
