@@ -22,8 +22,8 @@ from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo, twist_matrix
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, embed_pair, embed_site, mat_proportional,
-                     nullspace, permutation_pair, trace_product)
+from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, mat_proportional,
+                     nullspace, permutation_pair, trace_sandwich)
 
 
 def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
@@ -65,7 +65,7 @@ def _aux_kernel(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
 
 def _aux_trace(x: PolyMatrix, kernel: PolyMatrix) -> PolyMatrix:
     """``tr_aux{(x (x) I) * kernel}`` on the (auxiliary, site) pair."""
-    return trace_product(embed_site(x, 0, kernel.layout), kernel)
+    return trace_sandwich(PolyMatrix.identity(kernel.layout), aux_blocks(x), kernel)
 
 
 # ---------------------------------------------------------------------------

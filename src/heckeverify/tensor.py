@@ -2,8 +2,10 @@
 
 Convention: factor 0 of a layout is the leftmost tensor slot; composite
 basis index is row-major (``idx = i0*d1*...*dk + i1*d2*... + ...``).  The
-auxiliary space of a transfer-matrix construction is always factor 0, so
-its partial trace is a leading-block sum.
+auxiliary space of a transfer-matrix construction is always factor 0:
+``aux_blocks`` splits a matrix into its auxiliary blocks, its partial trace
+is the sum of the diagonal ones, and ``trace_sandwich`` is the one
+contraction that closes an auxiliary trace.
 
 Storage: a matrix is one matrix polynomial ``sum_d u^d C_d / den``: one
 positive ``int`` common denominator ``den`` and ``mats = {d: C_d}``, each
@@ -27,7 +29,9 @@ the other, and that polynomial is the ratio a report records.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, lcm
+from operator import add
 
 from .errors import DimensionMismatch
 from .rings import LaurentPoly, Rational, lp_ratio, rat
@@ -265,6 +269,10 @@ class PolyMatrix:
             return self._weighted(dict.fromkeys(self.mats, 1), self.den)
         return self._like({d * k: m for d, m in self.mats.items()})
 
+    def shift(self, k: int) -> "PolyMatrix":
+        """Multiply by ``u^k``: every degree re-keyed ``d -> d + k``."""
+        return self._like({d + k: m for d, m in self.mats.items()})
+
     def relabel(self, rows=None, cols=None) -> "PolyMatrix":
         """Move entry ``(r, c)`` to ``(rows[r], cols[c])`` (a map left out is
         the identity).  For an involutive index permutation ``s`` with matrix
@@ -301,8 +309,10 @@ class PolyMatrix:
         return self._like(_per_degree(self.mats, flip))
 
     def partial_trace_first(self) -> "PolyMatrix":
-        """Trace out factor 0; the result lives on the remaining factors."""
-        return trace_product(self, PolyMatrix.identity(self.layout))
+        """Trace out factor 0: the sum of the diagonal ``aux_blocks``, on the
+        remaining factors."""
+        blocks = aux_blocks(self)
+        return reduce(add, (blocks[b, b] for b in range(self.layout[0])))
 
     def _weighted(self, weight: dict, den: int) -> "PolyMatrix":
         """The constant matrix ``sum_d weight[d] * C_d / den``."""
@@ -372,37 +382,6 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix._make(a.layout + b.layout, out, a.den * b.den)
 
 
-def trace_product(a: PolyMatrix, b: PolyMatrix, *, lo: int | None = None,
-                  hi: int | None = None) -> PolyMatrix:
-    """``tr_0(a * b)``, factor 0 traced out, without forming the product:
-    row ``i*R + r`` of ``a`` meets only the columns ``i*R + c`` of ``b``
-    (``R`` the dimension of the other factors): the sum over blocks ``i`` of
-    the row block ``i`` of ``a`` times the column block ``i`` of ``b``.  Only
-    the terms of degree ``lo <= d <= hi`` are formed, as in ``_matmul``."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("matrix product needs equal dims")
-    if len(a.layout) < 2:
-        raise DimensionMismatch("partial trace needs at least two factors")
-    blocks, rest = range(a.layout[0]), a.dim // a.layout[0]
-    a_rows: list[dict] = [{} for _ in blocks]
-    for d, m in a.mats.items():
-        for r, row in m.items():
-            a_rows[r // rest].setdefault(d, {})[r % rest] = row
-    b_cols: list[dict] = [{} for _ in blocks]
-    for d, m in b.mats.items():
-        for k, row in m.items():
-            parts: list[dict] = [{} for _ in blocks]
-            for c, v in row.items():
-                parts[c // rest][c % rest] = v
-            for i in blocks:
-                if parts[i]:
-                    b_cols[i].setdefault(d, {})[k] = parts[i]
-    out: dict = {}
-    for i in blocks:
-        _product(a_rows[i], b_cols[i], out, lo, hi)
-    return PolyMatrix._make(a.layout[1:], out, a.den * b.den)
-
-
 def _split_aux(m: PolyMatrix) -> dict:
     """The integer matrix polynomials (over ``m.den``) of the nonzero blocks
     ``m^{bc}`` of ``m = sum_{b,c} E_bc (x) m^{bc}``, factor 0 auxiliary."""
@@ -431,7 +410,8 @@ def aux_blocks(m: PolyMatrix) -> dict[tuple[int, int], PolyMatrix]:
 
 
 def trace_sandwich(x: PolyMatrix, blocks: dict[tuple[int, int], PolyMatrix],
-                   y: PolyMatrix) -> PolyMatrix:
+                   y: PolyMatrix, *, lo: int | None = None,
+                   hi: int | None = None) -> PolyMatrix:
     """``tr_0[x (mid (x) I) y]`` without forming the sandwich: ``x`` and ``y``
     on the (auxiliary, site) pair, ``blocks`` the ``aux_blocks`` of ``mid``,
     the result on the other factors of ``mid`` followed by the site.
@@ -439,7 +419,8 @@ def trace_sandwich(x: PolyMatrix, blocks: dict[tuple[int, int], PolyMatrix],
     With ``x = sum E_ab (x) x^{ab}`` and ``y = sum E_ca (x) y^{ca}`` the trace
     is ``sum_{b,c} mid^{bc} (x) z^{bc}``, ``z^{bc} = sum_a x^{ab} y^{ca}``: a
     product of small site matrices per block, then one Kronecker product of
-    each middle block with it, summed in place."""
+    each middle block with it, summed in place.  Only the terms of degree
+    ``lo <= d <= hi`` are formed, as in ``_matmul``."""
     if x.layout != y.layout or len(x.layout) != 2:
         raise DimensionMismatch("the sandwich ends must live on one (auxiliary, site) pair")
     aux, site = x.layout
@@ -461,9 +442,12 @@ def trace_sandwich(x: PolyMatrix, blocks: dict[tuple[int, int], PolyMatrix],
                         continue
                     v *= f
                     for dm, mm in mid.mats.items():
-                        o = out.get(dm + dz)
+                        d = dm + dz
+                        if (lo is not None and d < lo) or (hi is not None and d > hi):
+                            continue
+                        o = out.get(d)
                         if o is None:
-                            o = out[dm + dz] = {}
+                            o = out[d] = {}
                         for r, mrow in mm.items():
                             orow = o.get(r * site + s)
                             if orow is None:

@@ -1,38 +1,42 @@
 """Double-row transfer matrices and the Murphy-element edge extraction.
 
+Both boundary conditions build Sklyanin's double row
+``tr_0 A R_0N..R_01 K- R_01..R_0N`` one way, only on the sites each product
+touches: the middle grows inside out from ``K-`` on the auxiliary space, one
+site per step (``_grow``), and one contraction of its auxiliary blocks with
+the outermost pair closes the trace (``tensor.trace_sandwich``).  Every
+bulk ``R`` is ``baxter.r_local`` embedded where it acts; on the (auxiliary,
+site) pair it is ``_r_aux``.
+
 One-boundary mode: the open transfer matrix with a single nontrivial left
 boundary, with an inhomogeneity at the last dressed site.  At the diagonal
 evaluation point it factorizes into a bulk sandwich around the boundary
-matrix; the direct auxiliary-space trace construction is compared against
-that factorized form up to a monomial.  ``OneBoundaryChain`` builds what the
-one-boundary checks share once; its boundary is fixed when it is built
-(``trivial_k`` switches ``K-`` off for the A-type corollary).  Its double
-row is built only on the sites each product touches: the middle and the
-bulk sandwich grow inside out, one site per step (``_grow``), and every
-direct trace closes the middle with the outermost pair by one contraction
-of its auxiliary blocks (``tensor.trace_sandwich``).
-
-Every bulk ``R`` is ``baxter.r_local`` embedded where it acts.
+matrix (grown the same way on the sites); the direct auxiliary-space trace
+is compared against that factorized form up to a monomial.
+``OneBoundaryChain`` builds what the one-boundary checks share once; its
+boundary is fixed when it is built (``trivial_k`` switches ``K-`` off for
+the A-type corollary).
 
 Two-boundary mode: a single dressed double-row family ``T(u; v)`` with the
 calibrated dual boundary operator under the trace.  Evaluated along the
 inhomogeneity lattice ``u = v^p`` it telescopes: the lowest expansion
 coefficient is the Murphy element ``J_C[p - 1]`` of the two-boundary family
 for ``p = 1..N``, and its inverse at ``-p``.  Every factor is built once in
-a formal ``u`` and re-keyed at its argument (``PolyMatrix.compose_power``).
+a formal ``u``, embedded where it acts, and re-keyed at its argument
+(``PolyMatrix.compose_power``); the pair at site ``k`` sits at ``v^(p+-k)``.
 Every two-boundary claim reads expansion edges only, from one exact
-truncated-product routine (``trace_edges``), whose products form only the
-degrees it keeps: the lattice points of ``TwoBoundaryLattice`` (the last
-product traced) and the factorized product forms (the last product
-untraced).  The degenerate minus form is compared with the one-boundary
-bulk sandwich of ``OneBoundaryChain.factorized``.  ``t_two_boundary_direct``
-gives a full family member.  Every check takes the Murphy elements it
-compares against from the caller's shared towers (``hecke.murphy_tower``).
+truncated-product routine (``trace_edges``) whose products form only the
+degrees it keeps: the lattice members of ``TwoBoundaryLattice`` (the
+growth, ``_member``) and the factorized product forms (site-space chains).
+The full member, ``t_two_boundary_direct``, is the same growth with no
+window.  The degenerate minus form is compared with the one-boundary bulk
+sandwich of ``OneBoundaryChain.factorized``.  Every check takes the Murphy
+elements it compares against from the caller's shared towers
+(``hecke.murphy_tower``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
@@ -45,8 +49,7 @@ from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, flip_indices,
-                     independent_rows, kron, lin_solve, mat_proportional, trace_product,
-                     trace_sandwich)
+                     independent_rows, kron, lin_solve, mat_proportional, trace_sandwich)
 
 
 @dataclass
@@ -67,16 +70,6 @@ def extract_edges(t: PolyMatrix) -> ExpansionEdge:
     return ExpansionEdge(lo, t.coefficient(lo), hi, t.coefficient(hi))
 
 
-def _trace_product(factors: Iterable[PolyMatrix]) -> PolyMatrix:
-    """``tr_aux(F_1 ... F_m)``, auxiliary space factor 0, for ``m >= 2``; the
-    last product is traced as it is formed (``trace_product``)."""
-    factors = iter(factors)
-    acc, last = next(factors), next(factors)
-    for f in factors:
-        acc, last = acc * last, f
-    return trace_product(acc, last)
-
-
 # ---------------------------------------------------------------------------
 # one-boundary pipeline
 # ---------------------------------------------------------------------------
@@ -88,19 +81,33 @@ def aux_trace_scalar(rep: HeckeRep) -> LaurentPoly | None:
     return mat_proportional(tr, PolyMatrix.identity((rep.local_dim,)))
 
 
-def _grow(seed: PolyMatrix, left: PolyMatrix, right: PolyMatrix, anchor: int | None,
-          steps: int) -> PolyMatrix:
-    """``steps`` times ``X -> L (X (x) I) R``, inside out: each step appends one
-    factor ``k`` to the layout, and the two-factor operators ``L`` and ``R``
-    act on the factors (``anchor``, ``k``), or (``k - 1``, ``k``) when
-    ``anchor`` is None.  Every product runs on the factors built so far."""
-    acc, one = seed, PolyMatrix.identity(left.layout[1:])
-    for _ in range(steps):
-        acc = kron(acc, one)
-        k = len(acc.layout) - 1
-        j = k - 1 if anchor is None else anchor
-        acc = embed_pair(left, j, k, acc.layout) * acc * embed_pair(right, j, k, acc.layout)
+def _grow(seed: PolyMatrix, pairs, *, lo: int | None = None,
+          hi: int | None = None) -> PolyMatrix:
+    """``X -> L (X (x) I) R`` for each pair ``(L, R)`` in turn, inside out:
+    each step appends one factor to the layout, and its ``L`` and ``R`` are
+    already embedded on the factors built so far (``_at``).  Every product
+    keeps only the degrees ``lo..hi`` (a bound left out is open)."""
+    acc = seed
+    for left, right in pairs:
+        acc = kron(acc, PolyMatrix.identity(left.layout[-1:]))
+        acc = left._matmul(acc, lo=lo, hi=hi)._matmul(right, lo=lo, hi=hi)
     return acc
+
+
+def _at(op: PolyMatrix, i: int, k: int) -> PolyMatrix:
+    """The two-factor ``op`` on the factors (``i``, ``k``) of the layout that
+    growth step ``k`` acts on: ``k + 1`` factors of ``op``'s local dimension."""
+    return embed_pair(op, i, k, op.layout[:1] * (k + 1))
+
+
+def _r_aux(rep: HeckeRep, w: LaurentPoly, left: bool) -> PolyMatrix:
+    """``R_0k(w)`` on the (auxiliary, site) pair: the flip times
+    ``g - w g^-1`` left of the middle (``left``), ``g - w g^-1`` times the
+    flip right of it."""
+    d = rep.local_dim
+    flip = flip_indices(0, 1, (d, d))
+    pair = r_local(rep, w)
+    return pair.relabel(rows=flip) if left else pair.relabel(cols=flip)
 
 
 def _boundary_seed(rep: HeckeRep, trivial_k: bool) -> PolyMatrix:
@@ -117,7 +124,8 @@ def t_open_factorized(rep: HeckeRep, n: int, *, trivial_k: bool = False) -> Poly
     the boundary is switched off for the A-type corollary).
     """
     pair = r_local(rep, LaurentPoly.unit(1))
-    grown = _grow(_boundary_seed(rep, trivial_k), pair, pair, None, n - 1)
+    grown = _grow(_boundary_seed(rep, trivial_k),
+                  [(_at(pair, k - 1, k),) * 2 for k in range(1, n)])
     if n == rep.sites:
         return grown
     return kron(grown, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
@@ -172,9 +180,7 @@ class OneBoundaryChain:
         self.rep = rep
         self.n = n
         self.trivial_k = trivial_k
-        d = rep.local_dim
-        self._flip = flip_indices(0, 1, (d, d))
-        self._twist = embed_site(rep.m_local, 0, (d, d))
+        self._twist = embed_site(rep.m_local, 0, (rep.local_dim,) * 2)
 
     @cached_property
     def aux_scalar(self) -> LaurentPoly | None:
@@ -184,22 +190,14 @@ class OneBoundaryChain:
     def factorized(self) -> PolyMatrix:
         return t_open_factorized(self.rep, self.n, trivial_k=self.trivial_k)
 
-    def _left(self, w: LaurentPoly) -> PolyMatrix:
-        """``R_0k(w)`` left of the middle on the (auxiliary, site) pair: the
-        flip times ``g - w g^-1``."""
-        return r_local(self.rep, w).relabel(rows=self._flip)
-
-    def _right(self, w: LaurentPoly) -> PolyMatrix:
-        """``R_0k(w)`` right of the middle: ``g - w g^-1`` times the flip."""
-        return r_local(self.rep, w).relabel(cols=self._flip)
-
     def middle(self) -> PolyMatrix:
         """``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)`` on (auxiliary,
         site_1..site_n-1), grown from ``K-`` (or the identity) on the
         auxiliary space, one site per step."""
         u = LaurentPoly.unit(1)
-        return _grow(_boundary_seed(self.rep, self.trivial_k), self._left(u), self._right(u),
-                     0, self.n - 1)
+        left, right = _r_aux(self.rep, u, True), _r_aux(self.rep, u, False)
+        return _grow(_boundary_seed(self.rep, self.trivial_k),
+                     [(_at(left, 0, k), _at(right, 0, k)) for k in range(1, self.n)])
 
     @cached_property
     def _blocks(self) -> dict[tuple[int, int], PolyMatrix]:
@@ -211,8 +209,8 @@ class OneBoundaryChain:
         the formal ``u`` itself for the diagonal point (``u^2`` and ``1``)."""
         u = LaurentPoly.unit(1)
         u0 = LaurentPoly.const(1) * u0
-        return trace_sandwich(self._twist * self._left(u * u0), self._blocks,
-                              self._right(u * u0.invert_unit()))
+        return trace_sandwich(self._twist * _r_aux(self.rep, u * u0, True), self._blocks,
+                              _r_aux(self.rep, u * u0.invert_unit(), False))
 
     def _params(self) -> dict[str, str]:
         echo = _echo(self.rep)
@@ -367,102 +365,104 @@ def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,
 # ---------------------------------------------------------------------------
 
 def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
-    """The dressed family member ``T(u = v^p; v)`` as a full Laurent matrix.
+    """The dressed family member ``T(u = v^p; v)`` as a full Laurent matrix:
+    the lattice's growth (``_member``) with no window.
 
     The calibrated dual operator (twist included) leads the trace; the left
     boundary is dressed by the full inhomogeneity lattice.
     """
-    return _trace_product(TwoBoundaryLattice(rep, kit).factors(p))
+    return _member(TwoBoundaryLattice(rep, kit).factors(p))
 
 
-def _trace_edge(factors: list[PolyMatrix], low: bool, traced: bool) -> tuple[int, PolyMatrix]:
-    """Degree and coefficient of the lowest (``low``) or highest term of
-    ``F_1 ... F_m``, ``m >= 2``, the last product traced over the auxiliary
-    space (``trace_product``) when ``traced``.
+def _member(factors: list[PolyMatrix], lo: int | None = None,
+            hi: int | None = None) -> PolyMatrix:
+    """``tr_0[A L_N (mid (x) I) R_N]`` from the factors ``[A, L_N, K-, R_N,
+    L_1, R_1, .., L_N-1, R_N-1]`` (``TwoBoundaryLattice.factors``): the
+    middle grown from ``K-`` on the auxiliary space with the pairs
+    ``(L_k, R_k)``, closed by one contraction (``trace_sandwich``), every
+    product in the degrees ``lo..hi``."""
+    lead, left, seed, right, *pairs = factors
+    mid = _grow(seed, zip(pairs[::2], pairs[1::2]), lo=lo, hi=hi)
+    return trace_sandwich(lead._matmul(left, lo=lo, hi=hi), aux_blocks(mid), right,
+                          lo=lo, hi=hi)
 
-    Degrees are signed (negated for the highest term), so both cases look
-    for a lowest term.  A term of ``F_1 ... F_j`` above degree ``W - 1`` plus
-    the lowest degrees of ``F_1..F_j`` only reaches degrees ``>= L + W`` of
-    the product, ``L`` the sum of all lowest degrees.  So every product is
-    formed only in the signed degrees below that bound (its window), which
-    leaves the product mod ``v^(L+W)`` exactly; the trace is linear, so its
-    terms below the bound are exact too.  ``W`` doubles while that remainder
-    is zero; once it covers the whole degree span nothing is dropped, and
-    zero means zero.
+
+def _chain(factors: list[PolyMatrix], lo: int | None = None,
+           hi: int | None = None) -> PolyMatrix:
+    """``F_1 ... F_m``, every product in the degrees ``lo..hi``."""
+    return reduce(lambda x, f: x._matmul(f, lo=lo, hi=hi), factors)
+
+
+def trace_edges(factors: list[PolyMatrix], product=_chain) -> ExpansionEdge:
+    """Expansion edges of ``product(factors)``, a product of the factors
+    (the site-space chain ``F_1 ... F_m`` by default, or a lattice member,
+    ``_member``), from exact truncated products; equal to ``extract_edges``
+    of the full product, which is never formed.
+
+    For the lowest term every factor is re-keyed by a power of ``u`` so that
+    its lowest degree is 0 (for the highest term its highest degree), which
+    shifts the product by the sum of the powers.  The re-keyed factors are
+    polynomials in ``u`` (in ``u^-1``), truncation mod ``u^W`` is a ring map
+    and the trace is linear, so forming every partial product only in the
+    degrees ``[0, W - 1]`` (``[1 - W, 0]``) leaves the product's terms there
+    exact.  ``W`` doubles while they are zero; once it covers the whole
+    degree span nothing is dropped, and zero means zero.
     """
-    ext = [f.min_degree() if low else -f.max_degree() for f in factors]
-    span = sum(f.max_degree() - f.min_degree() for f in factors)
-    final = len(factors) - 1
-    w = 1
-    while True:
-        top = ext[0] + w - 1
-        x = factors[0]
-        for i in range(1, len(factors)):
-            top += ext[i]
-            lo, hi = (None, top) if low else (-top, None)
-            # names looked up here, so a wrapped trace_product or _matmul is seen
-            if traced and i == final:
-                x = trace_product(x, factors[i], lo=lo, hi=hi)
-            else:
-                x = x._matmul(factors[i], lo=lo, hi=hi)
-            if x.is_zero:
-                break
-        if not x.is_zero:
-            deg = x.min_degree() if low else x.max_degree()
-            return deg, x.coefficient(deg)
-        if w > span:
-            raise DimensionMismatch("cannot extract edges of the zero matrix")
-        w *= 2
-
-
-def trace_edges(factors: list[PolyMatrix], traced: bool = True) -> ExpansionEdge:
-    """Expansion edges of ``tr_aux(F_1 ... F_m)`` (auxiliary space factor 0),
-    or with ``traced=False`` of the site-space product ``F_1 ... F_m``, from
-    exact truncated products; equal to ``extract_edges`` of the full
-    product, which is never formed."""
     if any(f.is_zero for f in factors):
         raise DimensionMismatch("cannot extract edges of the zero matrix")
-    if len(factors) == 1:   # the last product is the one with the identity
-        factors = [PolyMatrix.identity(factors[0].layout), *factors]
-    low_deg, low = _trace_edge(factors, True, traced)
-    high_deg, high = _trace_edge(factors, False, traced)
-    return ExpansionEdge(low_deg, low, high_deg, high)
+    span = sum(f.max_degree() - f.min_degree() for f in factors)
+
+    def edge(low: bool) -> tuple[int, PolyMatrix]:
+        shifts = [f.min_degree() if low else f.max_degree() for f in factors]
+        shifted = [f.shift(-s) for f, s in zip(factors, shifts)]
+        w = 1
+        while True:
+            x = product(shifted, *((0, w - 1) if low else (1 - w, 0)))
+            if not x.is_zero:
+                deg = x.min_degree() if low else x.max_degree()
+                return deg + sum(shifts), x.coefficient(deg)
+            if w > span:
+                raise DimensionMismatch("cannot extract edges of the zero matrix")
+            w *= 2
+
+    return ExpansionEdge(*edge(True), *edge(False))
 
 
 class TwoBoundaryLattice:
     """Expansion edges of the dressed family ``T(u = v^p; v)`` of one
     representation and kit along the inhomogeneity lattice, each ``p``
-    evaluated once.  Only the edges are computed (``trace_edges``); the
-    full matrix is ``t_two_boundary_direct``.
+    evaluated once.  Only the edges are computed (``trace_edges`` of
+    ``_member``); the full matrix is ``t_two_boundary_direct``, the same
+    growth with no window.
 
-    The factors of ``T(u; v)`` before the auxiliary trace, on the
-    (auxiliary, site_1..site_N) layout, are built once in a formal ``u``,
-    each with the shift ``s`` of its argument ``v^(p+s)``: the calibrated
-    dual operator (twist included) leads and ``K-`` sits in the middle, both
-    at ``v^p``; the pair at site ``k`` takes ``v^(p+k)`` left of it (the flip
-    applied to its rows) and ``v^(p-k)`` right of it (to its columns).
+    The factors of ``T(u; v)`` are built once in a formal ``u``, each
+    already embedded on the layout it acts on and kept with the shift ``s``
+    of its argument ``v^(p+s)``: the calibrated dual operator (twist
+    included) leads on the (auxiliary, site_N) pair and ``K-`` seeds the
+    middle on the auxiliary space, both at ``v^p``; the pair at site ``k``
+    takes ``v^(p+k)`` left of the middle (the flip on its rows) and
+    ``v^(p-k)`` right of it (on its columns), on (auxiliary, site_1..site_k)
+    for ``k < N`` and on the (auxiliary, site_N) pair for ``k = N``.
     """
 
     def __init__(self, rep: HeckeRep, kit: BaxterKit):
         self.rep = rep
-        self.kit = kit
-        layout = (rep.local_dim,) * (rep.sites + 1)
-        u = LaurentPoly.unit(1)
-        pairs = [(embed_pair(r_local(rep, u), 0, k, layout), flip_indices(0, k, layout), k)
-                 for k in range(1, rep.sites + 1)]
-        self._formal = [(embed_site(kit.aplus_at(u), 0, layout), 0),
-                        *((pair.relabel(rows=flip), k) for pair, flip, k in reversed(pairs)),
-                        (embed_site(k_minus_hat(rep), 0, layout), 0),
-                        *((pair.relabel(cols=flip), -k) for pair, flip, k in pairs)]
+        n, u = rep.sites, LaurentPoly.unit(1)
+        left, right = _r_aux(rep, u, True), _r_aux(rep, u, False)
+        self._formal = [(embed_site(kit.aplus_at(u), 0, left.layout), 0), (left, n),
+                        (k_minus_hat(rep), 0), (right, -n),
+                        *((_at(f, 0, k), s * k) for k in range(1, n)
+                          for f, s in ((left, 1), (right, -1)))]
         self._edges: dict[int, ExpansionEdge] = {}
 
     def factors(self, p: int) -> list[PolyMatrix]:
-        """The factors of ``T(u = v^p; v)``: the formal ones at ``u = v^(p+s)``."""
+        """The factors of ``T(u = v^p; v)`` in ``_member``'s order: the
+        formal ones at ``u = v^(p+s)``."""
         return [f.compose_power(p + s) for f, s in self._formal]
 
     def edges(self, p: int) -> ExpansionEdge:
         if p not in self._edges:
-            self._edges[p] = trace_edges(self.factors(p))
+            self._edges[p] = trace_edges(self.factors(p), _member)
         return self._edges[p]
 
 
@@ -540,7 +540,7 @@ def check_factorized(lattice: TwoBoundaryLattice) -> list[CheckReport]:
     echo = _echo(rep)
     out = []
     for mode, p in (("minus", rep.sites), ("plus", 1)):
-        fac = trace_edges(_two_boundary_sandwich(rep, mode), traced=False)
+        fac = trace_edges(_two_boundary_sandwich(rep, mode))
         family = lattice.edges(p)
         low = mat_proportional(family.low_coeff, fac.low_coeff)
         high = mat_proportional(family.high_coeff, fac.high_coeff)
@@ -563,7 +563,7 @@ def check_degeneration(rep_deg: HeckeRep, chain: OneBoundaryChain,
     reads, which no right boundary enters.  ``chain`` spans all ``N`` sites.
     No B-type word contains ``gN``, so ``J_B[N - 1]`` of the representation
     before the collapse serves ``rep_deg``."""
-    edge = trace_edges(_two_boundary_sandwich(rep_deg, "minus"), traced=False).low_coeff
+    edge = trace_edges(_two_boundary_sandwich(rep_deg, "minus")).low_coeff
     ratio = mat_proportional(edge, element)
     if mat_proportional(edge, extract_edges(chain.factorized).low_coeff) is None:
         ratio = None

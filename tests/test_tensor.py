@@ -10,7 +10,7 @@ from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, embed_pair, embed_site,
                                 independent_rows, kron, lin_solve, mat_proportional, nullspace,
-                                permutation_pair, trace_product, trace_sandwich)
+                                permutation_pair, trace_sandwich)
 
 U = LaurentPoly.unit
 
@@ -388,6 +388,7 @@ def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift, lo, hi
     # the evaluation's common denominator at negative points
     shifted = ma.scale(U(shift)).evaluate(rat(x.numerator, x.denominator))
     assert _to_ref(shifted) == _ref_evaluate(_ref_scale(a, {shift: Fraction(1)}), x)
+    assert _to_ref(ma.shift(shift)) == _ref_scale(a, {shift: Fraction(1)})
     assert _to_ref(ma.coefficient(deg)) == _ref_coefficient(a, deg)
     # a windowed product forms the product's terms of degree lo..hi only
     assert _to_ref(ma._matmul(mb, lo=lo, hi=hi)) == _ref_band(_ref_matmul(a, b), lo, hi)
@@ -436,35 +437,12 @@ def test_mat_proportional_matches_fraction_reference(b, s, data):
     assert mat_proportional(_from_ref({**scaled, key: {0: Fraction(1)}}), _from_ref(b)) is None
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([(2, 2, 2), (3, 3)]), st.data())
-def test_trace_product_matches_partial_trace(layout, data):
-    dim = layout[0] * layout[1] * (layout[2] if len(layout) > 2 else 1)
-    rest = dim // layout[0]
-    keys = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
-    a = _clean(data.draw(st.dictionaries(keys, _polys, max_size=30)))
-    b = _clean(data.draw(st.dictionaries(keys, _polys, max_size=30)))
-    apart = data.draw(st.booleans())
-    if apart:   # rows of auxiliary block 0 meet only columns of other blocks
-        a = {(r, c): p for (r, c), p in a.items() if r < rest}
-        b = {(r, c): p for (r, c), p in b.items() if c >= rest}
-    ma = PolyMatrix(layout, {key: LaurentPoly(p) for key, p in a.items()})
-    mb = PolyMatrix(layout, {key: LaurentPoly(p) for key, p in b.items()})
-    got = trace_product(ma, mb)
-    assert got == (ma * mb).partial_trace_first()
-    assert got.layout == layout[1:]
-    if apart:
-        assert got.is_zero and got.den == 1
-    # the windowed trace forms the terms of degree lo..hi only
-    lo, hi = data.draw(_bounds), data.draw(_bounds)
-    assert _to_ref(trace_product(ma, mb, lo=lo, hi=hi)) == _ref_band(_to_ref(got), lo, hi)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]), st.data())
 def test_trace_sandwich_matches_trace_product(shape, data):
     # x and y on the (auxiliary, site) pair, the middle on (auxiliary, rest):
-    # the contraction against the sandwich formed on the full layout
+    # the contraction against the partial trace of the sandwich formed on the
+    # full layout
     d, extra = shape
     mid_layout = (d,) * (1 + extra)
     layout = mid_layout + (d,)
@@ -481,10 +459,13 @@ def test_trace_sandwich_matches_trace_product(shape, data):
     assert sorted(blocks) == [(b, c) for b in range(d) for c in range(d)]
     got = trace_sandwich(x, blocks, y)
     last = len(layout) - 1
-    want = trace_product(embed_pair(x, 0, last, layout) * kron(mid, PolyMatrix.identity((d,))),
-                         embed_pair(y, 0, last, layout))
+    want = (embed_pair(x, 0, last, layout) * kron(mid, PolyMatrix.identity((d,)))
+            * embed_pair(y, 0, last, layout)).partial_trace_first()
     assert got == want
     assert got.layout == layout[1:]
+    # the windowed contraction forms the terms of degree lo..hi only
+    lo, hi = data.draw(_bounds), data.draw(_bounds)
+    assert _to_ref(trace_sandwich(x, blocks, y, lo=lo, hi=hi)) == _ref_band(_to_ref(got), lo, hi)
 
 
 def test_trace_sandwich_rejects_mismatched_parts():

@@ -56,8 +56,8 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
       "prop1", "corollary", "hamiltonian", "commuting-family"], (25622, 798, 20)),
-    (["prop2", "explore-generic"], (5733, 192, 26)),
-    (["condition2", "factorized", "degeneration"], (5013, 183, 18)),
+    (["prop2", "explore-generic"], (2865, 168, 14)),
+    (["condition2", "factorized", "degeneration"], (3639, 171, 14)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])
 def test_traced_counts_pinned(suites, counts):
     config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})
@@ -97,9 +97,9 @@ def test_one_boundary_suites_time_their_own_checks():
 
 
 def test_lattice_last_products_are_traced():
-    """The edge routine looks ``trace_product`` up when it runs, so the
-    lattice's traced last products are seen by the tracer, under
-    ``transfer.trace_edges``."""
+    """The lattice closes every member with ``trace_sandwich``, looked up
+    when it runs, so the tracer sees the contractions inside the suite that
+    reads the lattice."""
     config = cli.config_from_dict({"local_dim": 2, "sites": 3,
                                    "suites": ["prop2", "explore-generic"]})
     tracer = _load_tracing().Tracer()
@@ -110,10 +110,10 @@ def test_lattice_last_products_are_traced():
         tracer.uninstall()
     names, spans = tracer.names, tracer.spans
 
-    def parent_name(idx):
-        parent = spans[idx][3]
-        return names[spans[parent][0]] if parent >= 0 else None
+    def ancestors(idx):
+        while (idx := spans[idx][3]) >= 0:
+            yield names[spans[idx][0]]
 
-    parents = [parent_name(i) for i, span in enumerate(spans)
-               if names[span[0]] == "tensor.trace_product"]
-    assert "transfer.trace_edges" in parents
+    contractions = [i for i, span in enumerate(spans)
+                    if names[span[0]] == "tensor.trace_sandwich"]
+    assert any("cli.suite.prop2" in ancestors(i) for i in contractions)

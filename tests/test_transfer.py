@@ -134,20 +134,38 @@ def _open_sandwich(rep, n, trivial_k):
     return [*reversed(bulk), middle, *bulk]
 
 
+def _full_layout_factors(rep, kit, p):
+    """The factors of ``T(u = v^p; v)`` before the auxiliary trace, each
+    formed by arithmetic on the full (auxiliary, site_1..site_N) layout."""
+    n, v = rep.sites, LaurentPoly.unit
+    layout = (rep.local_dim,) * (n + 1)
+    return [embed_site(kit.aplus_at(v(p)), 0, layout),
+            *(_pair_factor(rep, k, v(p + k), layout, True) for k in range(n, 0, -1)),
+            embed_site(k_minus_hat(rep, v(p)), 0, layout),
+            *(_pair_factor(rep, k, v(p - k), layout, False) for k in range(1, n + 1))]
+
+
 @pytest.mark.parametrize("dim,sites", [(2, 3), (3, 2)])
 def test_lattice_factors_match_arithmetic_factors(dim, sites):
     # the factors re-keyed from their formal u equal the ones formed with
-    # v^e at every lattice point, the collisions at p = +-k included
+    # v^e at every lattice point, the collisions at p = +-k included, each on
+    # the layout it acts on: the lead and the pair at site N on the
+    # (auxiliary, site) pair, K- on the auxiliary space, the pair at site
+    # k < N on (auxiliary, site_1..site_k)
     rep = build_glN_rep(dim, sites, FIXED)
     kit = build_kit(rep)
     lattice = TwoBoundaryLattice(rep, kit)
-    layout = (dim,) * (sites + 1)
+    pair = (dim, dim)
     v = LaurentPoly.unit
     for p in [*range(1, sites + 1), *range(-sites, 0)]:
-        want = [embed_site(kit.aplus_at(v(p)), 0, layout),
-                *(_pair_factor(rep, k, v(p + k), layout, True) for k in range(sites, 0, -1)),
-                embed_site(k_minus_hat(rep, v(p)), 0, layout),
-                *(_pair_factor(rep, k, v(p - k), layout, False) for k in range(1, sites + 1))]
+        want = [embed_site(kit.aplus_at(v(p)), 0, pair),
+                _pair_factor(rep, 1, v(p + sites), pair, True),
+                k_minus_hat(rep, v(p)),
+                _pair_factor(rep, 1, v(p - sites), pair, False)]
+        for k in range(1, sites):
+            layout = (dim,) * (k + 1)
+            want += [_pair_factor(rep, k, v(p + k), layout, True),
+                     _pair_factor(rep, k, v(p - k), layout, False)]
         assert lattice.factors(p) == want
 
 
@@ -277,23 +295,27 @@ def test_murphy_two_boundary_four_points(dim, sites):
 
 @pytest.mark.parametrize("which", ["22", "23", "32"])
 def test_truncated_edges_match_full_matrix(request, which):
+    # the grown member and its windowed edges against the reference: the
+    # product of the full-layout factors, traced over the auxiliary space
     rep = request.getfixturevalue(f"rep{which}")
     kit = request.getfixturevalue(f"kit{which}")
     lattice = TwoBoundaryLattice(rep, kit)
     for n in range(1, rep.sites + 1):
         for p in (n, -n):
-            full = extract_edges(t_two_boundary_direct(rep, kit, p))
+            ref = reduce(mul, _full_layout_factors(rep, kit, p)).partial_trace_first()
+            assert t_two_boundary_direct(rep, kit, p) == ref
+            full = extract_edges(ref)
             edges = lattice.edges(p)
             assert (edges.low_deg, edges.high_deg) == (full.low_deg, full.high_deg)
             assert edges.low_coeff == full.low_coeff
             assert edges.high_coeff == full.high_coeff
-    # the same routine with an untraced last product: the factorized forms
+    # the same routine on site-space chains: the factorized forms
     for mode in ("minus", "plus"):
-        assert trace_edges(transfer._two_boundary_sandwich(rep, mode), traced=False) == (
+        assert trace_edges(transfer._two_boundary_sandwich(rep, mode)) == (
             extract_edges(t_two_boundary_factorized(rep, mode)))
     for trivial_k in (False, True):
         sandwich = _open_sandwich(rep, rep.sites, trivial_k)
-        assert trace_edges(sandwich, traced=False) == (
+        assert trace_edges(sandwich) == (
             extract_edges(transfer.t_open_factorized(rep, rep.sites, trivial_k=trivial_k)))
 
 
@@ -318,12 +340,22 @@ def _cancelling_factors(case):
     return [f1, f2], (1, 1)
 
 
+def _member_edges(lead, right):
+    """The lattice's routine with ``lead`` and the outer right factor on the
+    (auxiliary, site) pair, the identity as the seed and as the one pair:
+    the edges of ``I (x) tr_0(lead * right)``."""
+    d = lead.layout[0]
+    pair = PolyMatrix.identity((d, d))
+    return trace_edges([pair, lead, PolyMatrix.identity((d,)), right, pair, pair],
+                       transfer._member)
+
+
 @pytest.mark.parametrize("case", ["inner", "boundary"])
 def test_truncated_edges_grow_past_cancelling_extremes(case):
     factors, degrees = _cancelling_factors(case)
-    full = factors[0] * factors[1]
-    edges = trace_edges(factors)
-    assert edges == extract_edges(full.partial_trace_first())
+    full = kron(PolyMatrix.identity((2,)), (factors[0] * factors[1]).partial_trace_first())
+    edges = _member_edges(*factors)
+    assert edges == extract_edges(full)
     # both edges lie strictly inside the span of the factor degrees, so the
     # first truncation (one degree per edge) traced to zero
     assert edges.low_deg > sum(f.min_degree() for f in factors)
@@ -334,12 +366,44 @@ def test_truncated_edges_grow_past_cancelling_extremes(case):
 def test_truncated_edges_of_zero_product():
     e = PolyMatrix((2,), {(0, 1): 1})
     ee = kron(e, PolyMatrix.identity((2,)))
+    one = PolyMatrix.identity(ee.layout)
     with pytest.raises(DimensionMismatch):
-        trace_edges([ee.scale(LaurentPoly.unit(1)), ee])     # product is zero
+        trace_edges([ee.scale(LaurentPoly.unit(1)), ee])        # product is zero
     with pytest.raises(DimensionMismatch):
-        trace_edges([ee + ee.scale(LaurentPoly.unit(2))])    # traces to zero
+        _member_edges(ee.scale(LaurentPoly.unit(1)), ee)        # product is zero
     with pytest.raises(DimensionMismatch):
-        trace_edges([ee, PolyMatrix(ee.layout)])
+        _member_edges(ee + ee.scale(LaurentPoly.unit(2)), one)  # traces to zero
+    with pytest.raises(DimensionMismatch):
+        _member_edges(ee, PolyMatrix(ee.layout))
+    # against a trace whose only term sits at the top of the degree span,
+    # which only the last window, the whole span, keeps
+    et = kron(PolyMatrix((2,), {(1, 0): 1}), PolyMatrix.identity((2,)))
+    edges = _member_edges(ee, ee + et.scale(LaurentPoly.unit(3)))
+    assert (edges.low_deg, edges.high_deg) == (3, 3)
+    assert edges.low_coeff == PolyMatrix.identity((2, 2))
+
+
+@pytest.mark.parametrize("dim,sites", [(2, 4), (3, 2)])
+def test_lattice_products_stay_off_the_full_layout(monkeypatch, dim, sites):
+    # the lattice grows its members on the sites each product touches: no
+    # product has the (auxiliary, site_1..site_N) layout
+    rep = build_glN_rep(dim, sites, FIXED)
+    kit = build_kit(rep)
+    layouts = set()
+    matmul = PolyMatrix._matmul
+
+    def recording(self, other, **window):
+        layouts.update((self.layout, other.layout))
+        return matmul(self, other, **window)
+
+    monkeypatch.setattr(PolyMatrix, "_matmul", recording)
+    lattice = TwoBoundaryLattice(rep, kit)
+    for p in [*range(1, sites + 1), *range(-sites, 0)]:
+        lattice.edges(p)
+    assert layouts and max(map(len, layouts)) == sites
+    layouts.clear()
+    t_two_boundary_direct(rep, kit, sites)
+    assert layouts and max(map(len, layouts)) == sites
 
 
 def test_two_boundary_direct_family_commutes(rep22, kit22):
