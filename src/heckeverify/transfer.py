@@ -25,7 +25,7 @@ for ``p = 1..N``, and its inverse at ``-p``.  Every factor is built once in
 a formal ``u``, embedded where it acts, and re-keyed at its argument
 (``PolyMatrix.compose_power``); the pair at site ``k`` sits at ``v^(p+-k)``.
 Every two-boundary claim reads expansion edges only, from one exact
-truncated-product routine (``trace_edges``) whose products form only the
+truncated-product routine (``_window_edges``) whose products form only the
 degrees it keeps: the lattice members of ``TwoBoundaryLattice`` (the
 growth, ``_member``) and the factorized product forms (site-space chains).
 The full member, ``t_two_boundary_direct``, is the same growth with no
@@ -393,11 +393,18 @@ def _chain(factors: list[PolyMatrix], lo: int | None = None,
     return reduce(lambda x, f: x._matmul(f, lo=lo, hi=hi), factors)
 
 
-def trace_edges(factors: list[PolyMatrix], product=_chain) -> ExpansionEdge:
-    """Expansion edges of ``product(factors)``, a product of the factors
-    (the site-space chain ``F_1 ... F_m`` by default, or a lattice member,
-    ``_member``), from exact truncated products; equal to ``extract_edges``
-    of the full product, which is never formed.
+def trace_edges(factors: list[PolyMatrix]) -> ExpansionEdge:
+    """Expansion edges of the site-space product ``F_1 ... F_m``
+    (``_window_edges``)."""
+    return _window_edges(factors, _chain)
+
+
+def _window_edges(factors: list[PolyMatrix], product) -> ExpansionEdge:
+    """Expansion edges of ``product(factors, lo, hi)``, a product of the
+    factors (a chain, ``_chain``, or a lattice member, ``_member``) with
+    every partial product in the degrees ``lo..hi``, from exact truncated
+    products; equal to ``extract_edges`` of the full product, which is never
+    formed.
 
     For the lowest term every factor is re-keyed by a power of ``u`` so that
     its lowest degree is 0 (for the highest term its highest degree), which
@@ -431,7 +438,7 @@ def trace_edges(factors: list[PolyMatrix], product=_chain) -> ExpansionEdge:
 class TwoBoundaryLattice:
     """Expansion edges of the dressed family ``T(u = v^p; v)`` of one
     representation and kit along the inhomogeneity lattice, each ``p``
-    evaluated once.  Only the edges are computed (``trace_edges`` of
+    evaluated once.  Only the edges are computed (``_window_edges`` of
     ``_member``); the full matrix is ``t_two_boundary_direct``, the same
     growth with no window.
 
@@ -462,7 +469,7 @@ class TwoBoundaryLattice:
 
     def edges(self, p: int) -> ExpansionEdge:
         if p not in self._edges:
-            self._edges[p] = trace_edges(self.factors(p), _member)
+            self._edges[p] = _window_edges(self.factors(p), _member)
         return self._edges[p]
 
 

@@ -346,8 +346,8 @@ def _member_edges(lead, right):
     the edges of ``I (x) tr_0(lead * right)``."""
     d = lead.layout[0]
     pair = PolyMatrix.identity((d, d))
-    return trace_edges([pair, lead, PolyMatrix.identity((d,)), right, pair, pair],
-                       transfer._member)
+    return transfer._window_edges([pair, lead, PolyMatrix.identity((d,)), right, pair, pair],
+                                  transfer._member)
 
 
 @pytest.mark.parametrize("case", ["inner", "boundary"])
