@@ -200,9 +200,14 @@ class SuiteContext:
         return self._memo("lattice", idx,
                           lambda: transfer.TwoBoundaryLattice(self.rep(idx), self.kit(idx)))
 
-    def chain(self, idx: int) -> transfer.OneBoundaryChain:
-        return self._memo("chain", idx,
-                          lambda: transfer.OneBoundaryChain(self.rep(idx), self.config.sites))
+    def chain(self, idx: int, trivial_k: bool = False) -> transfer.OneBoundaryChain:
+        """The chain on all sites, kept with the boundary on; both boundaries
+        read one auxiliary scalar (it depends on the representation only)."""
+        def build():
+            chain = transfer.OneBoundaryChain(self.rep(idx), self.config.sites, trivial_k)
+            chain.aux_scalar = self._memo("aux", idx, lambda: transfer.aux_trace_scalar(chain.rep))
+            return chain
+        return build() if trivial_k else self._memo("chain", idx, build)
 
 
 # suite name -> (test, check name, note): run_suite gives a config passing
@@ -255,8 +260,7 @@ def _explore_generic(ctx: SuiteContext, idx: int) -> list[CheckReport]:
 
 # suite name -> callable(ctx, idx) giving its reports at specialization idx.
 # run_suite looks an entry up each time it runs that suite, so a wrapper put
-# in this table (perfbench's tracer puts one) takes effect.  The corollary's
-# chain, with the boundary off, has no other reader and is not kept.
+# in this table (perfbench's tracer puts one) takes effect.
 _SUITES = {
     "relations": lambda ctx, i: [
         hecke.check_relations(ctx.rep(i), f) for f in ctx.config.families()],
@@ -275,8 +279,8 @@ _SUITES = {
     "crossing": lambda ctx, i: [baxter.check_crossing_report(ctx.rep(i))],
     "prop1": lambda ctx, i: [ctx.chain(i).check_aux_trace(),
                              *ctx.chain(i).murphy_edges(*_edge_elements(ctx, i, "B"))],
-    "corollary": lambda ctx, i: transfer.OneBoundaryChain(
-        ctx.rep(i), ctx.config.sites, trivial_k=True).murphy_edges(*_edge_elements(ctx, i, "A")),
+    "corollary": lambda ctx, i: ctx.chain(i, trivial_k=True).murphy_edges(
+        *_edge_elements(ctx, i, "A")),
     "prop2": _calibrated("prop2", lambda ctx, i: transfer.verify_murphy_two_boundary(
         ctx.lattice(i), ctx.tower(i, "C"), ctx.tower(i, "C", True))),
     "hamiltonian": lambda ctx, i: ctx.chain(i).check_hamiltonian(),

@@ -22,7 +22,7 @@ from .errors import (ConstraintViolation, IndexOutOfRange, NotInvertible,
 from .params import Params
 from .rings import Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed
-from .tensor import PolyMatrix, embed_pair, embed_site, mat_proportional
+from .tensor import PolyMatrix, commutes, embed_pair, embed_site, mat_proportional
 
 FAMILIES = ("A", "B", "C")
 
@@ -400,7 +400,7 @@ def check_murphy_commutation(rep: HeckeRep, family: str,
         for b in idx:
             if b <= a:
                 continue
-            if js[a] * js[b] != js[b] * js[a]:
+            if not commutes(js[a], js[b]):
                 return failed(f"murphy-commute/{family}", params=echo,
                               failure={"pair": f"({a},{b})"})
     return passed(f"murphy-commute/{family}", params=echo)
@@ -421,7 +421,7 @@ def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int,
         total = sum((reduce(mul, [e] * m) for e in elements), PolyMatrix(rep.layout))
         for gidx in gens:
             gmat = rep.generator(gidx)
-            if total * gmat != gmat * total:
+            if not commutes(total, gmat):
                 return failed(f"central/{family}", params=echo,
                               failure={"power": m, "generator": gidx})
     return passed(f"central/{family}", params=echo)

@@ -24,7 +24,8 @@ Stored integer matrices are never mutated, so results share them.
 
 Every proportionality claim goes through ``mat_proportional``: two nonzero
 matrices are proportional when one is a nonzero Laurent polynomial times
-the other, and that polynomial is the ratio a report records.
+the other, and that polynomial is the ratio a report records.  Every
+commutation claim goes through ``commutes``, one zero test of ``a b - b a``.
 """
 
 from __future__ import annotations
@@ -539,6 +540,22 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
     if ratio is None or ratio.is_zero or b.scale(ratio) != a:
         return None
     return ratio
+
+
+def commutes(a: PolyMatrix, b: PolyMatrix) -> bool:
+    """``a * b == b * a``, with neither product brought to canonical form:
+    both are integer matrix polynomials over ``a.den * b.den``, so
+    ``a b - b a`` is accumulated into one ``_product`` output, the operand
+    with fewer stored integers negated, and tested for zero exactly."""
+    if a.dim != b.dim:
+        raise DimensionMismatch("commutation needs equal dims")
+    size = [sum(len(row) for m in x.mats.values() for row in m.values()) for x in (a, b)]
+    out = _product(a.mats, b.mats, {})
+    if size[0] < size[1]:
+        _product(b.mats, (-a).mats, out)
+    else:
+        _product((-b).mats, a.mats, out)
+    return not any(v for m in out.values() for row in m.values() for v in row.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pathlib
 import re
@@ -208,36 +209,44 @@ def test_lattice_points_evaluated_once(monkeypatch):
     assert len(set(seen)) == len(seen)
 
 
+def _count_growths(monkeypatch) -> list:
+    """Record every double row ``transfer._grow`` builds."""
+    grown, grow = [], transfer._grow
+
+    def counting(*args, **kwargs):
+        grown.append(grow(*args, **kwargs))
+        return grown[-1]
+
+    monkeypatch.setattr(transfer, "_grow", counting)
+    return grown
+
+
+def _all_distinct(matrices) -> bool:
+    return all(a != b for a, b in itertools.combinations(matrices, 2))
+
+
 def test_one_factorized_build_per_check(monkeypatch):
-    seen = []
-    build = transfer.t_open_factorized
-
-    def counting(rep, n, **kwargs):
-        seen.append((rep.params, n, kwargs.get("trivial_k", False)))
-        return build(rep, n, **kwargs)
-
-    monkeypatch.setattr(transfer, "t_open_factorized", counting)
+    grown = _count_growths(monkeypatch)
     cfg = config_from_dict({"sites": 3, "suites": ["prop1", "corollary"]})
     assert not [r for r in run_suite(cfg) if r.status == "fail"]
-    # one per specialization and suite
-    assert len(seen) == 3 * 2
-    assert len(set(seen)) == len(seen)
+    # one bulk sandwich per specialization and suite; the middle is its relabel
+    assert len(grown) == 3 * 2
+    assert _all_distinct(grown)
 
 
 ONE_BOUNDARY_SUITES = ["prop1", "corollary", "hamiltonian", "commuting-family"]
 
 
 def test_one_boundary_pass_builds_once(monkeypatch):
-    seen = {"t_open_factorized": [], "aux_trace_scalar": []}
-    for name, key in (("t_open_factorized", lambda rep, n, **kw: (n, kw.get("trivial_k"))),
-                      ("aux_trace_scalar", lambda rep: ())):
-        build = getattr(transfer, name)
+    grown = _count_growths(monkeypatch)
+    scalars = []
+    aux_trace_scalar = transfer.aux_trace_scalar
 
-        def counting(rep, *args, build=build, name=name, key=key, **kwargs):
-            seen[name].append((rep.params, *key(rep, *args, **kwargs)))
-            return build(rep, *args, **kwargs)
+    def counting(rep):
+        scalars.append((rep.params, aux_trace_scalar(rep)))
+        return scalars[-1][1]
 
-        monkeypatch.setattr(transfer, name, counting)
+    monkeypatch.setattr(transfer, "aux_trace_scalar", counting)
     chains = []
     init = transfer.OneBoundaryChain.__init__
 
@@ -248,13 +257,13 @@ def test_one_boundary_pass_builds_once(monkeypatch):
     monkeypatch.setattr(transfer.OneBoundaryChain, "__init__", tracking)
     cfg = config_from_dict({"sites": 3, "suites": ONE_BOUNDARY_SUITES})
     assert not [r for r in run_suite(cfg) if r.status == "fail"]
-    # one chain per (specialization, trivial_k), and each builds its
-    # factorized matrix and its aux scalar once
+    # one chain per (specialization, trivial_k), each growing one double row;
+    # both chains of a specialization read one aux scalar
     assert len(chains) == len(set(chains)) == 3 * 2
-    assert len(seen["t_open_factorized"]) == 3 * 2
-    assert len(set(seen["t_open_factorized"])) == 3 * 2
-    assert len(seen["aux_trace_scalar"]) == 3 * 2
-    assert len(set(seen["aux_trace_scalar"])) == 3
+    assert len(grown) == 3 * 2
+    assert _all_distinct(grown)
+    assert len(scalars) == 3
+    assert len({str(f) for _, f in scalars}) == len({p for p, _ in scalars}) == 3
 
 
 @pytest.mark.parametrize("suite,owner,attr,per_spec", [

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, embed_pair, embed_site,
-                                independent_rows, kron, lin_solve, mat_proportional, nullspace,
-                                permutation_pair, trace_sandwich)
+from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, commutes, embed_pair,
+                                embed_site, independent_rows, kron, lin_solve,
+                                mat_proportional, nullspace, permutation_pair, trace_sandwich)
 
 U = LaurentPoly.unit
 
@@ -475,6 +475,53 @@ def test_trace_sandwich_rejects_mismatched_parts():
         trace_sandwich(x, blocks, PolyMatrix.identity((2, 3)))
     with pytest.raises(DimensionMismatch):
         trace_sandwich(x, aux_blocks(PolyMatrix.identity((3, 2))), x)
+
+
+@st.composite
+def _commutation_pairs(draw):
+    """Two reference matrices over distinct denominators: unrelated, or ``b``
+    a polynomial ``s a^2 + t a + c`` in ``a`` (commuting), or that with one
+    entry changed."""
+    a = draw(_refs.filter(bool))
+    kind = draw(st.sampled_from(("unrelated", "polynomial", "bumped")))
+    if kind == "unrelated":
+        return a, draw(_refs.filter(bool))
+    s, t, c = draw(_polys), draw(_polys), draw(_polys)
+    scalar = _clean({(i, i): c for i in range(DIM)})
+    b = _ref_add(_ref_add(_ref_scale(_ref_matmul(a, a), s), _ref_scale(a, t)), scalar)
+    if kind == "bumped":
+        key = (draw(st.integers(0, DIM - 1)), draw(st.integers(0, DIM - 1)))
+        b = _ref_add(b, {key: {draw(st.integers(-2, 2)): draw(_coeffs.filter(bool))}})
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_commutation_pairs())
+def test_commutes_matches_products(pair):
+    a, b = pair
+    ma, mb = _from_ref(a), _from_ref(b)
+    want = _ref_matmul(a, b) == _ref_matmul(b, a)
+    assert (ma * mb == mb * ma) == want
+    assert commutes(ma, mb) == commutes(mb, ma) == want
+
+
+def test_commutes_without_content_division():
+    # the canonical products divide out a content of 6 that the accumulation
+    # of a b - b a never divides
+    y = PolyMatrix((3,), {(0, 0): 1, (0, 1): 2, (1, 2): -1, (2, 0): 3, (2, 2): 1})
+    a = y.scale(rat(2, 3))
+    b = (y * y).scale(rat(3, 2)) + y.scale(LaurentPoly({1: rat(3, 4)}))
+    assert (a * b).den < a.den * b.den
+    assert commutes(a, b) and commutes(b, a)
+    # a pair differing in one entry from a commuting one
+    e = PolyMatrix((3,), {(1, 0): 1})
+    assert a * e != e * a
+    assert not commutes(a, b + e) and not commutes(b + e, a)
+
+
+def test_commutes_rejects_unequal_dims():
+    with pytest.raises(DimensionMismatch):
+        commutes(PolyMatrix.identity((2,)), PolyMatrix.identity((3,)))
 
 
 # ---------------------------------------------------------------------------

@@ -201,13 +201,32 @@ def _drop_block(b, c):
     return corrupted
 
 
-@pytest.mark.parametrize("mutant", ["block-00", "block-01", "block-10", "block-11", "no-twist"])
+def _misflip(mutant):
+    """``flip_indices`` as the middle's relabel at three sites reads it, with
+    the flip of ``k = 1`` skipped or the flips taken ``k = 2`` first; the
+    two-factor flips of the pairs are left alone."""
+    flip = transfer.flip_indices
+
+    def corrupted(i, j, layout):
+        if len(layout) != 3:
+            return flip(i, j, layout)
+        if mutant == "flip-skipped":
+            return list(range(8)) if j == 1 else flip(i, j, layout)
+        return flip(i, 3 - j, layout)
+    return corrupted
+
+
+@pytest.mark.parametrize("mutant", ["block-00", "block-01", "block-10", "block-11", "no-twist",
+                                    "flip-skipped", "flip-reversed"])
 def test_corrupted_contraction_fails_prop1(rep23, monkeypatch, mutant):
     # the direct-vs-factorized cross-check reaches the contraction that
-    # closes the direct trace: a lost term, or x without the twist M, fails it
+    # closes the direct trace and the relabel that gives its middle: a lost
+    # term, x without the twist M, or a flip skipped or out of order fails it
     chain = OneBoundaryChain(rep23, 3)
     if mutant == "no-twist":
         monkeypatch.setattr(chain, "_twist", PolyMatrix.identity((2, 2)))
+    elif mutant.startswith("flip"):
+        monkeypatch.setattr(transfer, "flip_indices", _misflip(mutant))
     else:
         monkeypatch.setattr(transfer, "trace_sandwich", _drop_block(*map(int, mutant[-2:])))
     reports = chain_edges(chain)
