@@ -22,8 +22,8 @@ from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo, twist_matrix
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, mat_proportional,
-                     nullspace, permutation_pair, trace_sandwich)
+from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, flip_indices,
+                     mat_proportional, nullspace, trace_sandwich)
 
 
 def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
@@ -61,6 +61,16 @@ def _aux_kernel(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
     """``r_local`` on the (auxiliary, site) pair, first slot on the site
     factor: the kernel of every auxiliary trace."""
     return embed_pair(r_local(rep, a), 1, 0, (rep.local_dim,) * 2)
+
+
+def _r_aux(rep: HeckeRep, w: LaurentPoly, left: bool) -> PolyMatrix:
+    """``R_0k(w)`` on the (auxiliary, site) pair: the flip times
+    ``g - w g^-1`` left of the middle (``left``), ``g - w g^-1`` times the
+    flip right of it."""
+    d = rep.local_dim
+    flip = flip_indices(0, 1, (d, d))
+    pair = r_local(rep, w)
+    return pair.relabel(rows=flip) if left else pair.relabel(cols=flip)
 
 
 def _aux_trace(x: PolyMatrix, kernel: PolyMatrix) -> PolyMatrix:
@@ -184,19 +194,18 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
     d = rep.local_dim
     q = rep.params.q
     layout = (d, d)
-    perm = permutation_pair(0, 1, layout)
     m1 = embed_site(rep.m_local, 0, layout)
     m1_inv = embed_site(twist_matrix(d, rat(1) / q), 0, layout)
     u = LaurentPoly.unit(1)
     ident = PolyMatrix.identity(layout)
-    lhs = (perm * r_local(rep, u)).partial_transpose(0) * m1
+    lhs = _r_aux(rep, u, True).partial_transpose(0) * m1
 
     winners = []
     for sign in (1, -1):
         for k in range(-2 * d, 2 * d + 1):
             chi = q**k * sign
             # u R(chi / u) = u g - chi g^-1
-            crossed = perm * r_local(rep, LaurentPoly.unit(-1, chi)).scale(u)
+            crossed = _r_aux(rep, LaurentPoly.unit(-1, chi), True).scale(u)
             full = lhs * crossed.partial_transpose(1) * m1_inv
             ratio = mat_proportional(full, ident)
             if ratio is not None:

@@ -61,19 +61,16 @@ def twist_matrix(d: int, q: Rational) -> PolyMatrix:
     return PolyMatrix((d,), {(j - 1, j - 1): q ** (d - 2 * j + 1) for j in range(1, d + 1)})
 
 
-def generator_inverse(g: PolyMatrix, eigen_pair: tuple[Rational, Rational]) -> PolyMatrix:
-    """Inverse from the quadratic relation ``(g - a)(g + b^-1) = 0``.
+def generator_inverse(g: PolyMatrix, a: Rational) -> PolyMatrix:
+    """Inverse from the quadratic relation ``(g - a)(g + a^-1) = 0``.
 
-    The relation gives ``g^-1 = (g - (a - b^-1) I) / (a b^-1)``; the product
-    is verified before returning.
+    The relation gives ``g^-1 = g - (a - a^-1) I``; the product is verified
+    before returning.
     """
-    alpha, beta = eigen_pair
-    if alpha == 0 or beta == 0:
-        raise NotInvertible("zero eigenvalue pair")
-    shift = alpha - rat(1) / beta
-    scale = rat(1) / (alpha / beta)
+    if a == 0:
+        raise NotInvertible("zero eigenvalue")
     ident = PolyMatrix.identity(g.layout)
-    inv = (g - ident.scale(shift)).scale(scale)
+    inv = g - ident.scale(a - rat(1) / a)
     if g * inv != ident:
         raise NotInvertible("matrix does not satisfy the quadratic relation")
     return inv
@@ -182,9 +179,9 @@ def build_glN_rep(local_dim: int, sites: int, params: Params) -> HeckeRep:
     g = _bulk_generator(d, p.q)
     if not _validate_bulk(d, p.q, g, g0, gN):
         raise ConstraintViolation("the bulk generator fails the relation set")
-    g_inv = generator_inverse(g, (p.q, p.q))
-    g0_inv = generator_inverse(g0, (p.Q0, p.Q0))
-    gN_inv = generator_inverse(gN, (p.QN, p.QN))
+    g_inv = generator_inverse(g, p.q)
+    g0_inv = generator_inverse(g0, p.Q0)
+    gN_inv = generator_inverse(gN, p.QN)
 
     rep = HeckeRep(local_dim=d, sites=sites, params=p,
                    g_local=g, g_inv_local=g_inv, g0_local=g0, g0_inv_local=g0_inv,
@@ -209,7 +206,7 @@ def scalar_right(rep: HeckeRep) -> HeckeRep:
     """
     QN = rep.params.QN
     gN = PolyMatrix.identity((rep.local_dim,)).scale(QN)
-    gN_inv = generator_inverse(gN, (QN, QN))
+    gN_inv = generator_inverse(gN, QN)
     return replace(rep, gN_local=gN, gN_inv_local=gN_inv, degenerate_right=True,
                    bn=embed_site(gN, rep.sites - 1, rep.layout),
                    bn_inv=embed_site(gN_inv, rep.sites - 1, rep.layout))
@@ -371,22 +368,13 @@ def murphy_tower(rep: HeckeRep, family: str, inverse: bool = False) -> list[Poly
     return tower
 
 
-def _tower_entry(rep: HeckeRep, family: str, i: int, inverse: bool) -> PolyMatrix:
-    idx = _family_indices(rep, family)
-    if i not in idx:
-        raise IndexOutOfRange(f"{family}-type index {i} outside {idx.start}..{idx.stop - 1}")
-    return murphy_tower(rep, family, inverse)[i - idx.start]
-
-
 def murphy(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
     """The ``i``-th Murphy element of the family, read from its tower:
     A uses indices 1..n-1, B and C 0..n-1."""
-    return _tower_entry(rep, family, i, False)
-
-
-def murphy_inverse(rep: HeckeRep, family: str, i: int) -> PolyMatrix:
-    """Exact inverse of a Murphy element, read from the inverse tower."""
-    return _tower_entry(rep, family, i, True)
+    idx = _family_indices(rep, family)
+    if i not in idx:
+        raise IndexOutOfRange(f"{family}-type index {i} outside {idx.start}..{idx.stop - 1}")
+    return murphy_tower(rep, family)[i - idx.start]
 
 
 def check_murphy_commutation(rep: HeckeRep, family: str,

@@ -213,13 +213,10 @@ class PolyMatrix:
             for c in sorted(row):
                 yield r, c, _poly({d: rat(v, den) for d, v in row[c].terms.items()})
 
-    def support(self) -> set[tuple[int, int]]:
-        """The positions ``(r, c)`` of the nonzero entries."""
-        return {(r, c) for m in self.mats.values() for r, row in m.items() for c in row}
-
     @property
     def nnz(self) -> int:
-        return len(self.support())
+        """The number of nonzero entries."""
+        return len({(r, c) for m in self.mats.values() for r, row in m.items() for c in row})
 
     @property
     def is_zero(self) -> bool:
@@ -516,11 +513,6 @@ def flip_indices(i: int, j: int, layout) -> list[int]:
     return out
 
 
-def permutation_pair(i: int, j: int, layout) -> PolyMatrix:
-    """The flip operator P exchanging factors ``i`` and ``j``."""
-    return PolyMatrix.identity(layout).relabel(rows=flip_indices(i, j, layout))
-
-
 def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
     """The nonzero Laurent polynomial ``r`` with ``a == r*b``, or None.
 
@@ -559,26 +551,38 @@ def commutes(a: PolyMatrix, b: PolyMatrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact dense linear algebra over the rationals (small systems only)
+# exact linear algebra: one fraction-free elimination and its nullspace, on
+# dense rational rows or on the integer rows of an entrywise matrix system
 # ---------------------------------------------------------------------------
 
-def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan reduction of a dense rational matrix on its first
-    ``ncols`` columns: the reduced rows and their pivot columns.
+def numerator_rows(mats: list[PolyMatrix]) -> list[tuple[int, ...]]:
+    """The distinct rows ``(N_1, .., N_k)`` of the entrywise system of
+    ``mats``, read from the integer storage: one per degree and entry of the
+    union of their supports, each matrix over its own ``den``.  An entry
+    outside that union reads ``0 = 0`` and a repeated row adds nothing, so
+    ``y`` is a null vector of these rows exactly when
+    ``sum_i y_i den_i M_i = 0``."""
+    keys = {(d, r, c) for m in mats for d, mat in m.mats.items()
+            for r, row in mat.items() for c in row}
+    return list({tuple(m.mats.get(d, {}).get(r, {}).get(c, 0) for m in mats)
+                 for d, r, c in keys})
+
+
+def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan reduction of a dense rational matrix: its nonzero
+    reduced rows and their pivot columns.
 
     Fraction-free: each row is cleared to integers, every elimination step
     ``p * row - f * pivot_row`` is divided by its content, and a pivot row
-    is divided by its pivot only when returned.  Each row is then a nonzero
-    multiple of its rational Gauss-Jordan counterpart; the pivot rows are
-    equal to theirs, and a row past the rank keeps its later columns (a
-    right-hand side that makes a system inconsistent)."""
+    is divided by its pivot only when returned, so it equals its rational
+    Gauss-Jordan counterpart."""
     a = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
         a.append([x.numerator * (den // x.denominator) for x in row])
     m = len(a)
     pivots: list[int] = []
-    for col in range(ncols):
+    for col in range(len(a[0]) if a else 0):
         if len(pivots) == m:
             break
         r = len(pivots)
@@ -594,16 +598,16 @@ def _rref(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
                 g = gcd(*row)
                 a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    return ([[rat(x, row[col]) for x in row] for row, col in zip(a, pivots)]
-            + [[rat(x) for x in row] for row in a[len(pivots):]], pivots)
+    return [[rat(x, row[col]) for x in row] for row, col in zip(a, pivots)], pivots
 
 
 def nullspace(rows: list[list]) -> list[list]:
-    """Basis of the right nullspace of a dense rational matrix."""
+    """Basis of the right nullspace of a dense rational matrix: one vector
+    per free column, 1 there and 0 at every other free column."""
     if not rows:
         return []
     n = len(rows[0])
-    a, pivots = _rref(rows, n)
+    a, pivots = _rref(rows)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         vec = [rat(0)] * n
@@ -612,23 +616,3 @@ def nullspace(rows: list[list]) -> list[list]:
             vec[pcol] = -a[prow][fc]
         basis.append(vec)
     return basis
-
-
-def independent_rows(rows: list[list]) -> list[int]:
-    """Indices of the rows, taken in order, that are independent of the rows
-    before them: a basis of the row space of a dense rational matrix."""
-    if not rows:
-        return []
-    return _rref([list(col) for col in zip(*rows)], len(rows))[1]
-
-
-def lin_solve(rows: list[list], rhs: list) -> list | None:
-    """Exact solution of ``A x = b`` for consistent systems, else None."""
-    n = len(rows[0]) if rows else 0
-    a, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)], n)
-    if any(row[n] != 0 for row in a[len(pivots):]):
-        return None  # inconsistent
-    x = [rat(0)] * n
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = a[prow][n]
-    return x

@@ -6,7 +6,7 @@ touches: a double row grows inside out from ``K-``, one site per step
 (``_grow``), and one contraction of the middle's auxiliary blocks with the
 outermost pair closes the trace (``tensor.trace_sandwich``).  Every bulk
 ``R`` is ``baxter.r_local`` embedded where it acts; on the (auxiliary,
-site) pair it is ``_r_aux``.
+site) pair it is ``baxter._r_aux``.
 
 One-boundary mode: the open transfer matrix with a single nontrivial left
 boundary, with an inhomogeneity at the last dressed site.  At the diagonal
@@ -40,9 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import mul
 
-from .baxter import (BaxterKit, _aux_kernel, _aux_trace, k_bar_plus_hat,
+from .baxter import (BaxterKit, _aux_kernel, _aux_trace, _r_aux, k_bar_plus_hat,
                      k_minus_hat, r_hat, r_local)
 from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
                      SpanFailure)
@@ -50,7 +50,7 @@ from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, aux_blocks, commutes, embed_pair, embed_site,
-                     flip_indices, independent_rows, kron, lin_solve, mat_proportional,
+                     flip_indices, kron, mat_proportional, nullspace, numerator_rows,
                      trace_sandwich)
 
 
@@ -102,16 +102,6 @@ def _at(op: PolyMatrix, i: int, k: int) -> PolyMatrix:
     return embed_pair(op, i, k, op.layout[:1] * (k + 1))
 
 
-def _r_aux(rep: HeckeRep, w: LaurentPoly, left: bool) -> PolyMatrix:
-    """``R_0k(w)`` on the (auxiliary, site) pair: the flip times
-    ``g - w g^-1`` left of the middle (``left``), ``g - w g^-1`` times the
-    flip right of it."""
-    d = rep.local_dim
-    flip = flip_indices(0, 1, (d, d))
-    pair = r_local(rep, w)
-    return pair.relabel(rows=flip) if left else pair.relabel(cols=flip)
-
-
 @dataclass
 class OneBoundaryResult:
     matrix: PolyMatrix            # factorized form on the full site space
@@ -122,21 +112,6 @@ class OneBoundaryResult:
 class HamiltonianResult:
     matrix: PolyMatrix
     coefficients: dict[str, Rational]
-
-
-def _pivot_entries(basis: list[PolyMatrix]) -> list[tuple[int, int]]:
-    """Entries ``(r, c)`` whose rows ``[B(r, c) for B in basis]`` span the row
-    space of the entrywise system ``sum_i x_i B_i = H``, chosen greedily in
-    ``(r, c)`` order; an entry outside every basis support has a zero row.
-    A row is read as the integer numerators of the constant terms, each
-    matrix over its own denominator: a nonzero scale per column, which
-    changes neither which rows are equal nor which are independent."""
-    consts = [b.mats.get(0, {}) for b in basis]
-    first: dict[tuple, tuple[int, int]] = {}   # distinct row -> its first entry
-    for r, c in sorted(set().union(*(b.support() for b in basis))):
-        first.setdefault(tuple(m.get(r, {}).get(c, 0) for m in consts), (r, c))
-    rows = list(first)
-    return [first[rows[i]] for i in independent_rows(rows)]
 
 
 class OneBoundaryChain:
@@ -277,10 +252,12 @@ class OneBoundaryChain:
         point, in the span of the identity, the bulk generators and the left
         boundary generator.
 
-        The coefficients solve the system on pivot entries whose rows span
-        the row space of the whole entrywise system, so they are its
-        reduced-echelon solution (free coefficients zero); one exact matrix
-        equality ``h == sum_i c_i B_i`` then certifies the span.
+        One exact nullspace of the whole entrywise system
+        ``sum_i y_i N_i + y_h N_h = 0`` on the integer numerators
+        (``tensor.numerator_rows``) certifies the span: ``h`` is in it
+        exactly when ``h``'s column is free, and that column's null vector
+        (``y_h = 1``) gives ``c_i = -y_i den_i / den_h``, the reduced-echelon
+        solution with the free coefficients zero.
         """
         rep, n = self.rep, self.n
         if n < 2:
@@ -288,11 +265,10 @@ class OneBoundaryChain:
         h = self.factorized.derivative_at_one()
         names = ["identity", *(f"g[{i}]" for i in range(1, n)), "g[0]"]
         basis = [PolyMatrix.identity(h.layout), *(rep.braid[i] for i in range(1, n)), rep.b0]
-        pivots = _pivot_entries(basis)
-        sol = lin_solve([[b.get(r, c).coeff(0) for b in basis] for r, c in pivots],
-                        [h.get(r, c).coeff(0) for r, c in pivots])
-        if sol is None or reduce(add, (b.scale(x) for b, x in zip(basis, sol))) != h:
+        y = next((v for v in nullspace(numerator_rows([*basis, h])) if v[-1]), None)
+        if y is None:
             raise SpanFailure("derivative is not in the generator span")
+        sol = [-x * b.den / h.den for x, b in zip(y, basis)]
         return HamiltonianResult(matrix=h, coefficients=dict(zip(names, sol)))
 
     def check_hamiltonian(self) -> list[CheckReport]:

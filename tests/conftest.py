@@ -1,7 +1,9 @@
 import pytest
 
 from heckeverify import build_glN_rep, build_kit
-from heckeverify.hecke import murphy, murphy_inverse
+from fractions import Fraction
+
+from heckeverify.hecke import murphy, murphy_tower
 from heckeverify.params import Params, sample_params
 from heckeverify.rings import rat
 
@@ -52,8 +54,33 @@ def seeded_params(seed):
     return sample_params(seed)
 
 
+def murphy_inv(rep, family, i):
+    """The inverse of ``murphy(rep, family, i)``, read from the inverse tower."""
+    return murphy_tower(rep, family, True)[i - (1 if family == "A" else 0)]
+
+
 def chain_edges(chain):
     """``chain.murphy_edges`` against ``J[n - 1]`` and its inverse of the
     chain's family: A with the boundary off, B with it on."""
     family, k = ("A" if chain.trivial_k else "B"), chain.n - 1
-    return chain.murphy_edges(murphy(chain.rep, family, k), murphy_inverse(chain.rep, family, k))
+    return chain.murphy_edges(murphy(chain.rep, family, k), murphy_inv(chain.rep, family, k))
+
+
+def ref_rref(rows, ncols):
+    """Gauss-Jordan on Fractions over the first ``ncols`` columns: normalize
+    each pivot row, clear its column.  All rows are returned."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots

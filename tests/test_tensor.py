@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, commutes, embed_pair,
-                                embed_site, independent_rows, kron, lin_solve,
-                                mat_proportional, nullspace, permutation_pair, trace_sandwich)
+                                embed_site, flip_indices, kron, mat_proportional, nullspace,
+                                trace_sandwich)
+
+from conftest import ref_rref
 
 U = LaurentPoly.unit
 
@@ -89,7 +91,7 @@ def test_embed_pair_nonadjacent_matches_flip_conjugation():
     layout = (2, 2, 2)
     direct = embed_pair(g, 0, 2, layout)
     # conjugating the adjacent embedding with the (1,2) flip moves the slot
-    p12 = permutation_pair(1, 2, layout)
+    p12 = PolyMatrix.identity(layout).relabel(rows=flip_indices(1, 2, layout))
     assert direct == p12 * embed_pair(g, 0, 1, layout) * p12
 
 
@@ -202,17 +204,19 @@ def test_nullspace_and_solve():
     assert len(basis) == 1
     v = basis[0]
     assert rows[0][0] * v[0] + rows[0][1] * v[1] == 0
-    sol = lin_solve([[rat(1), rat(1)], [rat(1), rat(-1)]], [rat(3), rat(1)])
-    assert sol == [rat(2), rat(1)]
-    assert lin_solve([[rat(1)], [rat(1)]], [rat(0), rat(1)]) is None
+    # A x = b solves as the null vector of [A | b] at b's column: x = -y[:-1]
+    (y,) = nullspace([[rat(1), rat(1), rat(3)], [rat(1), rat(-1), rat(1)]])
+    assert y == [rat(-2), rat(-1), rat(1)]
+    assert nullspace([[rat(1), rat(0)], [rat(1), rat(1)]]) == []
 
 
 def test_independent_rows():
     rows = [[rat(0), rat(0)], [rat(1), rat(2)], [rat(2), rat(4)], [rat(0), rat(1)],
             [rat(1), rat(1)]]
-    # zero and dependent rows are passed over; a full rank stops the scan
-    assert independent_rows(rows) == [1, 3]
-    assert independent_rows([]) == []
+    # the pivots of the transposed rows: zero and dependent rows are passed
+    # over, and a full rank stops the scan
+    assert _rref([list(col) for col in zip(*rows)])[1] == [1, 3]
+    assert _rref([]) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -528,25 +532,6 @@ def test_commutes_rejects_unequal_dims():
 # fraction-free elimination against a rational Gauss-Jordan reference
 # ---------------------------------------------------------------------------
 
-def _ref_rref(rows, ncols):
-    """Gauss-Jordan on Fractions: normalize each pivot row, clear its column."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        a[r] = [x / a[r][col] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-    return a, pivots
-
-
 @st.composite
 def _low_rank_systems(draw):
     """An m x n product of random m x r and r x n matrices (rank <= r < m),
@@ -573,31 +558,26 @@ def test_fraction_free_rref_matches_rational_reference(system):
     a, rhs = system
     n = len(a[0])
     aug = [row + [b] for row, b in zip(a, rhs)]
-    for rows in (a, aug):
-        got, pivots = _rref(rows, n)
-        want, want_pivots = _ref_rref(rows, n)
+    for rows in (a, aug, [list(col) for col in zip(*a)]):
+        got, pivots = _rref(rows)
+        want, want_pivots = ref_rref(rows, len(rows[0]))
         assert pivots == want_pivots
-        rank = len(pivots)
-        assert got[:rank] == want[:rank]
+        assert got == want[:len(pivots)]
         assert all(type(x) is Fraction for row in got for x in row)
-        # a row past the rank is a nonzero multiple of the reference's, so it
-        # keeps a right-hand side that makes the system inconsistent
-        for mine, ref in zip(got[rank:], want[rank:]):
-            assert not any(mine[:n]) and not any(ref[:n])
-            assert [x != 0 for x in mine] == [x != 0 for x in ref]
-            if any(ref):
-                c = next(x / y for x, y in zip(mine, ref) if y)
-                assert mine == [c * y for y in ref]
-    ref_aug, ref_pivots = _ref_rref(aug, n)
+    # A x = rhs through the nullspace of [A | rhs]: a null vector with a
+    # nonzero last coordinate exists exactly when the reference finds the
+    # system consistent, and it is then the reference solution (free
+    # coefficients zero)
+    ref_aug, ref_pivots = ref_rref(aug, n)
     consistent = not any(row[n] for row in ref_aug[len(ref_pivots):])
-    sol = lin_solve(a, rhs)
-    assert (sol is not None) == consistent
+    y = next((v for v in nullspace(aug) if v[n]), None)
+    assert (y is not None) == consistent
     if consistent:
+        sol = [-x / y[n] for x in y[:n]]
         assert [sum((v * w for v, w in zip(row, sol)), Fraction(0)) for row in a] == rhs
         assert sol == [next((row[n] for row, p in zip(ref_aug, ref_pivots) if p == j),
                             Fraction(0)) for j in range(n)]
     basis = nullspace(a)
-    assert len(basis) == n - len(_ref_rref(a, n)[1])
+    assert len(basis) == n - len(ref_rref(a, n)[1])
     assert all(sum((v * w for v, w in zip(row, vec)), Fraction(0)) == 0
                for vec in basis for row in a)
-    assert independent_rows(a) == _ref_rref([list(col) for col in zip(*a)], len(a))[1]

@@ -57,7 +57,7 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # are not.
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
-      "prop1", "corollary", "hamiltonian", "commuting-family"], (21944, 642, 20)),
+      "prop1", "corollary", "hamiltonian", "commuting-family"], (21374, 585, 20)),
     (["prop2", "explore-generic"], (2865, 168, 14)),
     (["condition2", "factorized", "degeneration"], (3639, 171, 14)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])

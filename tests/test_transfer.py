@@ -8,12 +8,12 @@ import pytest
 from heckeverify import build_glN_rep, build_kit
 from heckeverify.baxter import check_condition2, k_minus_hat
 from heckeverify.errors import DimensionMismatch
-from heckeverify.hecke import murphy, murphy_inverse, murphy_tower, scalar_right
+from heckeverify.hecke import murphy, murphy_tower, scalar_right
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
 from heckeverify.tensor import (PolyMatrix, embed_pair, embed_site, flip_indices, kron,
-                                lin_solve, mat_proportional)
+                                mat_proportional)
 from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   build_t_one_boundary, check_degeneration,
                                   check_factorized, explore_generic,
@@ -21,7 +21,7 @@ from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   t_two_boundary_factorized, trace_edges,
                                   verify_murphy_two_boundary)
 
-from conftest import FIXED, SEEDS, chain_edges
+from conftest import FIXED, SEEDS, chain_edges, murphy_inv, ref_rref
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def test_corollary_edges(n):
     res = build_t_one_boundary(rep, n, trivial_k=True, cross_check=False)
     edges = extract_edges(res.matrix)
     assert edges.low_coeff == murphy(rep, "A", n - 1)
-    assert mat_proportional(edges.high_coeff, murphy_inverse(rep, "A", n - 1)) is not None
+    assert mat_proportional(edges.high_coeff, murphy_inv(rep, "A", n - 1)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -503,19 +503,18 @@ def _span_basis(rep, n):
 
 @pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_hamiltonian_matches_dense_solve(dim, n):
-    # the reference: the entrywise derivative in rationals and one exact solve
-    # over all dim^2 entries
+    # the reference: the entrywise derivative in rationals and one exact
+    # Gauss-Jordan solve over all dim^2 entries, free coefficients zero
     rep = build_glN_rep(dim, n, FIXED)
     t = transfer.t_open_factorized(rep, n)
     h = {(r, c): sum(-2 * d * x for d, x in v.terms.items()) for r, c, v in t.entries()}
     basis = _span_basis(rep, n)
-    rows, rhs = [], []
-    for r in range(t.dim):
-        for c in range(t.dim):
-            rows.append([b.get(r, c).coeff(0) for b in basis])
-            rhs.append(h.get((r, c), rat(0)))
-    sol = lin_solve(rows, rhs)
-    assert sol is not None
+    k = len(basis)
+    aug = [[*(b.get(r, c).coeff(0) for b in basis), h.get((r, c), rat(0))]
+           for r in range(t.dim) for c in range(t.dim)]
+    red, pivots = ref_rref(aug, k)
+    assert not any(row[k] for row in red[len(pivots):])   # consistent
+    sol = [next((row[k] for row, p in zip(red, pivots) if p == j), rat(0)) for j in range(k)]
     res = OneBoundaryChain(rep, n).hamiltonian()
     names = ["identity", *(f"g[{i}]" for i in range(1, n)), "g[0]"]
     assert res.coefficients == dict(zip(names, sol))
@@ -525,23 +524,30 @@ def test_hamiltonian_matches_dense_solve(dim, n):
 
 
 def test_hamiltonian_span_checks_off_pivot_entries(rep23, monkeypatch):
-    # the solve reads only the pivot entries; a derivative wrong at an entry
-    # outside them, inside the support of the basis, must still fail the span
+    # a derivative wrong at one entry fails the span wherever the entry is:
+    # inside the basis support, outside every basis support, and at the later
+    # of two entries with the same basis row (a system deduplicated on the
+    # basis rows alone would read only the first)
     basis = _span_basis(rep23, 3)
-    pivots = transfer._pivot_entries(basis)
-    assert len(pivots) == len(basis)
-    support = sorted({(r, c) for b in basis for r, row in b.rows.items() for c in row})
-    r, c = next(key for key in support if key not in pivots)
+    dim = basis[0].dim
+    groups = {}
+    for key in sorted({(r, c) for b in basis for r, row in b.rows.items() for c in row}):
+        groups.setdefault(tuple(b.get(*key).coeff(0) for b in basis), []).append(key)
+    inside = next(keys[0] for keys in groups.values() if len(keys) == 1)
+    outside = next((r, c) for r in range(dim) for c in range(dim)
+                   if all(b.get(r, c).is_zero for b in basis))
+    shared = next(keys[-1] for keys in groups.values() if len(keys) > 1)
     derivative = PolyMatrix.derivative_at_one
+    for key in (inside, outside, shared):
+        def perturbed(self, key=key):
+            h = derivative(self)
+            return h + PolyMatrix(h.layout, {key: rat(1, 7)})
 
-    def perturbed(self):
-        h = derivative(self)
-        return h + PolyMatrix(h.layout, {(r, c): rat(1, 7)})
-
-    monkeypatch.setattr(PolyMatrix, "derivative_at_one", perturbed)
-    reports = OneBoundaryChain(rep23, 3).check_hamiltonian()
-    assert [(x.check_name, x.status) for x in reports] == [("hamiltonian/span", "fail")]
-    assert reports[0].first_failure == {"relation": "derivative is not in the generator span"}
+        monkeypatch.setattr(PolyMatrix, "derivative_at_one", perturbed)
+        reports = OneBoundaryChain(rep23, 3).check_hamiltonian()
+        assert [(x.check_name, x.status) for x in reports] == [("hamiltonian/span", "fail")]
+        assert reports[0].first_failure == {
+            "relation": "derivative is not in the generator span"}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
