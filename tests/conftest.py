@@ -1,8 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
 from heckeverify import build_glN_rep, build_kit
-from fractions import Fraction
-
 from heckeverify.hecke import murphy, murphy_tower
 from heckeverify.params import Params, sample_params
 from heckeverify.rings import rat
