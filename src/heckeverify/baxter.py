@@ -22,8 +22,8 @@ from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo, twist_matrix
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, aux_blocks, embed_pair, embed_site, flip_indices,
-                     mat_proportional, nullspace, trace_sandwich)
+from .tensor import (PolyMatrix, aux_blocks, embed, flip_indices, mat_proportional,
+                     nullspace, numerator_rows, trace_sandwich)
 
 
 def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
@@ -34,7 +34,7 @@ def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
 def r_hat(rep: HeckeRep, i: int, arg: LaurentPoly | None = None) -> PolyMatrix:
     """Baxterized bulk matrix ``g_i - u g_i^{-1}`` on the site space."""
     u = arg if arg is not None else LaurentPoly.unit(1)
-    return embed_pair(r_local(rep, u), i - 1, i, rep.layout)
+    return embed(r_local(rep, u), (i - 1, i), rep.layout)
 
 
 def _pencil(coeffs, w: LaurentPoly) -> PolyMatrix:
@@ -60,7 +60,7 @@ def k_bar_plus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
 def _aux_kernel(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
     """``r_local`` on the (auxiliary, site) pair, first slot on the site
     factor: the kernel of every auxiliary trace."""
-    return embed_pair(r_local(rep, a), 1, 0, (rep.local_dim,) * 2)
+    return embed(r_local(rep, a), (1, 0), (rep.local_dim,) * 2)
 
 
 def _r_aux(rep: HeckeRep, w: LaurentPoly, left: bool) -> PolyMatrix:
@@ -105,10 +105,10 @@ def check_ybe(rep: HeckeRep, seed: int = 0) -> CheckReport:
     layout = (rep.local_dim,) * 3
 
     def r12(a: LaurentPoly) -> PolyMatrix:
-        return embed_pair(r_local(rep, a), 0, 1, layout)
+        return embed(r_local(rep, a), (0, 1), layout)
 
     def r23(a: LaurentPoly) -> PolyMatrix:
-        return embed_pair(r_local(rep, a), 1, 2, layout)
+        return embed(r_local(rep, a), (1, 2), layout)
 
     u = LaurentPoly.unit(1)
     r12u, r23u = r12(u), r23(u)
@@ -137,10 +137,10 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
     layout = (rep.local_dim,) * 2
     if end == "left":
         def kk(a: LaurentPoly) -> PolyMatrix:
-            return embed_site(k_minus_hat(rep, a), 0, layout)
+            return embed(k_minus_hat(rep, a), (0,), layout)
     elif end == "right":
         def kk(a: LaurentPoly) -> PolyMatrix:
-            return embed_site(k_bar_plus_hat(rep, a), 1, layout)
+            return embed(k_bar_plus_hat(rep, a), (1,), layout)
     else:
         raise ValueError("end must be 'left' or 'right'")
 
@@ -194,8 +194,8 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
     d = rep.local_dim
     q = rep.params.q
     layout = (d, d)
-    m1 = embed_site(rep.m_local, 0, layout)
-    m1_inv = embed_site(twist_matrix(d, rat(1) / q), 0, layout)
+    m1 = embed(rep.m_local, (0,), layout)
+    m1_inv = embed(twist_matrix(d, rat(1) / q), (0,), layout)
     u = LaurentPoly.unit(1)
     ident = PolyMatrix.identity(layout)
     lhs = _r_aux(rep, u, True).partial_transpose(0) * m1
@@ -244,7 +244,9 @@ def calibrate_dual(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix, Pol
     The unknowns are the entries of ``X0``, ``X1``, ``X2`` (row-major) and
     the coefficients of the scalar ``s(u) = s0 + s1 u + s2 u^2``; column
     ``j`` of the system is the image of unknown ``j`` under ``X, s ->
-    tr_aux{(X (x) I) kernel} - s boundary``, read degree by degree.
+    tr_aux{(X (x) I) kernel} - s boundary``, read degree by degree from its
+    integer numerators (``tensor.numerator_rows``), so unknown ``j`` is
+    ``y_j`` times that image's ``den`` for a null vector ``y``.
     Returns (X0, X1, X2) normalized so the first nonzero unknown equals 1.
     """
     kernel, boundary = _dual_condition(rep, end)
@@ -254,13 +256,12 @@ def calibrate_dual(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix, Pol
               for r in range(d) for c in range(d)]
     images = [t.scale(unit(j)) for j in range(3) for t in traces]
     images += [boundary.scale(-unit(m)) for m in range(3)]
-    entries = [[img.get(r, c) for img in images] for r in range(d) for c in range(d)]
-    basis = nullspace([[x.coeff(deg) for x in row] for deg in range(5) for row in entries])
+    basis = nullspace(numerator_rows(images))
     nm = d * d
     if len(basis) != 1 or all(x == 0 for x in basis[0][3 * nm:]):
         raise CalibrationFailure(
             f"dual-boundary calibration nullspace has dimension {len(basis)}")
-    vec = basis[0]
+    vec = [y * img.den for y, img in zip(basis[0], images)]
     lead = next(x for x in vec if x != 0)
     vec = [x / lead for x in vec]
     return tuple(PolyMatrix((d,), {(r, c): vec[j * nm + r * d + c]

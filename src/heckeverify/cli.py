@@ -27,16 +27,9 @@ SUITE_NAMES = [
 ]
 
 PARAM_NAMES = ("q", "Q0", "QN", "x0p", "x0m", "xNp", "xNm", "c_minus", "c_plus")
+CONFIG_KEYS = ("local_dim", "sites", "seed", "family", "suites", "out", *PARAM_NAMES)
 
 _SITE_BOUNDS = {2: 6, 3: 4}
-
-
-def _check_size(local_dim: int, sites: int) -> None:
-    """Reject representations beyond the bounded-time sizes."""
-    if local_dim not in _SITE_BOUNDS:
-        raise ConfigError(f"local_dim must be one of {sorted(_SITE_BOUNDS)}")
-    if not 1 <= sites <= _SITE_BOUNDS[local_dim]:
-        raise ConfigError(f"sites for local_dim {local_dim} must be 1..{_SITE_BOUNDS[local_dim]}")
 
 
 def _as_int(name: str, value) -> int:
@@ -59,12 +52,6 @@ def _as_str(name: str, value) -> str:
     return value
 
 
-def _env_seed() -> int | None:
-    """The ``HECKE_SEED`` environment override, if set."""
-    value = os.environ.get("HECKE_SEED")
-    return None if value is None else _as_int("HECKE_SEED", value)
-
-
 @dataclass
 class RunConfig:
     local_dim: int = 2
@@ -76,7 +63,12 @@ class RunConfig:
     out: str | None = None
 
     def validate(self) -> None:
-        _check_size(self.local_dim, self.sites)
+        # representations beyond the bounded-time sizes are rejected
+        bound = _SITE_BOUNDS.get(self.local_dim)
+        if bound is None:
+            raise ConfigError(f"local_dim must be one of {sorted(_SITE_BOUNDS)}")
+        if not 1 <= self.sites <= bound:
+            raise ConfigError(f"sites for local_dim {self.local_dim} must be 1..{bound}")
         if self.family not in hecke.FAMILIES:
             raise ConfigError(f"family must be one of {hecke.FAMILIES}")
         for name in self.overrides:
@@ -135,6 +127,11 @@ def load_config(path: str) -> dict:
 
 
 def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
+    """The validated config of ``data``; a key outside ``CONFIG_KEYS`` is a
+    ConfigError, not a key silently dropped."""
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     cfg = RunConfig()
     for name in ("local_dim", "sites", "seed"):
         if name in data:
@@ -151,9 +148,9 @@ def config_from_dict(data: dict, seed_override: int | None = None) -> RunConfig:
     for name in PARAM_NAMES:
         if name in data:
             cfg.overrides[name] = parse_rational(str(data[name]))
-    env_seed = _env_seed()
+    env_seed = os.environ.get("HECKE_SEED")
     if env_seed is not None:
-        cfg.seed = env_seed
+        cfg.seed = _as_int("HECKE_SEED", env_seed)
     if seed_override is not None:
         cfg.seed = seed_override
     cfg.validate()
@@ -355,12 +352,11 @@ def _output(path: str | None):
 
 
 def _default_rep(args) -> hecke.HeckeRep:
-    _check_size(args.local_dim, args.sites)
-    seed = args.seed if args.seed is not None else _env_seed()
-    if seed is None:
-        seed = DEFAULT_SEED
-    params = sample_params(seed * 1000)
-    return hecke.build_glN_rep(args.local_dim, args.sites, params)
+    """The first specialization of the config ``--local-dim``, ``--sites``
+    and ``--seed`` give, as ``suite`` builds it."""
+    config = config_from_dict({"local_dim": args.local_dim, "sites": args.sites},
+                              seed_override=args.seed)
+    return SuiteContext(config).rep(0)
 
 
 def _cmd_murphy(args) -> int:

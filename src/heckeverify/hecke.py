@@ -22,7 +22,7 @@ from .errors import (ConstraintViolation, IndexOutOfRange, NotInvertible,
 from .params import Params
 from .rings import Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed
-from .tensor import PolyMatrix, commutes, embed_pair, embed_site, mat_proportional
+from .tensor import PolyMatrix, commutes, embed, mat_proportional
 
 FAMILIES = ("A", "B", "C")
 
@@ -136,14 +136,14 @@ def _validate_bulk(d: int, q: Rational, g: PolyMatrix, g0: PolyMatrix,
     quad = (g - ident2.scale(q)) * (g + ident2.scale(rat(1) / q))
     if not quad.is_zero:
         return False
-    a = embed_pair(g, 0, 1, (d, d, d))
-    b = embed_pair(g, 1, 2, (d, d, d))
+    a = embed(g, (0, 1), (d, d, d))
+    b = embed(g, (1, 2), (d, d, d))
     if a * b * a != b * a * b:
         return False
-    e0 = embed_site(g0, 0, (d, d))
+    e0 = embed(g0, (0,), (d, d))
     if g * e0 * g * e0 != e0 * g * e0 * g:
         return False
-    en = embed_site(gN, 1, (d, d))
+    en = embed(gN, (1,), (d, d))
     return en * g * en * g == g * en * g * en
 
 
@@ -188,12 +188,12 @@ def build_glN_rep(local_dim: int, sites: int, params: Params) -> HeckeRep:
                    gN_local=gN, gN_inv_local=gN_inv, m_local=twist_matrix(d, p.q))
     layout = rep.layout
     for i in range(1, sites):
-        rep.braid[i] = embed_pair(g, i - 1, i, layout)
-        rep.braid_inv[i] = embed_pair(g_inv, i - 1, i, layout)
-    rep.b0 = embed_site(g0, 0, layout)
-    rep.b0_inv = embed_site(g0_inv, 0, layout)
-    rep.bn = embed_site(gN, sites - 1, layout)
-    rep.bn_inv = embed_site(gN_inv, sites - 1, layout)
+        rep.braid[i] = embed(g, (i - 1, i), layout)
+        rep.braid_inv[i] = embed(g_inv, (i - 1, i), layout)
+    rep.b0 = embed(g0, (0,), layout)
+    rep.b0_inv = embed(g0_inv, (0,), layout)
+    rep.bn = embed(gN, (sites - 1,), layout)
+    rep.bn_inv = embed(gN_inv, (sites - 1,), layout)
     return rep
 
 
@@ -208,8 +208,8 @@ def scalar_right(rep: HeckeRep) -> HeckeRep:
     gN = PolyMatrix.identity((rep.local_dim,)).scale(QN)
     gN_inv = generator_inverse(gN, QN)
     return replace(rep, gN_local=gN, gN_inv_local=gN_inv, degenerate_right=True,
-                   bn=embed_site(gN, rep.sites - 1, rep.layout),
-                   bn_inv=embed_site(gN_inv, rep.sites - 1, rep.layout))
+                   bn=embed(gN, (rep.sites - 1,), rep.layout),
+                   bn_inv=embed(gN_inv, (rep.sites - 1,), rep.layout))
 
 
 # ---------------------------------------------------------------------------

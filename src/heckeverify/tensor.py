@@ -1,11 +1,12 @@
 """Sparse matrices over the Laurent ring on a tensor-factor layout.
 
 Convention: factor 0 of a layout is the leftmost tensor slot; composite
-basis index is row-major (``idx = i0*d1*...*dk + i1*d2*... + ...``).  The
-auxiliary space of a transfer-matrix construction is always factor 0:
-``aux_blocks`` splits a matrix into its auxiliary blocks, its partial trace
-is the sum of the diagonal ones, and ``trace_sandwich`` is the one
-contraction that closes an auxiliary trace.
+basis index is row-major (``idx = i0*d1*...*dk + i1*d2*... + ...``), and
+``embed`` places every local operator on a layout.  The auxiliary space of
+a transfer-matrix construction is always factor 0: ``aux_blocks`` splits a
+matrix into its auxiliary blocks, its partial trace is the sum of the
+diagonal ones, and ``trace_sandwich`` is the one contraction that closes an
+auxiliary trace.
 
 Storage: a matrix is one matrix polynomial ``sum_d u^d C_d / den``: one
 positive ``int`` common denominator ``den`` and ``mats = {d: C_d}``, each
@@ -363,23 +364,6 @@ class PolyMatrix:
 # layout operations
 # ---------------------------------------------------------------------------
 
-def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Kronecker product; composite index ``i_a * dim(b) + i_b``."""
-    db = b.dim
-    out: dict = {}
-    for da, am in a.mats.items():
-        for dg, bm in b.mats.items():
-            m = out.setdefault(da + dg, {})
-            for ra, rowa in am.items():
-                for rb, rowb in bm.items():
-                    orow = m.setdefault(ra * db + rb, {})
-                    for ca, va in rowa.items():
-                        for cb, vb in rowb.items():
-                            c = ca * db + cb
-                            orow[c] = orow.get(c, 0) + va * vb
-    return PolyMatrix._make(a.layout + b.layout, out, a.den * b.den)
-
-
 def _split_aux(m: PolyMatrix) -> dict:
     """The integer matrix polynomials (over ``m.den``) of the nonzero blocks
     ``m^{bc}`` of ``m = sum_{b,c} E_bc (x) m^{bc}``, factor 0 auxiliary."""
@@ -466,10 +450,14 @@ def _offsets(layout, st, factors) -> list[int]:
     return out
 
 
-def _embed(op: PolyMatrix, factors: tuple, layout) -> PolyMatrix:
+def embed(op: PolyMatrix, factors, layout) -> PolyMatrix:
     """Embed ``op``, whose row-major slots sit at the distinct ``factors``,
-    with the identity on every other factor of ``layout``."""
-    layout = tuple(layout)
+    with the identity on every other factor of ``layout``: the one way an
+    operator is placed.  A pair in either order, ``(i, j)``, places a
+    two-factor operator; ``range(len(op.layout))`` pads with identities
+    after it; a permutation of every factor conjugates by that permutation.
+    The stored integers are moved, never multiplied."""
+    layout, factors = tuple(layout), tuple(factors)
     if len(set(factors)) != len(factors) or not all(0 <= k < len(layout) for k in factors):
         raise DimensionMismatch(f"invalid factors {factors} for layout {layout}")
     if op.dim != _prod(layout[k] for k in factors):
@@ -485,17 +473,6 @@ def _embed(op: PolyMatrix, factors: tuple, layout) -> PolyMatrix:
     out = PolyMatrix(layout)
     out.mats, out.den = _per_degree(op.mats, spread), op.den
     return out
-
-
-def embed_pair(op: PolyMatrix, i: int, j: int, layout) -> PolyMatrix:
-    """Embed a two-factor operator with its first slot at factor ``i`` and
-    second slot at factor ``j`` (any distinct positions), identity elsewhere."""
-    return _embed(op, (i, j), layout)
-
-
-def embed_site(op: PolyMatrix, i: int, layout) -> PolyMatrix:
-    """Embed a one-factor operator at factor ``i``, identity elsewhere."""
-    return _embed(op, (i,), layout)
 
 
 def flip_indices(i: int, j: int, layout) -> list[int]:

@@ -12,8 +12,8 @@ One-boundary mode: the open transfer matrix with a single nontrivial left
 boundary, with an inhomogeneity at the last dressed site.  At the diagonal
 evaluation point it factorizes into a bulk sandwich around the boundary
 matrix, the one double row a chain grows; the middle of the direct trace is
-that sandwich relabelled (``R_0k = P_0k r_hat_0k``), and the direct trace
-is compared against the factorized form up to a monomial.
+that sandwich with its factors cycled (``R_0k = P_0k r_hat_0k``), and the
+direct trace is compared against the factorized form up to a monomial.
 ``OneBoundaryChain`` builds what the one-boundary checks share once; its
 boundary is fixed when it is built (``trivial_k`` switches ``K-`` off for
 the A-type corollary).
@@ -49,9 +49,8 @@ from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
 from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, aux_blocks, commutes, embed_pair, embed_site,
-                     flip_indices, kron, mat_proportional, nullspace, numerator_rows,
-                     trace_sandwich)
+from .tensor import (PolyMatrix, aux_blocks, commutes, embed, mat_proportional, nullspace,
+                     numerator_rows, trace_sandwich)
 
 
 @dataclass
@@ -87,19 +86,13 @@ def _grow(seed: PolyMatrix, pairs, *, lo: int | None = None,
           hi: int | None = None) -> PolyMatrix:
     """``X -> L (X (x) I) R`` for each pair ``(L, R)`` in turn, inside out:
     each step appends one factor to the layout, and its ``L`` and ``R`` are
-    already embedded on the factors built so far (``_at``).  Every product
-    keeps only the degrees ``lo..hi`` (a bound left out is open)."""
+    already embedded on the factors built so far.  Every product keeps only
+    the degrees ``lo..hi`` (a bound left out is open)."""
     acc = seed
     for left, right in pairs:
-        acc = kron(acc, PolyMatrix.identity(left.layout[-1:]))
+        acc = embed(acc, range(len(acc.layout)), left.layout)
         acc = left._matmul(acc, lo=lo, hi=hi)._matmul(right, lo=lo, hi=hi)
     return acc
-
-
-def _at(op: PolyMatrix, i: int, k: int) -> PolyMatrix:
-    """The two-factor ``op`` on the factors (``i``, ``k``) of the layout that
-    growth step ``k`` acts on: ``k + 1`` factors of ``op``'s local dimension."""
-    return embed_pair(op, i, k, op.layout[:1] * (k + 1))
 
 
 @dataclass
@@ -125,7 +118,7 @@ class OneBoundaryChain:
     the one double row the chain grows, the bulk sandwich
     ``R_n-1..R_1 K- R_1..R_n-1`` (``R_k = r_hat(k)``), and the auxiliary
     blocks of the middle ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``,
-    its relabel, which no ``u0`` touches.  The middle lives on (auxiliary,
+    its factors cycled, which no ``u0`` touches.  The middle lives on (auxiliary,
     site_1..site_n-1) only; a direct trace closes it with the pair at site
     ``n`` (``trace_sandwich``).
     """
@@ -136,7 +129,7 @@ class OneBoundaryChain:
         self.rep = rep
         self.n = n
         self.trivial_k = trivial_k
-        self._twist = embed_site(rep.m_local, 0, (rep.local_dim,) * 2)
+        self._twist = embed(rep.m_local, (0,), (rep.local_dim,) * 2)
 
     @cached_property
     def aux_scalar(self) -> LaurentPoly | None:
@@ -148,26 +141,24 @@ class OneBoundaryChain:
         identity) on site 1 with the pair at sites (k - 1, k)."""
         rep, pair = self.rep, r_local(self.rep, LaurentPoly.unit(1))
         seed = PolyMatrix.identity((rep.local_dim,)) if self.trivial_k else k_minus_hat(rep)
-        return _grow(seed, [(_at(pair, k - 1, k),) * 2 for k in range(1, self.n)])
+        return _grow(seed, [(embed(pair, (k - 1, k), rep.layout[:k + 1]),) * 2
+                            for k in range(1, self.n)])
 
     @cached_property
     def factorized(self) -> PolyMatrix:
         """The bulk sandwich on all sites, the identity after site ``n``.
         Entries are polynomial of total degree exactly ``2n`` (``2n - 2``
         with the boundary off)."""
-        pad = (self.rep.local_dim,) * (self.rep.sites - self.n)
-        return kron(self._sandwich, PolyMatrix.identity(pad)) if pad else self._sandwich
+        if self.n == self.rep.sites:
+            return self._sandwich
+        return embed(self._sandwich, range(self.n), self.rep.layout)
 
     def middle(self) -> PolyMatrix:
         """``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)`` on (auxiliary,
         site_1..site_n-1), not grown: as ``R_0k = P_0k r_hat_0k``, it is the
-        bulk sandwich conjugated by ``P_0,n-1 .. P_01``, one relabel by the
-        flips composed (``k = 1`` first)."""
-        perm, layout = range(self._sandwich.dim), self._sandwich.layout
-        for k in range(1, self.n):
-            flip = flip_indices(0, k, layout)
-            perm = [flip[i] for i in perm]
-        return self._sandwich.relabel(rows=perm, cols=perm)
+        bulk sandwich conjugated by ``P_0,n-1 .. P_01``, the cycle that puts
+        site ``k`` at factor ``k`` and site ``n`` at the auxiliary factor 0."""
+        return embed(self._sandwich, (*range(1, self.n), 0), self._sandwich.layout)
 
     @cached_property
     def _blocks(self) -> dict[tuple[int, int], PolyMatrix]:
@@ -209,7 +200,7 @@ class OneBoundaryChain:
         matrix = self.factorized
         direct = self.direct(LaurentPoly.unit(1))
         if n < rep.sites:   # the factorized form is the identity on the other sites
-            direct = kron(direct, PolyMatrix.identity((rep.local_dim,) * (rep.sites - n)))
+            direct = embed(direct, range(n), rep.layout)
         ratio = mat_proportional(direct, matrix.scale(f.compose_power(2)))
         if ratio is None:
             raise InternalMismatch("direct and factorized constructions disagree")
@@ -431,10 +422,10 @@ class TwoBoundaryLattice:
         self.rep = rep
         n, u = rep.sites, LaurentPoly.unit(1)
         left, right = _r_aux(rep, u, True), _r_aux(rep, u, False)
-        self._formal = [(embed_site(kit.aplus_at(u), 0, left.layout), 0), (left, n),
+        self._formal = [(embed(kit.aplus_at(u), (0,), left.layout), 0), (left, n),
                         (k_minus_hat(rep), 0), (right, -n),
-                        *((_at(f, 0, k), s * k) for k in range(1, n)
-                          for f, s in ((left, 1), (right, -1)))]
+                        *((embed(f, (0, k), left.layout[:1] * (k + 1)), s * k)
+                          for k in range(1, n) for f, s in ((left, 1), (right, -1)))]
         self._edges: dict[int, ExpansionEdge] = {}
 
     def factors(self, p: int) -> list[PolyMatrix]:
@@ -455,8 +446,8 @@ def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
         raise ValueError(f"unknown mode {mode!r}")
     n = rep.sites
     bulk = {i: r_hat(rep, i) for i in range(1, n)}
-    kplus = embed_site(k_bar_plus_hat(rep), n - 1, rep.layout)
-    kminus = embed_site(k_minus_hat(rep), 0, rep.layout)
+    kplus = embed(k_bar_plus_hat(rep), (n - 1,), rep.layout)
+    kminus = embed(k_minus_hat(rep), (0,), rep.layout)
     if mode == "minus":
         factors = [(kplus, n), *((bulk[i], n + i) for i in range(n - 1, 0, -1)),
                    (kminus, n), *((bulk[i], n - i) for i in range(1, n))]

@@ -6,6 +6,7 @@ from heckeverify import build_glN_rep, build_kit
 from heckeverify.hecke import murphy, murphy_tower
 from heckeverify.params import Params, sample_params
 from heckeverify.rings import rat
+from heckeverify.tensor import embed
 
 # A fixed generic-locus specialization used for frozen-value tests.
 FIXED = Params(q=rat(3, 5), Q0=rat(2, 7), QN=rat(5, 3),
@@ -48,6 +49,13 @@ def kit23(rep23):
 @pytest.fixture(scope="session")
 def kit32(rep32):
     return build_kit(rep32)
+
+
+def kron(a, b):
+    """The Kronecker product ``a (x) b``: ``a`` on the first factors times
+    ``b`` on the last, each placed by ``embed``."""
+    layout, k = a.layout + b.layout, len(a.layout)
+    return embed(a, range(k), layout) * embed(b, range(k, len(layout)), layout)
 
 
 def seeded_params(seed):

@@ -127,7 +127,10 @@ def test_unwritable_out_is_config_error(argv, tmp_path, monkeypatch, capsys):
     ("cfg.json", None),
     ("cfg.json", "[1, 2]"),
     ("cfg.toml", "sites = \n"),
-], ids=["malformed-json", "missing-file", "not-a-table", "malformed-toml"])
+    ("cfg.json", '{"sites": 2, "sutes": ["prop2"]}'),
+    ("cfg.json", '{"site": 4}'),
+], ids=["malformed-json", "missing-file", "not-a-table", "malformed-toml", "unknown-key-sutes",
+        "unknown-key-site"])
 def test_config_file_errors(name, text, tmp_path, capsys):
     cfgfile = tmp_path / name
     if text is not None:

@@ -12,7 +12,7 @@ from heckeverify.hecke import (check_murphy_commutation, check_relations,
 from heckeverify.params import Params, sample_params
 from heckeverify.reporting import render_report
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import PolyMatrix, embed_pair, embed_site
+from heckeverify.tensor import PolyMatrix, embed
 
 from conftest import FIXED, SEEDS, murphy_inv
 
@@ -68,12 +68,12 @@ def test_rejected_variant_passes_braid_but_fails_boundary(rep22):
     g = _convention(2, q, True, False)
     assert quadratic(g).is_zero
     l3 = (2, 2, 2)
-    a = embed_pair(g, 0, 1, l3)
-    b = embed_pair(g, 1, 2, l3)
+    a = embed(g, (0, 1), l3)
+    b = embed(g, (1, 2), l3)
     assert a * b * a == b * a * b
-    e0 = embed_site(rep22.g0_local, 0, (2, 2))
+    e0 = embed(rep22.g0_local, (0,), (2, 2))
     assert g * e0 * g * e0 != e0 * g * e0 * g
-    en = embed_site(rep22.gN_local, 1, (2, 2))
+    en = embed(rep22.gN_local, (1,), (2, 2))
     assert en * g * en * g != g * en * g * en
 
 

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, commutes, embed_pair,
-                                embed_site, flip_indices, kron, mat_proportional, nullspace,
-                                trace_sandwich)
+from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, commutes, embed, flip_indices,
+                                mat_proportional, nullspace, trace_sandwich)
 
-from conftest import ref_rref
+from conftest import kron, ref_rref
 
 U = LaurentPoly.unit
 
@@ -74,14 +73,36 @@ def test_embed_examples():
     g = random_matrix(rng, 4)
     g.layout = (2, 2)
     i2 = PolyMatrix.identity((2,))
-    assert embed_pair(g, 0, 1, (2, 2, 2)) == kron(g, i2)
-    assert embed_pair(g, 1, 2, (2, 2, 2)) == kron(i2, g)
+    assert embed(g, (0, 1), (2, 2, 2)) == kron(g, i2)
+    assert embed(g, (1, 2), (2, 2, 2)) == kron(i2, g)
     g0 = random_matrix(rng, 2)
-    assert embed_site(g0, 0, (2, 2)) == kron(g0, i2)
+    assert embed(g0, (0,), (2, 2)) == kron(g0, i2)
     with pytest.raises(DimensionMismatch):
-        embed_pair(g, 1, 1, (2, 2, 2))
+        embed(g, (1, 1), (2, 2, 2))
     with pytest.raises(DimensionMismatch):
-        embed_site(g, 0, (2, 2, 2))
+        embed(g0, (3,), (2, 2, 2))
+    with pytest.raises(DimensionMismatch):
+        embed(g, (0,), (2, 2, 2))
+    # the reversed pair is the flip conjugation
+    p01 = PolyMatrix.identity((2, 2)).relabel(rows=flip_indices(0, 1, (2, 2)))
+    assert embed(g, (1, 0), (2, 2)) == p01 * g * p01
+    # a cycle of every factor, site k to factor k and the last to factor 0,
+    # is the relabel by the flips P_0,n-1 .. P_01 composed, k = 1 first: the
+    # one-boundary middle against its former construction
+    for n in (2, 3, 4):
+        layout = (2,) * n
+        x = random_matrix(rng, 2 ** n, poly=True)
+        x.layout = layout
+        perm = range(x.dim)
+        for k in range(1, n):
+            flip = flip_indices(0, k, layout)
+            perm = [flip[i] for i in perm]
+        assert embed(x, (*range(1, n), 0), layout) == x.relabel(rows=perm, cols=perm)
+    # the identity pad moves the integers of x: x (x) I in the reference
+    a = _clean({(r, c): {r - c: Fraction(r + 1, c + 2)} for r in range(DIM)
+                for c in range(DIM) if (r * c) % 4 != 1})
+    ident = {(i, i): {0: Fraction(1)} for i in range(DIM)}
+    assert _to_ref(embed(_from_ref(a), range(2), LAYOUT * 2)) == _ref_kron(a, ident)
 
 
 def test_embed_pair_nonadjacent_matches_flip_conjugation():
@@ -89,10 +110,10 @@ def test_embed_pair_nonadjacent_matches_flip_conjugation():
     g = random_matrix(rng, 4, poly=True)
     g.layout = (2, 2)
     layout = (2, 2, 2)
-    direct = embed_pair(g, 0, 2, layout)
+    direct = embed(g, (0, 2), layout)
     # conjugating the adjacent embedding with the (1,2) flip moves the slot
     p12 = PolyMatrix.identity(layout).relabel(rows=flip_indices(1, 2, layout))
-    assert direct == p12 * embed_pair(g, 0, 1, layout) * p12
+    assert direct == p12 * embed(g, (0, 1), layout) * p12
 
 
 def test_partial_trace_of_kron():
@@ -463,8 +484,8 @@ def test_trace_sandwich_matches_trace_product(shape, data):
     assert sorted(blocks) == [(b, c) for b in range(d) for c in range(d)]
     got = trace_sandwich(x, blocks, y)
     last = len(layout) - 1
-    want = (embed_pair(x, 0, last, layout) * kron(mid, PolyMatrix.identity((d,)))
-            * embed_pair(y, 0, last, layout)).partial_trace_first()
+    want = (embed(x, (0, last), layout) * embed(mid, range(last), layout)
+            * embed(y, (0, last), layout)).partial_trace_first()
     assert got == want
     assert got.layout == layout[1:]
     # the windowed contraction forms the terms of degree lo..hi only

@@ -12,8 +12,7 @@ from heckeverify.hecke import murphy, murphy_tower, scalar_right
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
-from heckeverify.tensor import (PolyMatrix, embed_pair, embed_site, flip_indices, kron,
-                                mat_proportional)
+from heckeverify.tensor import PolyMatrix, embed, flip_indices, mat_proportional
 from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   build_t_one_boundary, check_degeneration,
                                   check_factorized, explore_generic,
@@ -21,7 +20,7 @@ from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   t_two_boundary_factorized, trace_edges,
                                   verify_murphy_two_boundary)
 
-from conftest import FIXED, SEEDS, chain_edges, murphy_inv, ref_rref
+from conftest import FIXED, SEEDS, chain_edges, kron, murphy_inv, ref_rref
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +77,7 @@ def test_zero_twist_is_no_proportionality(rep22):
 
 def test_one_boundary_n1(rep22):
     res = build_t_one_boundary(rep22, 1)
-    expected = embed_site(k_minus_hat(rep22, LaurentPoly.unit(1)), 0, rep22.layout)
+    expected = embed(k_minus_hat(rep22, LaurentPoly.unit(1)), (0,), rep22.layout)
     assert res.matrix == expected
     assert res.internal_ratio is not None
 
@@ -119,8 +118,8 @@ def test_one_boundary_hierarchy_sub_n(rep23):
 def _pair_factor(rep, k, w, layout, left):
     """The pair ``g - w g^-1`` at factors (0, k) of ``layout``, formed by
     arithmetic, with the flip on its rows (``left``) or its columns."""
-    pair = (embed_pair(rep.g_local, 0, k, layout)
-            - embed_pair(rep.g_inv_local, 0, k, layout).scale(w))
+    pair = (embed(rep.g_local, (0, k), layout)
+            - embed(rep.g_inv_local, (0, k), layout).scale(w))
     flip = flip_indices(0, k, layout)
     return pair.relabel(rows=flip) if left else pair.relabel(cols=flip)
 
@@ -129,7 +128,7 @@ def _open_sandwich(rep, n, trivial_k):
     """The factors ``R_n-1..R_1 K- R_1..R_n-1`` of the bulk sandwich on the
     site space, formed by arithmetic, ``K-`` the identity with ``trivial_k``."""
     u = LaurentPoly.unit(1)
-    middle = rep.identity() if trivial_k else embed_site(k_minus_hat(rep, u), 0, rep.layout)
+    middle = rep.identity() if trivial_k else embed(k_minus_hat(rep, u), (0,), rep.layout)
     bulk = [rep.braid[i] - rep.braid_inv[i].scale(u) for i in range(1, n)]
     return [*reversed(bulk), middle, *bulk]
 
@@ -139,9 +138,9 @@ def _full_layout_factors(rep, kit, p):
     formed by arithmetic on the full (auxiliary, site_1..site_N) layout."""
     n, v = rep.sites, LaurentPoly.unit
     layout = (rep.local_dim,) * (n + 1)
-    return [embed_site(kit.aplus_at(v(p)), 0, layout),
+    return [embed(kit.aplus_at(v(p)), (0,), layout),
             *(_pair_factor(rep, k, v(p + k), layout, True) for k in range(n, 0, -1)),
-            embed_site(k_minus_hat(rep, v(p)), 0, layout),
+            embed(k_minus_hat(rep, v(p)), (0,), layout),
             *(_pair_factor(rep, k, v(p - k), layout, False) for k in range(1, n + 1))]
 
 
@@ -158,7 +157,7 @@ def test_lattice_factors_match_arithmetic_factors(dim, sites):
     pair = (dim, dim)
     v = LaurentPoly.unit
     for p in [*range(1, sites + 1), *range(-sites, 0)]:
-        want = [embed_site(kit.aplus_at(v(p)), 0, pair),
+        want = [embed(kit.aplus_at(v(p)), (0,), pair),
                 _pair_factor(rep, 1, v(p + sites), pair, True),
                 k_minus_hat(rep, v(p)),
                 _pair_factor(rep, 1, v(p - sites), pair, False)]
@@ -177,16 +176,15 @@ def test_grown_double_rows_match_full_products(dim, sites, trivial_k):
     # middle's on (auxiliary, site_1..site_n), identity on site n
     rep = build_glN_rep(dim, sites, FIXED)
     u = LaurentPoly.unit(1)
-    one = PolyMatrix.identity((dim,))
     for n in range(1, sites + 1):
         layout = (dim,) * (n + 1)
         inner = (PolyMatrix.identity(layout) if trivial_k
-                 else embed_site(k_minus_hat(rep, u), 0, layout))
+                 else embed(k_minus_hat(rep, u), (0,), layout))
         full = reduce(mul, [*(_pair_factor(rep, k, u, layout, True) for k in range(n - 1, 0, -1)),
                             inner, *(_pair_factor(rep, k, u, layout, False) for k in range(1, n))])
         middle = OneBoundaryChain(rep, n, trivial_k).middle()
         assert middle.layout == (dim,) * n
-        assert kron(middle, one) == full
+        assert embed(middle, range(n), layout) == full
         assert transfer.t_open_factorized(rep, n, trivial_k=trivial_k) == reduce(
             mul, _open_sandwich(rep, n, trivial_k))
 
@@ -202,17 +200,15 @@ def _drop_block(b, c):
 
 
 def _misflip(mutant):
-    """``flip_indices`` as the middle's relabel at three sites reads it, with
-    the flip of ``k = 1`` skipped or the flips taken ``k = 2`` first; the
-    two-factor flips of the pairs are left alone."""
-    flip = transfer.flip_indices
+    """``embed`` as the middle at three sites reads it: its cycle
+    ``(1, 2, 0)``, the flips ``P_02 P_01``, with the flip of ``k = 1``
+    skipped (``P_02`` alone) or the flips taken ``k = 2`` first (the inverse
+    cycle); every other placement is left alone."""
+    embed_ = transfer.embed
+    wrong = {"flip-skipped": (2, 1, 0), "flip-reversed": (2, 0, 1)}[mutant]
 
-    def corrupted(i, j, layout):
-        if len(layout) != 3:
-            return flip(i, j, layout)
-        if mutant == "flip-skipped":
-            return list(range(8)) if j == 1 else flip(i, j, layout)
-        return flip(i, 3 - j, layout)
+    def corrupted(op, factors, layout):
+        return embed_(op, wrong if tuple(factors) == (1, 2, 0) else factors, layout)
     return corrupted
 
 
@@ -226,7 +222,7 @@ def test_corrupted_contraction_fails_prop1(rep23, monkeypatch, mutant):
     if mutant == "no-twist":
         monkeypatch.setattr(chain, "_twist", PolyMatrix.identity((2, 2)))
     elif mutant.startswith("flip"):
-        monkeypatch.setattr(transfer, "flip_indices", _misflip(mutant))
+        monkeypatch.setattr(transfer, "embed", _misflip(mutant))
     else:
         monkeypatch.setattr(transfer, "trace_sandwich", _drop_block(*map(int, mutant[-2:])))
     reports = chain_edges(chain)
