@@ -16,7 +16,6 @@ specialized at several rationals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo, twist_matrix
@@ -37,7 +36,11 @@ def r_hat(rep: HeckeRep, i: int, arg: LaurentPoly | None = None) -> PolyMatrix:
     return embed(r_local(rep, u), (i - 1, i), rep.layout)
 
 
-def _pencil(coeffs, w: LaurentPoly) -> PolyMatrix:
+# the coefficients ``(X0, X1, X2)`` of a quadratic matrix pencil
+Pencil = tuple[PolyMatrix, PolyMatrix, PolyMatrix]
+
+
+def _pencil(coeffs: Pencil, w: LaurentPoly) -> PolyMatrix:
     """The quadratic matrix pencil ``X0 + X1 w + X2 w^2``."""
     x0, x1, x2 = coeffs
     return x0 + x1.scale(w) + x2.scale(w * w)
@@ -236,7 +239,7 @@ def _dual_condition(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix]:
     raise ValueError("end must be 'left' or 'right'")
 
 
-def calibrate_dual(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+def calibrate_dual(rep: HeckeRep, end: str) -> Pencil:
     """The dual boundary pencil ``X(u) = X0 + X1 u + X2 u^2`` of the trace
     condition at ``end`` (``_dual_condition``), calibrated exactly as a
     one-dimensional nullspace: the identity itself decides.
@@ -268,29 +271,21 @@ def calibrate_dual(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix, Pol
                                    for r in range(d) for c in range(d)}) for j in range(3))
 
 
-@dataclass
-class BaxterKit:
-    """The calibrated spectral data the two-boundary family reads: ``aplus``,
-    the right dual pencil (``calibrate_dual(rep, "right")``) that leads the
-    auxiliary trace."""
-
-    aplus: tuple[PolyMatrix, PolyMatrix, PolyMatrix]
-
-    def aplus_at(self, arg: LaurentPoly) -> PolyMatrix:
-        return _pencil(self.aplus, arg)
+def build_kit(rep: HeckeRep) -> Pencil:
+    """The calibrated spectral data the two-boundary family reads: the right
+    dual pencil ``(X0, X1, X2)`` (``calibrate_dual(rep, "right")``) that leads
+    the auxiliary trace."""
+    return calibrate_dual(rep, "right")
 
 
-def build_kit(rep: HeckeRep) -> BaxterKit:
-    return BaxterKit(aplus=calibrate_dual(rep, "right"))
-
-
-def check_condition2(rep: HeckeRep, kit: BaxterKit) -> list[CheckReport]:
-    """Verify both trace conditions, with the kit's right dual and the left
-    dual calibrated here, and report the exact proportionality functions."""
+def check_condition2(rep: HeckeRep, kit: Pencil) -> list[CheckReport]:
+    """Verify both trace conditions, with the kit (``build_kit``) as the right
+    dual and the left dual calibrated here, and report the exact
+    proportionality functions."""
     u = LaurentPoly.unit(1)
     echo = _echo(rep)
     out = []
-    for end, dual in (("right", kit.aplus), ("left", calibrate_dual(rep, "left"))):
+    for end, dual in (("right", kit), ("left", calibrate_dual(rep, "left"))):
         kernel, boundary = _dual_condition(rep, end)
         lhs = _aux_trace(_pencil(dual, u), kernel)
         out.append(ratio_report(f"condition2/{end}-trace", mat_proportional(lhs, boundary),

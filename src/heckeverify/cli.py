@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from . import baxter, hecke, transfer
 from .errors import CalibrationFailure, ConfigError, HeckeVerifyError
-from .params import parse_rational, sample_params
+from .params import PARAM_NAMES, parse_rational, sample_params
 from .reporting import (CheckReport, failed, info, render_matrix_dump,
                         render_report)
 from .rings import rat_str
@@ -26,7 +26,6 @@ SUITE_NAMES = [
     "commuting-family", "explore-generic", "condition2", "factorized", "degeneration",
 ]
 
-PARAM_NAMES = ("q", "Q0", "QN", "x0p", "x0m", "xNp", "xNm", "c_minus", "c_plus")
 CONFIG_KEYS = ("local_dim", "sites", "seed", "family", "suites", "out", *PARAM_NAMES)
 
 _SITE_BOUNDS = {2: 6, 3: 4}
@@ -77,8 +76,13 @@ class RunConfig:
         for name in self.suites:
             if name not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {name!r}")
-        # reject override sets violating the locus early, with a clear message
-        sample_params(self.seed, self.overrides)
+        # reject overrides off the locus at any specialization, with a clear message
+        for idx in range(SPECIALIZATIONS):
+            sample_params(self.spec_seed(idx), self.overrides)
+
+    def spec_seed(self, idx: int) -> int:
+        """The seed of specialization ``idx``'s parameters and sample points."""
+        return self.seed * 1000 + idx
 
     def families(self) -> tuple[str, ...]:
         """The family tag selects a level of the tower A < B < C; every
@@ -171,9 +175,6 @@ class SuiteContext:
         self.config = config
         self._built: dict[tuple, object] = {}
 
-    def spec_seed(self, idx: int) -> int:
-        return self.config.seed * 1000 + idx
-
     def _memo(self, kind: str, idx: int, build):
         if (kind, idx) not in self._built:
             self._built[kind, idx] = build()
@@ -182,7 +183,8 @@ class SuiteContext:
     def rep(self, idx: int) -> hecke.HeckeRep:
         config = self.config
         return self._memo("rep", idx, lambda: hecke.build_glN_rep(
-            config.local_dim, config.sites, sample_params(self.spec_seed(idx), config.overrides)))
+            config.local_dim, config.sites,
+            sample_params(config.spec_seed(idx), config.overrides)))
 
     def tower(self, idx: int, family: str, inverse: bool = False) -> list[PolyMatrix]:
         """The family's Murphy elements (``hecke.murphy_tower``), or their
@@ -190,7 +192,7 @@ class SuiteContext:
         return self._memo(("tower", family, inverse), idx,
                           lambda: hecke.murphy_tower(self.rep(idx), family, inverse))
 
-    def kit(self, idx: int) -> baxter.BaxterKit:
+    def kit(self, idx: int) -> baxter.Pencil:
         return self._memo("kit", idx, lambda: baxter.build_kit(self.rep(idx)))
 
     def lattice(self, idx: int) -> transfer.TwoBoundaryLattice:
@@ -198,12 +200,9 @@ class SuiteContext:
                           lambda: transfer.TwoBoundaryLattice(self.rep(idx), self.kit(idx)))
 
     def chain(self, idx: int, trivial_k: bool = False) -> transfer.OneBoundaryChain:
-        """The chain on all sites, kept with the boundary on; both boundaries
-        read one auxiliary scalar (it depends on the representation only)."""
+        """The chain on all sites, kept with the boundary on."""
         def build():
-            chain = transfer.OneBoundaryChain(self.rep(idx), self.config.sites, trivial_k)
-            chain.aux_scalar = self._memo("aux", idx, lambda: transfer.aux_trace_scalar(chain.rep))
-            return chain
+            return transfer.OneBoundaryChain(self.rep(idx), self.config.sites, trivial_k)
         return build() if trivial_k else self._memo("chain", idx, build)
 
 
@@ -267,11 +266,11 @@ _SUITES = {
         for f in _murphy_families(ctx.config)],
     "central": lambda ctx, i: [
         hecke.check_symmetric_commutant(
-            ctx.rep(i), f, 2, ctx.tower(i, f) + (ctx.tower(i, f, True) if f == "C" else []))
+            ctx.rep(i), f, ctx.tower(i, f) + (ctx.tower(i, f, True) if f == "C" else []))
         for f in _murphy_families(ctx.config)],
-    "ybe": lambda ctx, i: [baxter.check_ybe(ctx.rep(i), seed=ctx.spec_seed(i))],
-    "re": lambda ctx, i: [
-        baxter.check_re(ctx.rep(i), end, seed=ctx.spec_seed(i)) for end in ("left", "right")],
+    "ybe": lambda ctx, i: [baxter.check_ybe(ctx.rep(i), seed=ctx.config.spec_seed(i))],
+    "re": lambda ctx, i: [baxter.check_re(ctx.rep(i), end, seed=ctx.config.spec_seed(i))
+                          for end in ("left", "right")],
     "unitarity": lambda ctx, i: baxter.check_unitarity(ctx.rep(i)),
     "crossing": lambda ctx, i: [baxter.check_crossing_report(ctx.rep(i))],
     "prop1": lambda ctx, i: [ctx.chain(i).check_aux_trace(),
@@ -281,7 +280,8 @@ _SUITES = {
     "prop2": _calibrated("prop2", lambda ctx, i: transfer.verify_murphy_two_boundary(
         ctx.lattice(i), ctx.tower(i, "C"), ctx.tower(i, "C", True))),
     "hamiltonian": lambda ctx, i: ctx.chain(i).check_hamiltonian(),
-    "commuting-family": lambda ctx, i: [ctx.chain(i).check_commuting_family(ctx.spec_seed(i))],
+    "commuting-family": lambda ctx, i: [
+        ctx.chain(i).check_commuting_family(ctx.config.spec_seed(i))],
     "explore-generic": _calibrated("explore", _explore_generic),
     "condition2": _calibrated("condition2", lambda ctx, i: baxter.check_condition2(
         ctx.rep(i), ctx.kit(i))),

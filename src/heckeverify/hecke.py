@@ -394,10 +394,10 @@ def check_murphy_commutation(rep: HeckeRep, family: str,
     return passed(f"murphy-commute/{family}", params=echo)
 
 
-def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int,
+def check_symmetric_commutant(rep: HeckeRep, family: str,
                               elements: list[PolyMatrix]) -> CheckReport:
-    """Power sums ``sum_e e^m`` of the Murphy ``elements`` centralize the
-    family's generators.
+    """Power sums ``sum_e e^m``, ``m = 1, 2``, of the Murphy ``elements``
+    centralize the family's generators.
 
     For C the symmetric functions must include the inverses, so there the
     elements are the tower and the inverse tower, and the checked sums are
@@ -405,7 +405,7 @@ def check_symmetric_commutant(rep: HeckeRep, family: str, max_power: int,
     """
     echo = _echo(rep)
     gens = [*_family_indices(rep, family), *([rep.sites] if family == "C" else [])]
-    for m in range(1, max_power + 1):
+    for m in (1, 2):
         total = sum((reduce(mul, [e] * m) for e in elements), PolyMatrix(rep.layout))
         for gidx in gens:
             gmat = rep.generator(gidx)

@@ -10,7 +10,7 @@ confidence without a multivariate polynomial ring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .rings import Rational, rat, rat_str
@@ -33,8 +33,10 @@ class Params:
     c_plus: Rational
 
     def echo(self) -> dict[str, str]:
-        return {name: rat_str(getattr(self, name)) for name in
-                ("q", "Q0", "QN", "x0p", "x0m", "xNp", "xNm", "c_minus", "c_plus")}
+        return {name: rat_str(getattr(self, name)) for name in PARAM_NAMES}
+
+
+PARAM_NAMES = tuple(f.name for f in fields(Params))
 
 
 def parse_rational(text: str) -> Rational:
@@ -63,6 +65,16 @@ def _deformation_ok(x: Rational) -> bool:
     return x != 0 and x != 1 and x != -1
 
 
+def _nonzero(x: Rational) -> bool:
+    return x != 0
+
+
+# the sampled parameters in draw order, with their locus predicates; each
+# must also differ from every one before it
+_SAMPLED = (("q", _deformation_ok), ("Q0", _deformation_ok), ("QN", _deformation_ok),
+            ("x0p", _nonzero), ("xNp", _nonzero), ("c_minus", _nonzero), ("c_plus", _nonzero))
+
+
 def sample_params(seed: int, overrides: dict[str, Rational] | None = None) -> Params:
     """Deterministic generic-locus specialization for the given seed.
 
@@ -71,45 +83,27 @@ def sample_params(seed: int, overrides: dict[str, Rational] | None = None) -> Pa
     everything nonzero, ``q, Q0, QN`` away from ``+-1`` and pairwise
     distinct, and ``x+ x- = 1`` at both boundaries.
     """
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     rng = random.Random(seed)
-
-    def pick(name: str, ok) -> Rational:
+    chosen: dict[str, Rational] = {}
+    for name, ok in _SAMPLED:
+        def fresh(v: Rational) -> bool:
+            return ok(v) and v not in chosen.values()
         if name in overrides:
             val = overrides[name]
-            if not ok(val):
+            if not fresh(val):
                 raise ConfigError(f"override {name}={rat_str(val)} violates the generic locus")
-            return val
-        for _ in range(10_000):
-            val = _draw(rng)
-            if ok(val):
-                return val
-        raise ConfigError(f"could not sample {name} on the generic locus")
+        else:
+            for _ in range(10_000):
+                val = _draw(rng)
+                if fresh(val):
+                    break
+            else:
+                raise ConfigError(f"could not sample {name} on the generic locus")
+        chosen[name] = val
 
-    chosen: list[Rational] = []
-
-    def fresh(ok):
-        def check(v):
-            return ok(v) and all(v != c for c in chosen)
-        return check
-
-    q = pick("q", fresh(_deformation_ok))
-    chosen.append(q)
-    Q0 = pick("Q0", fresh(_deformation_ok))
-    chosen.append(Q0)
-    QN = pick("QN", fresh(_deformation_ok))
-    chosen.append(QN)
-    x0p = pick("x0p", fresh(lambda v: v != 0))
-    chosen.append(x0p)
-    xNp = pick("xNp", fresh(lambda v: v != 0))
-    chosen.append(xNp)
-    c_minus = pick("c_minus", fresh(lambda v: v != 0))
-    chosen.append(c_minus)
-    c_plus = pick("c_plus", fresh(lambda v: v != 0))
-
-    x0m = overrides.get("x0m", rat(1) / x0p)
-    xNm = overrides.get("xNm", rat(1) / xNp)
-    if x0p * x0m != 1 or xNp * xNm != 1:
+    x0m = overrides.get("x0m", rat(1) / chosen["x0p"])
+    xNm = overrides.get("xNm", rat(1) / chosen["xNp"])
+    if chosen["x0p"] * x0m != 1 or chosen["xNp"] * xNm != 1:
         raise ConfigError("boundary parameters must satisfy x+ * x- = 1")
-    return Params(q=q, Q0=Q0, QN=QN, x0p=x0p, x0m=x0m, xNp=xNp, xNm=xNm,
-                  c_minus=c_minus, c_plus=c_plus)
+    return Params(**chosen, x0m=x0m, xNm=xNm)

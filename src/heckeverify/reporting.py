@@ -52,13 +52,12 @@ def passed(name: str, params=None, ratio=None, degrees=None, note=None) -> Check
                        degrees=degrees, note=note)
 
 
-def failed(name: str, failure: dict, params=None, note=None) -> CheckReport:
-    return CheckReport(name, "fail", dict(params or {}), first_failure=failure, note=note)
+def failed(name: str, failure: dict, params=None) -> CheckReport:
+    return CheckReport(name, "fail", dict(params or {}), first_failure=failure)
 
 
-def info(name: str, note: str, params=None, ratio=None, degrees=None) -> CheckReport:
-    return CheckReport(name, "info", dict(params or {}), ratio=ratio,
-                       degrees=degrees, note=note)
+def info(name: str, note: str) -> CheckReport:
+    return CheckReport(name, "info", note=note)
 
 
 def ratio_report(name: str, ratio, failure: dict, params=None, degrees=None,

@@ -96,33 +96,10 @@ class LaurentPoly:
         return self.terms[0]
 
     # -- ring operations ----------------------------------------------
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        t = dict(self.terms)
-        for deg, c in other.terms.items():
-            s = t.get(deg, _ZERO) + c
-            if s:
-                t[deg] = s
-            else:
-                del t[deg]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = t
-        return out
-
-    __radd__ = __add__
-
     def __neg__(self):
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = {d: -c for d, c in self.terms.items()}
         return out
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
@@ -186,14 +163,6 @@ class LaurentPoly:
         return "".join(parts)
 
     __repr__ = __str__
-
-
-def _coerce(x):
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LaurentPoly.const(x)
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import mul
 
-from .baxter import (BaxterKit, _aux_kernel, _aux_trace, _r_aux, k_bar_plus_hat,
+from .baxter import (Pencil, _aux_kernel, _aux_trace, _pencil, _r_aux, k_bar_plus_hat,
                      k_minus_hat, r_hat, r_local)
 from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
                      SpanFailure)
@@ -330,7 +329,7 @@ def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,
 # two-boundary pipeline
 # ---------------------------------------------------------------------------
 
-def t_two_boundary_direct(rep: HeckeRep, kit: BaxterKit, p: int) -> PolyMatrix:
+def t_two_boundary_direct(rep: HeckeRep, kit: Pencil, p: int) -> PolyMatrix:
     """The dressed family member ``T(u = v^p; v)`` as a full Laurent matrix:
     the lattice's growth (``_member``) with no window.
 
@@ -418,11 +417,11 @@ class TwoBoundaryLattice:
     for ``k < N`` and on the (auxiliary, site_N) pair for ``k = N``.
     """
 
-    def __init__(self, rep: HeckeRep, kit: BaxterKit):
+    def __init__(self, rep: HeckeRep, kit: Pencil):
         self.rep = rep
         n, u = rep.sites, LaurentPoly.unit(1)
         left, right = _r_aux(rep, u, True), _r_aux(rep, u, False)
-        self._formal = [(embed(kit.aplus_at(u), (0,), left.layout), 0), (left, n),
+        self._formal = [(embed(_pencil(kit, u), (0,), left.layout), 0), (left, n),
                         (k_minus_hat(rep), 0), (right, -n),
                         *((embed(f, (0, k), left.layout[:1] * (k + 1)), s * k)
                           for k in range(1, n) for f, s in ((left, 1), (right, -1)))]
@@ -461,8 +460,9 @@ def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
 
 
 def t_two_boundary_factorized(rep: HeckeRep, mode: str) -> PolyMatrix:
-    """The telescoped product forms of the two-boundary transfer matrices."""
-    return reduce(mul, _two_boundary_sandwich(rep, mode))
+    """The telescoped product forms of the two-boundary transfer matrices:
+    ``_chain`` of the factors with no window."""
+    return _chain(_two_boundary_sandwich(rep, mode))
 
 
 def _lattice_report(lattice: TwoBoundaryLattice, tower: list[PolyMatrix],

@@ -5,7 +5,7 @@ import pytest
 from heckeverify import build_glN_rep, build_kit
 from heckeverify.hecke import murphy, murphy_tower
 from heckeverify.params import Params, sample_params
-from heckeverify.rings import rat
+from heckeverify.rings import LaurentPoly, rat
 from heckeverify.tensor import embed
 
 # A fixed generic-locus specialization used for frozen-value tests.
@@ -56,6 +56,16 @@ def kron(a, b):
     ``b`` on the last, each placed by ``embed``."""
     layout, k = a.layout + b.layout, len(a.layout)
     return embed(a, range(k), layout) * embed(b, range(k, len(layout)), layout)
+
+
+def lp_sum(polys):
+    """The sum of Laurent polynomials, added term by term (the program never
+    adds them, so ``LaurentPoly`` has no addition)."""
+    terms = {}
+    for p in polys:
+        for deg, c in p.terms.items():
+            terms[deg] = terms.get(deg, 0) + c
+    return LaurentPoly(terms)
 
 
 def seeded_params(seed):

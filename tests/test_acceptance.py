@@ -124,8 +124,8 @@ def test_criterion_07_murphy_structure():
                 ok = ok and check_murphy_commutation(rep, family, tower).status == "pass"
             b_tower = murphy_tower(rep, "B")
             c_both = murphy_tower(rep, "C") + murphy_tower(rep, "C", True)
-            ok = ok and check_symmetric_commutant(rep, "B", 2, b_tower).status == "pass"
-            ok = ok and check_symmetric_commutant(rep, "C", 1, c_both).status == "pass"
+            ok = ok and check_symmetric_commutant(rep, "B", b_tower).status == "pass"
+            ok = ok and check_symmetric_commutant(rep, "C", c_both).status == "pass"
     record(7, ok, "pairwise commutation and centralizing power sums")
 
 

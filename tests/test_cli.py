@@ -34,6 +34,20 @@ def test_config_rejects_locus_violations():
         config_from_dict({"Q0": "0"})
 
 
+def test_config_validates_every_specialization(tmp_path, capsys):
+    # Q0 equal to the q drawn at specialization 1 (q is drawn first, so the
+    # override does not move it) breaks that specialization only: the config
+    # is rejected up front, not reported as failed suites
+    collision = sample_params(101 * 1000 + 1).q
+    assert collision != sample_params(101 * 1000).q
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": 101, "Q0": str(collision),
+                                   "suites": ["relations", "tl"]}))
+    assert main(["suite", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err and captured.out == ""
+
+
 def test_config_family_tower():
     cfg = config_from_dict({"family": "B"})
     assert cfg.families() == ("A", "B")
@@ -260,12 +274,12 @@ def test_one_boundary_pass_builds_once(monkeypatch):
     monkeypatch.setattr(transfer.OneBoundaryChain, "__init__", tracking)
     cfg = config_from_dict({"sites": 3, "suites": ONE_BOUNDARY_SUITES})
     assert not [r for r in run_suite(cfg) if r.status == "fail"]
-    # one chain per (specialization, trivial_k), each growing one double row;
-    # both chains of a specialization read one aux scalar
+    # one chain per (specialization, trivial_k), each growing one double row
+    # and computing one aux scalar; both scalars of a specialization agree
     assert len(chains) == len(set(chains)) == 3 * 2
     assert len(grown) == 3 * 2
     assert _all_distinct(grown)
-    assert len(scalars) == 3
+    assert len(scalars) == 3 * 2
     assert len({str(f) for _, f in scalars}) == len({p for p, _ in scalars}) == 3
 
 
@@ -278,7 +292,7 @@ def test_one_boundary_error_stays_with_its_suite(monkeypatch, suite, owner, attr
     in place of all of its own; the other suites' reports do not change."""
     cfg = config_from_dict({"sites": 3, "suites": [*ONE_BOUNDARY_SUITES, "prop2"]})
     clean = run_suite(cfg)
-    bad_params = sample_params(cfg.seed * 1000 + 1)
+    bad_params = sample_params(cfg.spec_seed(1))
     original = getattr(owner, attr)
 
     def failing(target, *args):   # a chain or a lattice, and the C towers

@@ -11,7 +11,7 @@ from heckeverify.rings import LaurentPoly, rat
 from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, commutes, embed, flip_indices,
                                 mat_proportional, nullspace, trace_sandwich)
 
-from conftest import kron, ref_rref
+from conftest import kron, lp_sum, ref_rref
 
 U = LaurentPoly.unit
 
@@ -34,10 +34,7 @@ def random_matrix(rng, d, poly=False):
 
 
 def trace(m):
-    total = LaurentPoly.zero()
-    for i in range(m.dim):
-        total = total + m.get(i, i)
-    return total
+    return lp_sum(m.get(i, i) for i in range(m.dim))
 
 
 def test_kron_identity():

@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from heckeverify import build_glN_rep, build_kit
-from heckeverify.baxter import check_condition2, k_minus_hat
+from heckeverify.baxter import _pencil, check_condition2, k_minus_hat
 from heckeverify.errors import DimensionMismatch
 from heckeverify.hecke import murphy, murphy_tower, scalar_right
 from heckeverify.params import sample_params
@@ -138,7 +138,7 @@ def _full_layout_factors(rep, kit, p):
     formed by arithmetic on the full (auxiliary, site_1..site_N) layout."""
     n, v = rep.sites, LaurentPoly.unit
     layout = (rep.local_dim,) * (n + 1)
-    return [embed(kit.aplus_at(v(p)), (0,), layout),
+    return [embed(_pencil(kit, v(p)), (0,), layout),
             *(_pair_factor(rep, k, v(p + k), layout, True) for k in range(n, 0, -1)),
             embed(k_minus_hat(rep, v(p)), (0,), layout),
             *(_pair_factor(rep, k, v(p - k), layout, False) for k in range(1, n + 1))]
@@ -157,7 +157,7 @@ def test_lattice_factors_match_arithmetic_factors(dim, sites):
     pair = (dim, dim)
     v = LaurentPoly.unit
     for p in [*range(1, sites + 1), *range(-sites, 0)]:
-        want = [embed(kit.aplus_at(v(p)), (0,), pair),
+        want = [embed(_pencil(kit, v(p)), (0,), pair),
                 _pair_factor(rep, 1, v(p + sites), pair, True),
                 k_minus_hat(rep, v(p)),
                 _pair_factor(rep, 1, v(p - sites), pair, False)]
@@ -287,9 +287,8 @@ def test_build_two_boundary_plus(rep22, kit22):
 
 
 def test_two_boundary_internal_mismatch_detected(rep22, kit22):
-    kit = copy.copy(kit22)
-    a0, a1, a2 = kit22.aplus
-    kit.aplus = (a0, a1.scale(rat(3)), a2)
+    a0, a1, a2 = kit22
+    kit = (a0, a1.scale(rat(3)), a2)
     direct = t_two_boundary_direct(rep22, kit, rep22.sites)
     assert mat_proportional(direct, t_two_boundary_factorized(rep22, "minus")) is None
     # the middle coefficient reaches no expansion edge; the right trace
@@ -580,10 +579,9 @@ def test_explore_intermediate_point_finds_middle_element(rep23, kit23):
 def test_corrupted_dual_fails_lattice_checks(rep23, kit23, coeff):
     # one entry of the right dual pencil X0 + X1 u + X2 u^2 changed: X0 leads
     # the lowest coefficient at every p > 0, X2 at every p < 0
-    kit = copy.copy(kit23)
-    pencil = list(kit23.aplus)
-    pencil[coeff] = pencil[coeff] + PolyMatrix((2,), {(0, 1): rat(1, 3)})
-    kit.aplus = tuple(pencil)
+    kit = list(kit23)
+    kit[coeff] = kit[coeff] + PolyMatrix((2,), {(0, 1): rat(1, 3)})
+    kit = tuple(kit)
     lattice = TwoBoundaryLattice(rep23, kit)
     points = {r.check_name: r for n in range(1, 4) for r in explore_generic(lattice, n, *_c_towers(rep23))}
     for p in (1, 2, 3, -1, -2, -3):
