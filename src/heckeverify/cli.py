@@ -234,7 +234,7 @@ def _calibrated(tag: str, check):
         try:
             return check(ctx, idx)
         except CalibrationFailure as exc:
-            return [failed(f"{tag}/calibration", params=ctx.rep(idx).params.echo(),
+            return [failed(f"{tag}/calibration", params=hecke._echo(ctx.rep(idx)),
                            failure={"relation": str(exc)})]
     return run
 

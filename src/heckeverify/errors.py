@@ -17,10 +17,6 @@ class ConstraintViolation(HeckeVerifyError):
     """Structural parameters violate a required algebraic constraint."""
 
 
-class RelationFailure(HeckeVerifyError):
-    """A defining algebra relation does not hold."""
-
-
 class NotInvertible(HeckeVerifyError):
     """Matrix has no inverse under the quadratic-relation formula."""
 
@@ -31,18 +27,6 @@ class IndexOutOfRange(HeckeVerifyError):
 
 class CalibrationFailure(HeckeVerifyError):
     """No (or no unique) candidate satisfies the calibration identity."""
-
-
-class ConditionFailure(HeckeVerifyError):
-    """A side condition required by a transfer-matrix construction fails."""
-
-
-class InternalMismatch(HeckeVerifyError):
-    """Two independent constructions of the same object disagree."""
-
-
-class SpanFailure(HeckeVerifyError):
-    """Exact linear solve found no representation in the requested span."""
 
 
 class ConfigError(HeckeVerifyError):

@@ -17,11 +17,10 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import mul
 
-from .errors import (ConstraintViolation, IndexOutOfRange, NotInvertible,
-                     RelationFailure)
+from .errors import ConstraintViolation, IndexOutOfRange, NotInvertible
 from .params import Params
 from .rings import Rational, rat, rat_str
-from .reporting import CheckReport, entry_failure, failed, passed
+from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import PolyMatrix, commutes, embed, mat_proportional
 
 FAMILIES = ("A", "B", "C")
@@ -130,12 +129,9 @@ class HeckeRep:
         raise IndexOutOfRange(f"generator index {index} for {self.sites} sites")
 
 
-def _validate_bulk(d: int, q: Rational, g: PolyMatrix, g0: PolyMatrix,
-                   gN: PolyMatrix) -> bool:
-    ident2 = PolyMatrix.identity((d, d))
-    quad = (g - ident2.scale(q)) * (g + ident2.scale(rat(1) / q))
-    if not quad.is_zero:
-        return False
+def _validate_bulk(d: int, g: PolyMatrix, g0: PolyMatrix, gN: PolyMatrix) -> bool:
+    """The braid and both boundary braid relations of the local generators
+    (each quadratic relation is checked by ``generator_inverse``)."""
     a = embed(g, (0, 1), (d, d, d))
     b = embed(g, (1, 2), (d, d, d))
     if a * b * a != b * a * b:
@@ -150,9 +146,9 @@ def _validate_bulk(d: int, q: Rational, g: PolyMatrix, g0: PolyMatrix,
 def build_glN_rep(local_dim: int, sites: int, params: Params) -> HeckeRep:
     """Build and validate the full tensor representation.
 
-    Raises ConstraintViolation when the quadratic constraints (including
-    ``x+ x- = 1`` at each boundary) fail or the bulk generator fails the
-    relation set.
+    Raises ConstraintViolation when ``x+ x- = 1`` fails at a boundary or the
+    bulk generator fails the braid relations, and NotInvertible when a
+    generator fails its quadratic relation (``generator_inverse``).
     """
     if local_dim < 2 or sites < 1:
         raise ConstraintViolation("need local_dim >= 2 and sites >= 1")
@@ -167,17 +163,8 @@ def build_glN_rep(local_dim: int, sites: int, params: Params) -> HeckeRep:
     d = local_dim
     g0 = left_boundary_matrix(d, p.Q0, p.x0p, p.x0m)
     gN = right_boundary_matrix(d, p.QN, p.xNp, p.xNm)
-
-    ident1 = PolyMatrix.identity((d,))
-    q0quad = (g0 - ident1.scale(p.Q0)) * (g0 + ident1.scale(rat(1) / p.Q0))
-    if not q0quad.is_zero:
-        raise ConstraintViolation("left boundary quadratic relation fails")
-    qnquad = (gN - ident1.scale(p.QN)) * (gN + ident1.scale(rat(1) / p.QN))
-    if not qnquad.is_zero:
-        raise ConstraintViolation("right boundary quadratic relation fails")
-
     g = _bulk_generator(d, p.q)
-    if not _validate_bulk(d, p.q, g, g0, gN):
+    if not _validate_bulk(d, g, g0, gN):
         raise ConstraintViolation("the bulk generator fails the relation set")
     g_inv = generator_inverse(g, p.q)
     g0_inv = generator_inverse(g0, p.Q0)
@@ -280,10 +267,10 @@ def _echo(rep: HeckeRep) -> dict[str, str]:
 # Temperley-Lieb quotient (local dim 2)
 # ---------------------------------------------------------------------------
 
-def check_tl_quotient(rep: HeckeRep) -> tuple[Rational, Rational]:
-    """Verify the quotient relations at local dim 2 and return the two
-    boundary scalars.  Raises RelationFailure when a product fails to be
-    proportional to the single generator."""
+def check_tl_quotient(rep: HeckeRep) -> tuple[Rational, Rational] | str:
+    """Verify the quotient relations at local dim 2: the two boundary
+    scalars, or the first relation whose product is not proportional to the
+    single generator."""
     if rep.local_dim != 2:
         raise ConstraintViolation("the quotient relations hold only at local dim 2")
     if rep.sites < 2:
@@ -298,25 +285,25 @@ def check_tl_quotient(rep: HeckeRep) -> tuple[Rational, Rational]:
         for j in (i - 1, i + 1):
             if j in es:
                 if es[i] * es[j] * es[i] != es[i]:
-                    raise RelationFailure(f"e{i} e{j} e{i} != e{i}")
+                    return f"e{i} e{j} e{i} != e{i}"
     left = mat_proportional(es[1] * e0 * es[1], es[1])
     if left is None or not left.is_constant:
-        raise RelationFailure("e1 e0 e1 is not proportional to e1")
+        return "e1 e0 e1 is not proportional to e1"
     last = rep.sites - 1
     right = mat_proportional(es[last] * en * es[last], es[last])
     if right is None or not right.is_constant:
-        raise RelationFailure(f"e{last} eN e{last} is not proportional to e{last}")
+        return f"e{last} eN e{last} is not proportional to e{last}"
     return left.constant_value(), right.constant_value()
 
 
 def check_tl_report(rep: HeckeRep) -> CheckReport:
-    echo = _echo(rep)
     try:
-        km, kp = check_tl_quotient(rep)
-    except (RelationFailure, ConstraintViolation) as exc:
-        return failed("tl/quotient", params=echo, failure={"relation": str(exc)})
-    return passed("tl/quotient", params=echo,
-                  ratio=f"kappa_minus={rat_str(km)} kappa_plus={rat_str(kp)}")
+        found = check_tl_quotient(rep)
+    except ConstraintViolation as exc:
+        found = str(exc)
+    ratio = None if isinstance(found, str) else (
+        f"kappa_minus={rat_str(found[0])} kappa_plus={rat_str(found[1])}")
+    return ratio_report("tl/quotient", ratio, {"relation": found}, params=_echo(rep))
 
 
 # ---------------------------------------------------------------------------

@@ -169,45 +169,29 @@ class LaurentPoly:
 # exact division
 # ---------------------------------------------------------------------------
 
-def _to_dense(p: LaurentPoly) -> tuple[int, list]:
-    """Split ``p = u^shift * P`` with ``P`` an ordinary poly, nonzero constant term."""
-    shift = p.min_deg()
-    top = p.max_deg()
-    coeffs = [p.coeff(d) for d in range(shift, top + 1)]
-    return shift, coeffs
-
-
-def _dense_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = _ONE / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 def lp_ratio(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     """The Laurent polynomial ``p`` with ``a == p*b``, or None when there is
     none (``b`` zero, or ``b`` not dividing ``a``).
 
-    With ``a = u^i A`` and ``b = u^j B``, ``A`` and ``B`` ordinary
-    polynomials with nonzero constant terms, the monomials are units and
-    ``B`` is prime to ``u``, so ``b`` divides ``a`` exactly when ``B``
-    divides ``A`` over the rationals.
+    Long division from the top term, on the terms present only: each step
+    clears the remainder's top term, so its degree falls.  An exact quotient
+    has lowest degree ``min(a) - min(b)``, so a top term that needs a lower
+    quotient degree leaves a remainder, and ``b`` does not divide ``a``.
     """
     if b.is_zero:
         return None
     if a.is_zero:
         return LaurentPoly.zero()
-    sa, da = _to_dense(a)
-    sb, db = _to_dense(b)
-    q, rem = _dense_divmod(da, db)
-    if rem:
-        return None
-    return LaurentPoly({sa - sb + i: c for i, c in enumerate(q)})
+    rem, top_b = dict(a.terms), b.max_deg()
+    low, inv_lead = a.min_deg() - b.min_deg(), _ONE / b.terms[top_b]
+    quot = {}
+    while rem:
+        deg = max(rem) - top_b
+        if deg < low:
+            return None
+        c = quot[deg] = rem[deg + top_b] * inv_lead
+        for db, cb in b.terms.items():
+            v = rem.pop(deg + db, _ZERO) - c * cb
+            if v:
+                rem[deg + db] = v
+    return LaurentPoly(quot)

@@ -43,8 +43,7 @@ from functools import cached_property, reduce
 
 from .baxter import (Pencil, _aux_kernel, _aux_trace, _pencil, _r_aux, k_bar_plus_hat,
                      k_minus_hat, r_hat, r_local)
-from .errors import (ConditionFailure, DimensionMismatch, InternalMismatch,
-                     SpanFailure)
+from .errors import DimensionMismatch
 from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
@@ -74,11 +73,10 @@ def extract_edges(t: PolyMatrix) -> ExpansionEdge:
 # one-boundary pipeline
 # ---------------------------------------------------------------------------
 
-def aux_trace_scalar(rep: HeckeRep) -> LaurentPoly | None:
-    """Nonzero scalar ``f`` with ``tr_aux{(M (x) I) * (g - w g^-1)} = f(w) I``
-    for the site-first embedded bulk generator, or None when there is none."""
-    tr = _aux_trace(rep.m_local, _aux_kernel(rep, LaurentPoly.unit(1)))
-    return mat_proportional(tr, PolyMatrix.identity((rep.local_dim,)))
+def aux_trace(rep: HeckeRep) -> PolyMatrix:
+    """``tr_aux{(M (x) I) * (g - u g^-1)}`` for the site-first embedded bulk
+    generator: ``f(u) I`` when the quantum-trace requirement holds."""
+    return _aux_trace(rep.m_local, _aux_kernel(rep, LaurentPoly.unit(1)))
 
 
 def _grow(seed: PolyMatrix, pairs, *, lo: int | None = None,
@@ -97,7 +95,7 @@ def _grow(seed: PolyMatrix, pairs, *, lo: int | None = None,
 @dataclass
 class OneBoundaryResult:
     matrix: PolyMatrix            # factorized form on the full site space
-    internal_ratio: LaurentPoly | None  # direct / (f * factorized), a monomial
+    internal_ratio: LaurentPoly | None  # OneBoundaryChain.internal_ratio, or None unchecked
 
 
 @dataclass
@@ -113,7 +111,7 @@ class OneBoundaryChain:
     With ``trivial_k`` the boundary ``K-`` is the identity: the A-type chain
     of the corollary.
 
-    What the checks share is built once, on first use: the auxiliary scalar,
+    What the checks share is built once, on first use: the auxiliary trace,
     the one double row the chain grows, the bulk sandwich
     ``R_n-1..R_1 K- R_1..R_n-1`` (``R_k = r_hat(k)``), and the auxiliary
     blocks of the middle ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``,
@@ -131,8 +129,14 @@ class OneBoundaryChain:
         self._twist = embed(rep.m_local, (0,), (rep.local_dim,) * 2)
 
     @cached_property
+    def _aux_matrix(self) -> PolyMatrix:
+        return aux_trace(self.rep)
+
+    @cached_property
     def aux_scalar(self) -> LaurentPoly | None:
-        return aux_trace_scalar(self.rep)
+        """The nonzero scalar ``f`` of the auxiliary trace ``f(u) I``, or None
+        when there is none."""
+        return mat_proportional(self._aux_matrix, PolyMatrix.identity((self.rep.local_dim,)))
 
     @cached_property
     def _sandwich(self) -> PolyMatrix:
@@ -179,33 +183,21 @@ class OneBoundaryChain:
 
     def check_aux_trace(self) -> CheckReport:
         """The quantum-trace requirement gating the one-boundary factorization."""
+        return ratio_report("transfer/aux-trace", self.aux_scalar,
+                            entry_failure(self._aux_matrix), params=self._params())
+
+    @cached_property
+    def internal_ratio(self) -> LaurentPoly | None:
+        """The diagonal-point cross-check: ``direct / (f(u^2) * factorized)``,
+        a monomial when the two constructions agree; None without the
+        auxiliary scalar ``f`` or without a ratio."""
         f = self.aux_scalar
         if f is None:
-            tr = _aux_trace(self.rep.m_local, _aux_kernel(self.rep, LaurentPoly.unit(1)))
-            return failed("transfer/aux-trace", params=self._params(), failure=entry_failure(tr))
-        return passed("transfer/aux-trace", params=self._params(), ratio=str(f))
-
-    def build(self) -> OneBoundaryResult:
-        """Factorized diagonal-point transfer matrix with its side condition,
-        cross-checked against the direct trace.
-
-        Raises ConditionFailure when the quantum-trace requirement fails and
-        InternalMismatch when the two constructions disagree beyond a monomial.
-        """
-        f = self.aux_scalar
-        if f is None:
-            raise ConditionFailure("auxiliary quantum trace is not scalar")
-        rep, n = self.rep, self.n
-        matrix = self.factorized
+            return None
         direct = self.direct(LaurentPoly.unit(1))
-        if n < rep.sites:   # the factorized form is the identity on the other sites
-            direct = embed(direct, range(n), rep.layout)
-        ratio = mat_proportional(direct, matrix.scale(f.compose_power(2)))
-        if ratio is None:
-            raise InternalMismatch("direct and factorized constructions disagree")
-        if not ratio.is_single_term:
-            raise InternalMismatch(f"non-monomial internal ratio {ratio}")
-        return OneBoundaryResult(matrix=matrix, internal_ratio=ratio)
+        if self.n < self.rep.sites:   # the factorized form is the identity on the other sites
+            direct = embed(direct, range(self.n), self.rep.layout)
+        return mat_proportional(direct, self.factorized.scale(f.compose_power(2)))
 
     def murphy_edges(self, element: PolyMatrix, element_inv: PolyMatrix) -> list[CheckReport]:
         """Edge coefficients of the expansion against ``element``, the Murphy
@@ -214,15 +206,17 @@ class OneBoundaryChain:
         n = self.n
         echo = self._params()
         tag = "corollary" if self.trivial_k else "prop1"
-        out = []
-        try:
-            result = self.build()
-        except (ConditionFailure, InternalMismatch) as exc:
-            return [failed(f"{tag}/build[n={n}]", params=echo, failure={"relation": str(exc)})]
-        edges = extract_edges(result.matrix)
+        ratio = self.internal_ratio
+        if ratio is None or not ratio.is_single_term:
+            relation = ("auxiliary quantum trace is not scalar" if self.aux_scalar is None
+                        else "direct and factorized constructions disagree" if ratio is None
+                        else f"non-monomial internal ratio {ratio}")
+            return [failed(f"{tag}/build[n={n}]", params=echo, failure={"relation": relation})]
+        edges = extract_edges(self.factorized)
         expected_span = 2 * (n - 1) if self.trivial_k else 2 * n
         span_ok = edges.low_deg == 0 and edges.high_deg == expected_span
         degs = f"[{edges.low_deg}, {edges.high_deg}]"
+        out = []
         if not span_ok:
             out.append(failed(f"{tag}/degree-span[n={n}]", params=echo,
                               failure={"span": degs, "expected": f"[0, {expected_span}]"}))
@@ -237,10 +231,10 @@ class OneBoundaryChain:
             {"relation": "high edge not proportional to inverse element"}, params=echo))
         return out
 
-    def hamiltonian(self) -> HamiltonianResult:
+    def hamiltonian(self) -> HamiltonianResult | None:
         """First derivative of the factorized transfer matrix at the unit
         point, in the span of the identity, the bulk generators and the left
-        boundary generator.
+        boundary generator; None when it is not in that span.
 
         One exact nullspace of the whole entrywise system
         ``sum_i y_i N_i + y_h N_h = 0`` on the integer numerators
@@ -257,7 +251,7 @@ class OneBoundaryChain:
         basis = [PolyMatrix.identity(h.layout), *(rep.braid[i] for i in range(1, n)), rep.b0]
         y = next((v for v in nullspace(numerator_rows([*basis, h])) if v[-1]), None)
         if y is None:
-            raise SpanFailure("derivative is not in the generator span")
+            return None
         sol = [-x * b.den / h.den for x, b in zip(y, basis)]
         return HamiltonianResult(matrix=h, coefficients=dict(zip(names, sol)))
 
@@ -266,13 +260,13 @@ class OneBoundaryChain:
         ``T(u) = sum_k u^k C_k`` for every ``u``, decided on the whole family:
         ``h`` is constant, so ``[h, T(u)]`` has the coefficients ``[h, C_k]``."""
         echo = self._params()
-        out = []
-        try:
-            res = self.hamiltonian()
-        except SpanFailure as exc:
-            return [failed("hamiltonian/span", params=echo, failure={"relation": str(exc)})]
-        desc = " ".join(f"{k}={rat_str(v)}" for k, v in sorted(res.coefficients.items()))
-        out.append(passed("hamiltonian/span", params=echo, ratio=desc))
+        res = self.hamiltonian()
+        desc = None if res is None else " ".join(
+            f"{k}={rat_str(v)}" for k, v in sorted(res.coefficients.items()))
+        out = [ratio_report("hamiltonian/span", desc,
+                            {"relation": "derivative is not in the generator span"}, params=echo)]
+        if res is None:
+            return out
 
         h, family = res.matrix, self.direct(rat(1))
         if commutes(h, family):
@@ -319,10 +313,10 @@ def t_open_inhomogeneous(rep: HeckeRep, n: int, u0: Rational | LaurentPoly) -> P
 
 def build_t_one_boundary(rep: HeckeRep, n: int, *, trivial_k: bool = False,
                          cross_check: bool = True) -> OneBoundaryResult:
+    """``OneBoundaryChain.factorized`` of a throwaway chain, with its
+    ``internal_ratio`` when ``cross_check``."""
     chain = OneBoundaryChain(rep, n, trivial_k)
-    if cross_check or chain.aux_scalar is None:   # build raises on the latter
-        return chain.build()
-    return OneBoundaryResult(matrix=chain.factorized, internal_ratio=None)
+    return OneBoundaryResult(chain.factorized, chain.internal_ratio if cross_check else None)
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +511,10 @@ def check_factorized(lattice: TwoBoundaryLattice) -> list[CheckReport]:
         family = lattice.edges(p)
         low = mat_proportional(family.low_coeff, fac.low_coeff)
         high = mat_proportional(family.high_coeff, fac.high_coeff)
-        if low is None or high is None:
-            edge = "low" if low is None else "high"
-            out.append(failed(f"factorized/{mode}", {"relation": f"{edge} edge not proportional"},
-                              params=echo))
-        else:
-            out.append(passed(f"factorized/{mode}", params=echo, ratio=f"low {low}; high {high}",
-                              degrees=f"[{fac.low_deg}, {fac.high_deg}]"))
+        out.append(ratio_report(
+            f"factorized/{mode}", None if low is None or high is None else f"low {low}; high {high}",
+            {"relation": f"{'low' if low is None else 'high'} edge not proportional"},
+            params=echo, degrees=f"[{fac.low_deg}, {fac.high_deg}]"))
     return out
 
 

@@ -133,10 +133,7 @@ def test_criterion_08_tl_quotient():
     ok = True
     for n in (2, 3):
         for rep in reps_for(2, n):
-            try:
-                check_tl_quotient(rep)
-            except Exception:
-                ok = False
+            ok = ok and isinstance(check_tl_quotient(rep), tuple)   # else the failing relation
     golden = json.loads(GOLDEN.read_text())
     recorded = [r for r in golden["reports"]
                 if r["check_name"] == "tl/quotient" and "kappa_minus" in (r.get("ratio") or "")]

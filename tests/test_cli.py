@@ -256,14 +256,14 @@ ONE_BOUNDARY_SUITES = ["prop1", "corollary", "hamiltonian", "commuting-family"]
 
 def test_one_boundary_pass_builds_once(monkeypatch):
     grown = _count_growths(monkeypatch)
-    scalars = []
-    aux_trace_scalar = transfer.aux_trace_scalar
+    traces = []
+    aux_trace = transfer.aux_trace
 
     def counting(rep):
-        scalars.append((rep.params, aux_trace_scalar(rep)))
-        return scalars[-1][1]
+        traces.append((rep.params, aux_trace(rep)))
+        return traces[-1][1]
 
-    monkeypatch.setattr(transfer, "aux_trace_scalar", counting)
+    monkeypatch.setattr(transfer, "aux_trace", counting)
     chains = []
     init = transfer.OneBoundaryChain.__init__
 
@@ -275,12 +275,12 @@ def test_one_boundary_pass_builds_once(monkeypatch):
     cfg = config_from_dict({"sites": 3, "suites": ONE_BOUNDARY_SUITES})
     assert not [r for r in run_suite(cfg) if r.status == "fail"]
     # one chain per (specialization, trivial_k), each growing one double row
-    # and computing one aux scalar; both scalars of a specialization agree
+    # and computing one aux trace; both traces of a specialization agree
     assert len(chains) == len(set(chains)) == 3 * 2
     assert len(grown) == 3 * 2
     assert _all_distinct(grown)
-    assert len(scalars) == 3 * 2
-    assert len({str(f) for _, f in scalars}) == len({p for p, _ in scalars}) == 3
+    assert len(traces) == 3 * 2
+    assert len({str(tr.get(0, 0)) for _, tr in traces}) == len({p for p, _ in traces}) == 3
 
 
 @pytest.mark.parametrize("suite,owner,attr,per_spec", [
@@ -386,10 +386,16 @@ def test_kit_suites_fail_on_calibration_failure(monkeypatch):
         raise CalibrationFailure("calibration unavailable")
 
     monkeypatch.setattr(baxter, "build_kit", no_kit)
-    reports = run_suite(config_from_dict({"sites": 2, "suites": KIT_SUITES}))
+    cfg = config_from_dict({"sites": 2, "suites": KIT_SUITES})
+    reports = run_suite(cfg)
     assert [(r.check_name, r.status) for r in reports] == (
         [("prop2/calibration", "fail")] * 3 + [("explore/calibration", "fail")]
         + [("condition2/calibration", "fail")] * 3 + [("factorized/calibration", "fail")] * 3)
+    # the params of every other report of the specialization
+    for r, idx in zip(reports, [0, 1, 2, 0, 0, 1, 2, 0, 1, 2]):
+        assert r.params == {**sample_params(cfg.spec_seed(idx)).echo(),
+                            "local_dim": "2", "sites": "2"}
+        assert r.first_failure == {"relation": "calibration unavailable"}
 
 
 @pytest.mark.parametrize("end", ["right", "left"])

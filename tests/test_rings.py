@@ -67,6 +67,16 @@ def test_general_ratio_reduces():
     assert lp_ratio(LaurentPoly.const(1), LaurentPoly.zero()) is None
 
 
+def test_ratio_of_sparse_operands_over_wide_spans():
+    # the division takes one step per quotient term it finds (three, one and
+    # two here), not one per degree of the ~10^6-wide spans
+    b = lp({10**6: 1, 0: 1})
+    p = lp({-3: rat(2, 7), 5 * 10**5: -1, 2 * 10**6: 5})
+    assert lp_ratio(p * b, b) == p
+    assert lp_ratio(lp({10**6: 1, 0: 2}), b) is None
+    assert lp_ratio(lp({2 * 10**6: 1, -10**6: 1}), lp({10**6: 1, -7: 3})) is None
+
+
 def test_compose_power_and_shift():
     p = lp({0: 1, 1: 2})
     assert p.compose_power(2) == lp({0: 1, 2: 2})
