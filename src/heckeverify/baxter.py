@@ -6,6 +6,11 @@ factors, embedded where it acts: the site pairs of ``r_hat``, the
 three-factor Yang-Baxter space, the reflection and crossing spaces, and the
 (auxiliary, site) pair of every auxiliary trace.
 
+Every other R and K (``r_hat``, ``k_minus_hat``, ``k_bar_plus_hat``,
+``_pencil``, ``_aux_kernel``) is built once in the formal ``u``; a caller
+re-keys it at its argument: ``compose_power(k)`` for ``u -> u^k``,
+``shift(k)`` for a factor ``u^k`` and ``evaluate(r)`` at a constant.
+
 Normalization drops every overall exponential prefactor, so all downstream
 statements are proportionality claims with a Laurent-polynomial ratio.
 Additive spectral shifts are realized multiplicatively; identities in two
@@ -21,8 +26,8 @@ from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo, twist_matrix
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, aux_blocks, embed, flip_indices, mat_proportional,
-                     nullspace, numerator_rows, trace_sandwich)
+from .tensor import (PolyMatrix, embed, flip_indices, mat_proportional, nullspace,
+                     numerator_rows, trace_sandwich)
 
 
 def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
@@ -30,40 +35,37 @@ def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
     return rep.g_local - rep.g_inv_local.scale(a)
 
 
-def r_hat(rep: HeckeRep, i: int, arg: LaurentPoly | None = None) -> PolyMatrix:
+def r_hat(rep: HeckeRep, i: int) -> PolyMatrix:
     """Baxterized bulk matrix ``g_i - u g_i^{-1}`` on the site space."""
-    u = arg if arg is not None else LaurentPoly.unit(1)
-    return embed(r_local(rep, u), (i - 1, i), rep.layout)
+    return embed(r_local(rep, LaurentPoly.unit(1)), (i - 1, i), rep.layout)
 
 
 # the coefficients ``(X0, X1, X2)`` of a quadratic matrix pencil
 Pencil = tuple[PolyMatrix, PolyMatrix, PolyMatrix]
 
 
-def _pencil(coeffs: Pencil, w: LaurentPoly) -> PolyMatrix:
-    """The quadratic matrix pencil ``X0 + X1 w + X2 w^2``."""
+def _pencil(coeffs: Pencil) -> PolyMatrix:
+    """The quadratic matrix pencil ``X0 + X1 u + X2 u^2``."""
     x0, x1, x2 = coeffs
-    return x0 + x1.scale(w) + x2.scale(w * w)
+    return x0 + x1.shift(1) + x2.shift(2)
 
 
-def k_minus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
+def k_minus_hat(rep: HeckeRep) -> PolyMatrix:
     """Left boundary ``g0 + c_- u - u^2 g0^{-1}`` as a local matrix."""
-    u = arg if arg is not None else LaurentPoly.unit(1)
     return _pencil((rep.g0_local, PolyMatrix.identity((rep.local_dim,)).scale(rep.params.c_minus),
-                    -rep.g0_inv_local), u)
+                    -rep.g0_inv_local))
 
 
-def k_bar_plus_hat(rep: HeckeRep, arg: LaurentPoly | None = None) -> PolyMatrix:
+def k_bar_plus_hat(rep: HeckeRep) -> PolyMatrix:
     """Right boundary ``gN + c_+ u - u^2 gN^{-1}`` as a local matrix."""
-    u = arg if arg is not None else LaurentPoly.unit(1)
     return _pencil((rep.gN_local, PolyMatrix.identity((rep.local_dim,)).scale(rep.params.c_plus),
-                    -rep.gN_inv_local), u)
+                    -rep.gN_inv_local))
 
 
-def _aux_kernel(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
-    """``r_local`` on the (auxiliary, site) pair, first slot on the site
-    factor: the kernel of every auxiliary trace."""
-    return embed(r_local(rep, a), (1, 0), (rep.local_dim,) * 2)
+def _aux_kernel(rep: HeckeRep) -> PolyMatrix:
+    """``r_local`` at ``u`` on the (auxiliary, site) pair, first slot on the
+    site factor: the kernel of every auxiliary trace."""
+    return embed(r_local(rep, LaurentPoly.unit(1)), (1, 0), (rep.local_dim,) * 2)
 
 
 def _r_aux(rep: HeckeRep, w: LaurentPoly, left: bool) -> PolyMatrix:
@@ -78,7 +80,7 @@ def _r_aux(rep: HeckeRep, w: LaurentPoly, left: bool) -> PolyMatrix:
 
 def _aux_trace(x: PolyMatrix, kernel: PolyMatrix) -> PolyMatrix:
     """``tr_aux{(x (x) I) * kernel}`` on the (auxiliary, site) pair."""
-    return trace_sandwich(PolyMatrix.identity(kernel.layout), aux_blocks(x), kernel)
+    return trace_sandwich(PolyMatrix.identity(kernel.layout), x, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +141,18 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
     """
     layout = (rep.local_dim,) * 2
     if end == "left":
-        def kk(a: LaurentPoly) -> PolyMatrix:
-            return embed(k_minus_hat(rep, a), (0,), layout)
+        ku = embed(k_minus_hat(rep), (0,), layout)
     elif end == "right":
-        def kk(a: LaurentPoly) -> PolyMatrix:
-            return embed(k_bar_plus_hat(rep, a), (1,), layout)
+        ku = embed(k_bar_plus_hat(rep), (1,), layout)
     else:
         raise ValueError("end must be 'left' or 'right'")
 
-    ku = kk(LaurentPoly.unit(1))
     echo = _echo(rep)
     echo["end"] = end
     for r in _sample_points(seed, 5):
         rdiv = r_local(rep, LaurentPoly.unit(1, rat(1) / r))
         rmul = r_local(rep, LaurentPoly.unit(1, r))
-        kr = kk(LaurentPoly.const(r))
+        kr = ku.evaluate(r)
         lhs = rdiv * ku * rmul * kr
         rhs = kr * rmul * ku * rdiv
         if lhs != rhs:
@@ -165,19 +164,18 @@ def check_re(rep: HeckeRep, end: str, seed: int = 0) -> CheckReport:
 def check_unitarity(rep: HeckeRep) -> list[CheckReport]:
     """Products at opposite arguments are scalars; the scalars are reported."""
     d = rep.local_dim
-    u = LaurentPoly.unit(1)
     ident2 = PolyMatrix.identity((d, d))
     ident1 = PolyMatrix.identity((d,))
     echo = _echo(rep)
     # R(u) * u R(1/u), the cleared product at inverted argument
-    prod = r_local(rep, u) * r_local(rep, LaurentPoly.unit(-1)).scale(u)
+    r = r_local(rep, LaurentPoly.unit(1))
+    prod = r * r.compose_power(-1).shift(1)
     out = [ratio_report("baxter/unitarity-r", mat_proportional(prod, ident2),
                         entry_failure(prod), params=echo)]
     for name, kfun in (("k", k_minus_hat), ("kbar", k_bar_plus_hat)):
-        low = kfun(rep, u)
+        low = kfun(rep)
         # u^2 * K(1/u) has polynomial entries again
-        high = kfun(rep, LaurentPoly.unit(-1)).scale(u * u)
-        prod = low * high
+        prod = low * low.compose_power(-1).shift(2)
         out.append(ratio_report(f"baxter/unitarity-{name}", mat_proportional(prod, ident1),
                                 entry_failure(prod), params=echo))
     return out
@@ -199,16 +197,15 @@ def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
     layout = (d, d)
     m1 = embed(rep.m_local, (0,), layout)
     m1_inv = embed(twist_matrix(d, rat(1) / q), (0,), layout)
-    u = LaurentPoly.unit(1)
     ident = PolyMatrix.identity(layout)
-    lhs = _r_aux(rep, u, True).partial_transpose(0) * m1
+    lhs = _r_aux(rep, LaurentPoly.unit(1), True).partial_transpose(0) * m1
 
     winners = []
     for sign in (1, -1):
         for k in range(-2 * d, 2 * d + 1):
             chi = q**k * sign
             # u R(chi / u) = u g - chi g^-1
-            crossed = _r_aux(rep, LaurentPoly.unit(-1, chi), True).scale(u)
+            crossed = _r_aux(rep, LaurentPoly.unit(-1, chi), True).shift(1)
             full = lhs * crossed.partial_transpose(1) * m1_inv
             ratio = mat_proportional(full, ident)
             if ratio is not None:
@@ -231,11 +228,10 @@ def _dual_condition(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix]:
     boundary ``K-(u)``.  ``R``, ``G`` and ``Gi`` are on the (auxiliary,
     site) pair (``_aux_kernel``).
     """
-    u, u2 = LaurentPoly.unit(1), LaurentPoly.unit(2)
     if end == "right":
-        return _aux_kernel(rep, u2), k_bar_plus_hat(rep, u)
+        return _aux_kernel(rep).compose_power(2), k_bar_plus_hat(rep)
     if end == "left":
-        return _aux_kernel(rep, LaurentPoly.unit(-2)).scale(u2), k_minus_hat(rep, u)
+        return _aux_kernel(rep).compose_power(-2).shift(2), k_minus_hat(rep)
     raise ValueError("end must be 'left' or 'right'")
 
 
@@ -254,11 +250,10 @@ def calibrate_dual(rep: HeckeRep, end: str) -> Pencil:
     """
     kernel, boundary = _dual_condition(rep, end)
     d = rep.local_dim
-    unit = LaurentPoly.unit
     traces = [_aux_trace(PolyMatrix((d,), {(r, c): 1}), kernel)
               for r in range(d) for c in range(d)]
-    images = [t.scale(unit(j)) for j in range(3) for t in traces]
-    images += [boundary.scale(-unit(m)) for m in range(3)]
+    images = [t.shift(j) for j in range(3) for t in traces]
+    images += [(-boundary).shift(m) for m in range(3)]
     basis = nullspace(numerator_rows(images))
     nm = d * d
     if len(basis) != 1 or all(x == 0 for x in basis[0][3 * nm:]):
@@ -282,12 +277,11 @@ def check_condition2(rep: HeckeRep, kit: Pencil) -> list[CheckReport]:
     """Verify both trace conditions, with the kit (``build_kit``) as the right
     dual and the left dual calibrated here, and report the exact
     proportionality functions."""
-    u = LaurentPoly.unit(1)
     echo = _echo(rep)
     out = []
     for end, dual in (("right", kit), ("left", calibrate_dual(rep, "left"))):
         kernel, boundary = _dual_condition(rep, end)
-        lhs = _aux_trace(_pencil(dual, u), kernel)
+        lhs = _aux_trace(_pencil(dual), kernel)
         out.append(ratio_report(f"condition2/{end}-trace", mat_proportional(lhs, boundary),
                                 entry_failure(lhs), params=echo))
     return out

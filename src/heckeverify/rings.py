@@ -115,20 +115,11 @@ class LaurentPoly:
             out = LaurentPoly.__new__(LaurentPoly)
             out.terms = t
             return out
-        if isinstance(other, (int, Fraction)):
-            c = other if isinstance(other, Rational) else rat(other)
-            if c == 0:
-                return LaurentPoly.zero()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.terms = {d: v * c for d, v in self.terms.items()}
-            return out
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == LaurentPoly.const(other).terms
         return NotImplemented
 
     # -- specific operations -------------------------------------------

@@ -3,10 +3,10 @@
 Convention: factor 0 of a layout is the leftmost tensor slot; composite
 basis index is row-major (``idx = i0*d1*...*dk + i1*d2*... + ...``), and
 ``embed`` places every local operator on a layout.  The auxiliary space of
-a transfer-matrix construction is always factor 0: ``aux_blocks`` splits a
-matrix into its auxiliary blocks, its partial trace is the sum of the
-diagonal ones, and ``trace_sandwich`` is the one contraction that closes an
-auxiliary trace.
+a transfer-matrix construction is always factor 0: ``trace_sandwich`` is
+the one contraction that closes an auxiliary trace, and it takes the middle
+matrix itself, split once into its auxiliary blocks over the middle's one
+denominator.
 
 Storage: a matrix is one matrix polynomial ``sum_d u^d C_d / den``: one
 positive ``int`` common denominator ``den`` and ``mats = {d: C_d}``, each
@@ -391,39 +391,36 @@ def aux_blocks(m: PolyMatrix) -> dict[tuple[int, int], PolyMatrix]:
             for b in aux for c in aux}
 
 
-def trace_sandwich(x: PolyMatrix, blocks: dict[tuple[int, int], PolyMatrix],
-                   y: PolyMatrix, *, lo: int | None = None,
-                   hi: int | None = None) -> PolyMatrix:
+def trace_sandwich(x: PolyMatrix, mid: PolyMatrix, y: PolyMatrix, *,
+                   lo: int | None = None, hi: int | None = None) -> PolyMatrix:
     """``tr_0[x (mid (x) I) y]`` without forming the sandwich: ``x`` and ``y``
-    on the (auxiliary, site) pair, ``blocks`` the ``aux_blocks`` of ``mid``,
+    on the (auxiliary, site) pair, ``mid`` with the same auxiliary factor 0,
     the result on the other factors of ``mid`` followed by the site.
 
-    With ``x = sum E_ab (x) x^{ab}`` and ``y = sum E_ca (x) y^{ca}`` the trace
-    is ``sum_{b,c} mid^{bc} (x) z^{bc}``, ``z^{bc} = sum_a x^{ab} y^{ca}``: a
-    product of small site matrices per block, then one Kronecker product of
-    each middle block with it, summed in place.  Only the terms of degree
-    ``lo <= d <= hi`` are formed, as in ``_matmul``."""
+    With ``x = sum E_ab (x) x^{ab}``, ``mid = sum E_bc (x) mid^{bc}`` and
+    ``y = sum E_ca (x) y^{ca}`` the trace is ``sum_{b,c} mid^{bc} (x) z^{bc}``,
+    ``z^{bc} = sum_a x^{ab} y^{ca}``: a product of small site matrices per
+    nonzero block of ``mid``, then one Kronecker product of that block with
+    it, summed in place.  Only the terms of degree ``lo <= d <= hi`` are
+    formed, as in ``_matmul``."""
     if x.layout != y.layout or len(x.layout) != 2:
         raise DimensionMismatch("the sandwich ends must live on one (auxiliary, site) pair")
     aux, site = x.layout
-    if set(blocks) != {(b, c) for b in range(aux) for c in range(aux)}:
-        raise DimensionMismatch(f"need the {aux}x{aux} auxiliary blocks of the middle")
+    if mid.layout[0] != aux:
+        raise DimensionMismatch(f"the middle's auxiliary factor must have dimension {aux}")
     xs, ys = _split_aux(x), _split_aux(y)
-    den = lcm(*(mid.den for mid in blocks.values()))
     out: dict = {}
-    for (b, c), mid in blocks.items():
+    for (b, c), block in _split_aux(mid).items():
         z: dict = {}
         for a in range(aux):
             if (a, b) in xs and (c, a) in ys:
                 _product(xs[a, b], ys[c, a], z)
-        f = den // mid.den
         for dz, zm in z.items():
             for s, zrow in zm.items():
                 for t, v in zrow.items():
                     if not v:
                         continue
-                    v *= f
-                    for dm, mm in mid.mats.items():
+                    for dm, mm in block.items():
                         d = dm + dz
                         if (lo is not None and d < lo) or (hi is not None and d > hi):
                             continue
@@ -438,8 +435,7 @@ def trace_sandwich(x: PolyMatrix, blocks: dict[tuple[int, int], PolyMatrix],
                             for col, w in mrow.items():
                                 key = col * site + t
                                 orow[key] = get(key, 0) + w * v
-    layout = next(iter(blocks.values())).layout + (site,)
-    return PolyMatrix._make(layout, out, den * x.den * y.den)
+    return PolyMatrix._make(mid.layout[1:] + (site,), out, mid.den * x.den * y.den)
 
 
 def _offsets(layout, st, factors) -> list[int]:

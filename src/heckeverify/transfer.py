@@ -3,10 +3,12 @@
 Both boundary conditions build Sklyanin's double row
 ``tr_0 A R_0N..R_01 K- R_01..R_0N`` one way, only on the sites each product
 touches: a double row grows inside out from ``K-``, one site per step
-(``_grow``), and one contraction of the middle's auxiliary blocks with the
-outermost pair closes the trace (``tensor.trace_sandwich``).  Every bulk
-``R`` is ``baxter.r_local`` embedded where it acts; on the (auxiliary,
-site) pair it is ``baxter._r_aux``.
+(``_grow``), and one contraction of that middle with the outermost pair
+closes the trace (``tensor.trace_sandwich``).  Every bulk ``R`` is
+``baxter.r_local`` embedded where it acts; on the (auxiliary, site) pair it
+is ``baxter._r_aux``.  Every other ``R`` and ``K`` is built once in the
+formal ``u`` and re-keyed where it is read: ``compose_power`` at a power of
+``u``, ``shift`` for a monomial factor.
 
 One-boundary mode: the open transfer matrix with a single nontrivial left
 boundary, with an inhomogeneity at the last dressed site.  At the diagonal
@@ -47,8 +49,8 @@ from .errors import DimensionMismatch
 from .hecke import HeckeRep, _echo
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, aux_blocks, commutes, embed, mat_proportional, nullspace,
-                     numerator_rows, trace_sandwich)
+from .tensor import (PolyMatrix, commutes, embed, mat_proportional, nullspace, numerator_rows,
+                     trace_sandwich)
 
 
 @dataclass
@@ -76,7 +78,7 @@ def extract_edges(t: PolyMatrix) -> ExpansionEdge:
 def aux_trace(rep: HeckeRep) -> PolyMatrix:
     """``tr_aux{(M (x) I) * (g - u g^-1)}`` for the site-first embedded bulk
     generator: ``f(u) I`` when the quantum-trace requirement holds."""
-    return _aux_trace(rep.m_local, _aux_kernel(rep, LaurentPoly.unit(1)))
+    return _aux_trace(rep.m_local, _aux_kernel(rep))
 
 
 def _grow(seed: PolyMatrix, pairs, *, lo: int | None = None,
@@ -113,9 +115,9 @@ class OneBoundaryChain:
 
     What the checks share is built once, on first use: the auxiliary trace,
     the one double row the chain grows, the bulk sandwich
-    ``R_n-1..R_1 K- R_1..R_n-1`` (``R_k = r_hat(k)``), and the auxiliary
-    blocks of the middle ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``,
-    its factors cycled, which no ``u0`` touches.  The middle lives on (auxiliary,
+    ``R_n-1..R_1 K- R_1..R_n-1`` (``R_k = r_hat(k)``), and the middle
+    ``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)``, its factors
+    cycled, which no ``u0`` touches.  The middle lives on (auxiliary,
     site_1..site_n-1) only; a direct trace closes it with the pair at site
     ``n`` (``trace_sandwich``).
     """
@@ -156,6 +158,7 @@ class OneBoundaryChain:
             return self._sandwich
         return embed(self._sandwich, range(self.n), self.rep.layout)
 
+    @cached_property
     def middle(self) -> PolyMatrix:
         """``R_0,n-1(u)..R_01(u) K-_0(u) R_01(u)..R_0,n-1(u)`` on (auxiliary,
         site_1..site_n-1), not grown: as ``R_0k = P_0k r_hat_0k``, it is the
@@ -163,17 +166,13 @@ class OneBoundaryChain:
         site ``k`` at factor ``k`` and site ``n`` at the auxiliary factor 0."""
         return embed(self._sandwich, (*range(1, self.n), 0), self._sandwich.layout)
 
-    @cached_property
-    def _blocks(self) -> dict[tuple[int, int], PolyMatrix]:
-        return aux_blocks(self.middle())
-
     def direct(self, u0: Rational | LaurentPoly) -> PolyMatrix:
         """The direct trace with formal argument ``u``: ``u * u0`` left and
         ``u / u0`` right of the middle at site ``n``.  ``u0`` is a rational, or
         the formal ``u`` itself for the diagonal point (``u^2`` and ``1``)."""
         u = LaurentPoly.unit(1)
-        u0 = LaurentPoly.const(1) * u0
-        return trace_sandwich(self._twist * _r_aux(self.rep, u * u0, True), self._blocks,
+        u0 = u0 if isinstance(u0, LaurentPoly) else LaurentPoly.const(u0)
+        return trace_sandwich(self._twist * _r_aux(self.rep, u * u0, True), self.middle,
                               _r_aux(self.rep, u * u0.invert_unit(), False))
 
     def _params(self) -> dict[str, str]:
@@ -342,8 +341,7 @@ def _member(factors: list[PolyMatrix], lo: int | None = None,
     product in the degrees ``lo..hi``."""
     lead, left, seed, right, *pairs = factors
     mid = _grow(seed, zip(pairs[::2], pairs[1::2]), lo=lo, hi=hi)
-    return trace_sandwich(lead._matmul(left, lo=lo, hi=hi), aux_blocks(mid), right,
-                          lo=lo, hi=hi)
+    return trace_sandwich(lead._matmul(left, lo=lo, hi=hi), mid, right, lo=lo, hi=hi)
 
 
 def _chain(factors: list[PolyMatrix], lo: int | None = None,
@@ -415,7 +413,7 @@ class TwoBoundaryLattice:
         self.rep = rep
         n, u = rep.sites, LaurentPoly.unit(1)
         left, right = _r_aux(rep, u, True), _r_aux(rep, u, False)
-        self._formal = [(embed(_pencil(kit, u), (0,), left.layout), 0), (left, n),
+        self._formal = [(embed(_pencil(kit), (0,), left.layout), 0), (left, n),
                         (k_minus_hat(rep), 0), (right, -n),
                         *((embed(f, (0, k), left.layout[:1] * (k + 1)), s * k)
                           for k in range(1, n) for f, s in ((left, 1), (right, -1)))]
@@ -446,9 +444,7 @@ def _two_boundary_sandwich(rep: HeckeRep, mode: str) -> list[PolyMatrix]:
                    (kminus, n), *((bulk[i], n - i) for i in range(1, n))]
     else:
         # g_i^-1 - w g_i == -w R_i(w^-1) at w = u^(i+2)
-        minus_u = LaurentPoly.unit(1, -1)
-        factors = [*((r_hat(rep, i, LaurentPoly.unit(-1)).scale(minus_u), i + 2)
-                     for i in range(1, n)),
+        factors = [*((-bulk[i].compose_power(-1).shift(1), i + 2) for i in range(1, n)),
                    (kplus, 1), *((bulk[i], n - i) for i in range(n - 1, 0, -1)), (kminus, 1)]
     return [f.compose_power(e) for f, e in factors]
 

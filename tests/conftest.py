@@ -6,7 +6,7 @@ from heckeverify import build_glN_rep, build_kit
 from heckeverify.hecke import murphy, murphy_tower
 from heckeverify.params import Params, sample_params
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import embed
+from heckeverify.tensor import PolyMatrix, embed
 
 # A fixed generic-locus specialization used for frozen-value tests.
 FIXED = Params(q=rat(3, 5), Q0=rat(2, 7), QN=rat(5, 3),
@@ -56,6 +56,33 @@ def kron(a, b):
     ``b`` on the last, each placed by ``embed``."""
     layout, k = a.layout + b.layout, len(a.layout)
     return embed(a, range(k), layout) * embed(b, range(k, len(layout)), layout)
+
+
+def pencil_at(coeffs, w):
+    """The quadratic pencil ``X0 + X1 w + X2 w^2`` at the argument ``w``,
+    formed by arithmetic: the reference for a formal build re-keyed at
+    ``w``."""
+    x0, x1, x2 = coeffs
+    return x0 + x1.scale(w) + x2.scale(w * w)
+
+
+def k_minus_at(rep, w):
+    """The left boundary ``g0 + c_- w - w^2 g0^-1``, formed by arithmetic."""
+    c = PolyMatrix.identity((rep.local_dim,)).scale(rep.params.c_minus)
+    return pencil_at((rep.g0_local, c, -rep.g0_inv_local), w)
+
+
+def k_bar_plus_at(rep, w):
+    """The right boundary ``gN + c_+ w - w^2 gN^-1``, formed by arithmetic."""
+    c = PolyMatrix.identity((rep.local_dim,)).scale(rep.params.c_plus)
+    return pencil_at((rep.gN_local, c, -rep.gN_inv_local), w)
+
+
+def zero_aux_block(m, b, c):
+    """``m`` with its auxiliary block ``m^{bc}`` (factor 0) set to zero."""
+    rest = m.dim // m.layout[0]
+    return PolyMatrix(m.layout, {(r, col): v for r, col, v in m.entries()
+                                 if (r // rest, col // rest) != (b, c)})
 
 
 def lp_sum(polys):

@@ -10,9 +10,9 @@ from heckeverify.baxter import (calibrate_crossing, calibrate_dual, check_condit
 from heckeverify.errors import CalibrationFailure
 from heckeverify.params import Params, sample_params
 from heckeverify.rings import LaurentPoly, rat, rat_str
-from heckeverify.tensor import PolyMatrix, mat_proportional
+from heckeverify.tensor import PolyMatrix, embed, mat_proportional
 
-from conftest import FIXED, SEEDS
+from conftest import FIXED, SEEDS, k_bar_plus_at, k_minus_at, pencil_at
 
 
 def test_r_hat_values(rep23):
@@ -27,17 +27,27 @@ def test_r_hat_values(rep23):
 
 def test_k_hats(rep22):
     u = LaurentPoly.unit(1)
-    km = k_minus_hat(rep22, u)
+    km = k_minus_hat(rep22)
     assert km.coefficient(0) == rep22.g0_local
     assert km.min_degree() == 0 and km.max_degree() == 2
+    # built once in the formal u, re-keyed at an argument: the pencil formed
+    # by arithmetic there
+    for build, at in ((k_minus_hat, k_minus_at), (k_bar_plus_hat, k_bar_plus_at)):
+        k = build(rep22)
+        assert k == at(rep22, u)
+        for e in (-2, -1, 3):
+            assert k.compose_power(e) == at(rep22, LaurentPoly.unit(e))
+        assert k.shift(2) == at(rep22, u).scale(LaurentPoly.unit(2))
+        r = rat(-5, 7)
+        assert k.evaluate(r) == at(rep22, LaurentPoly.const(r))
     # with the free boundary constant switched off, the unit point is scalar
     p0 = FIXED
     p = Params(q=p0.q, Q0=p0.Q0, QN=p0.QN, x0p=p0.x0p, x0m=p0.x0m,
                xNp=p0.xNp, xNm=p0.xNm, c_minus=rat(0), c_plus=rat(0))
     rep = build_glN_rep(2, 2, p)
-    km = k_minus_hat(rep, u).evaluate(rat(1))
+    km = k_minus_hat(rep).evaluate(rat(1))
     assert km == PolyMatrix.identity((2,)).scale(p.Q0 - 1 / p.Q0)
-    kb = k_bar_plus_hat(rep, u).evaluate(rat(1))
+    kb = k_bar_plus_hat(rep).evaluate(rat(1))
     assert kb == PolyMatrix.identity((2,)).scale(p.QN - 1 / p.QN)
 
 
@@ -72,26 +82,28 @@ def test_reflection(dim, end):
 @pytest.mark.parametrize("end,name", [("left", "k_minus_hat"), ("right", "k_bar_plus_hat")])
 def test_reflection_evaluates_five_points(rep22, monkeypatch, end, name):
     # the residual times r has degree <= 4 in r: five distinct points prove it
+    # K(r) is the formal boundary, embedded at its end, evaluated at r
     points = []
-    boundary = getattr(baxter, name)
+    formal = embed(getattr(baxter, name)(rep22), (0,) if end == "left" else (1,), (2, 2))
     first = baxter._sample_points(5, 3)   # the points sampled before
+    evaluate = PolyMatrix.evaluate
 
-    def recording(rep, arg=None, wrong_off_first=False):
-        k = boundary(rep, arg)
-        if arg is not None and arg.is_constant:
-            points.append(arg.constant_value())
-            if wrong_off_first and arg.constant_value() not in first:
+    def recording(m, x, wrong_off_first=False):
+        k = evaluate(m, x)
+        if m == formal:
+            points.append(x)
+            if wrong_off_first and x not in first:
                 k = k + PolyMatrix.identity(k.layout)
         return k
 
-    monkeypatch.setattr(baxter, name, recording)
+    monkeypatch.setattr(PolyMatrix, "evaluate", recording)
     assert check_re(rep22, end, seed=5).status == "pass"
-    distinct = list(dict.fromkeys(points))   # K(r) is on both sides
+    distinct = list(dict.fromkeys(points))
     assert len(distinct) == 5 and 0 not in distinct
     # the first three come first, so passing reports keep their bytes
     assert distinct[:3] == first
     # a specialized boundary matrix that is wrong only off those three fails
-    monkeypatch.setattr(baxter, name, lambda rep, arg=None: recording(rep, arg, True))
+    monkeypatch.setattr(PolyMatrix, "evaluate", lambda m, x: recording(m, x, True))
     report = check_re(rep22, end, seed=5)
     assert report.status == "fail"
     assert report.first_failure["specialization"] == rat_str(distinct[3])
@@ -216,14 +228,17 @@ def test_dual_calibration_closed_form_dim2(rep22, kit22):
     ident = PolyMatrix.identity((d,))
 
     body = (rep22.gN_local.scale(rat(q) ** 4)
-            + ident.scale(u * (q * q * cp))
+            + ident.scale(LaurentPoly.unit(1, q * q * cp))
             - rep22.gN_inv_local.scale(u * u))
     expected_a = m * (s_mat * body * s_inv)
-    got_a = baxter._pencil(kit22, u)
+    got_a = pencil_at(kit22, u)
+    assert baxter._pencil(kit22) == got_a
     assert mat_proportional(got_a, expected_a) is not None
 
-    shifted = (rep22.g0_local + ident.scale(u * (q * q * cm))
-               - rep22.g0_inv_local.scale(u * u * rat(q) ** 4))
+    shifted = (rep22.g0_local + ident.scale(LaurentPoly.unit(1, q * q * cm))
+               - rep22.g0_inv_local.scale(LaurentPoly.unit(2, rat(q) ** 4)))
     expected_b = (s_inv * shifted * s_mat) * m
-    got_b = baxter._pencil(calibrate_dual(rep22, "left"), u)
+    dual_left = calibrate_dual(rep22, "left")
+    got_b = pencil_at(dual_left, u)
+    assert baxter._pencil(dual_left) == got_b
     assert mat_proportional(got_b, expected_b) is not None

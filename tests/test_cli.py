@@ -547,6 +547,28 @@ def test_cli_dump_bytes_pinned(obj, sites, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family,n,digest", [
+    ("A", 1, "affe56e7327f2f0c34209d4524b2d7c5bcd469e3d05ee0d51d0f959f977161d3"),
+    ("B", 1, "5b4e3ef77808dffdba313f139a641bcc0fb8eb510667aab609b6bbb61175ca18"),
+    ("C", 1, "6e81285bdd6d8b9bc7a5196cd3dff64db466e8966d6dc23e133050cb79fd07b8"),
+    ("C", 2, "ac834dab265d7df48b2eb3956661a288bb6c3ff9959ee34c7220cb1e05f29720"),
+])
+def test_cli_murphy_bytes_pinned(family, n, digest, tmp_path):
+    out = tmp_path / "m.json"
+    assert main(["murphy", "--family", family, "--n", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("local_dim,digest", [
+    (2, "fb4694f3a956b0ec043d0e4b35ccb0638ea1abfc08498ff00be4152bb320c7ad"),
+    (3, "5e04e1c4546b87a55e9da738500e6b45f2cee3a454528fce131f7d10c85a0a0d"),
+])
+def test_cli_calibrate_bytes_pinned(local_dim, digest, capsys):
+    # the crossing search and both dual-boundary calibrations, as printed
+    assert main(["calibrate", "--local-dim", str(local_dim)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
 def test_cli_calibrate(capsys):
     assert main(["calibrate", "--sites", "2"]) == 0
     out = capsys.readouterr().out

@@ -23,11 +23,11 @@ def dense(m):
 def test_bulk_matrix_explicit(rep22):
     q = FIXED.q
     s = q - 1 / q
-    one = LaurentPoly.const(1)
-    expected = [[LaurentPoly.const(q), 0, 0, 0],
-                [0, 0, one, 0],
-                [0, one, LaurentPoly.const(s), 0],
-                [0, 0, 0, LaurentPoly.const(q)]]
+    zero, one = LaurentPoly.const(0), LaurentPoly.const(1)
+    expected = [[LaurentPoly.const(q), zero, zero, zero],
+                [zero, zero, one, zero],
+                [zero, one, LaurentPoly.const(s), zero],
+                [zero, zero, zero, LaurentPoly.const(q)]]
     got = dense(rep22.g_local)
     for r in range(4):
         for c in range(4):
@@ -82,7 +82,7 @@ def test_left_boundary_explicit(rep22):
     assert got[0][0] == LaurentPoly.const(Q0 - 1 / Q0)
     assert got[0][1] == LaurentPoly.const(FIXED.x0p)
     assert got[1][0] == LaurentPoly.const(FIXED.x0m)
-    assert got[1][1] == 0
+    assert got[1][1] == LaurentPoly.const(0)
 
 
 def test_x_product_constraint():

@@ -9,7 +9,7 @@ from heckeverify import build_kit, hecke, transfer
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify.tensor import PolyMatrix
 
-from conftest import chain_edges
+from conftest import chain_edges, zero_aux_block
 
 
 def _params(local_dim, sites, n=None):
@@ -47,8 +47,8 @@ def test_twist_mutant_payloads(rep22, twist, aux_failure):
 def test_dropped_block_payload(rep23, monkeypatch):
     sandwich = transfer.trace_sandwich
 
-    def dropped(x, blocks, y, **kw):
-        return sandwich(x, {**blocks, (0, 1): PolyMatrix(blocks[0, 1].layout)}, y, **kw)
+    def dropped(x, mid, y, **kw):
+        return sandwich(x, zero_aux_block(mid, 0, 1), y, **kw)
 
     monkeypatch.setattr(transfer, "trace_sandwich", dropped)
     chain = transfer.OneBoundaryChain(rep23, 3)

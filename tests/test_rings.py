@@ -43,9 +43,9 @@ def test_derivative_at_unit_point():
     def derivative(p):
         return PolyMatrix((1,), {(0, 0): p}).derivative_at_one().get(0, 0)
 
-    assert derivative(LaurentPoly.const(rat(7, 3))) == 0
-    assert derivative(U(1)) == -2
-    assert derivative(lp({2: 1, -1: -1})) == -6
+    assert derivative(LaurentPoly.const(rat(7, 3))) == LaurentPoly.const(0)
+    assert derivative(U(1)) == LaurentPoly.const(-2)
+    assert derivative(lp({2: 1, -1: -1})) == LaurentPoly.const(-6)
 
 
 def test_proportional_examples():

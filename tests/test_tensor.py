@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
-from heckeverify.tensor import (PolyMatrix, _rref, aux_blocks, commutes, embed, flip_indices,
+from heckeverify.tensor import (PolyMatrix, _rref, commutes, embed, flip_indices,
                                 mat_proportional, nullspace, trace_sandwich)
 
 from conftest import kron, lp_sum, ref_rref
@@ -477,9 +477,7 @@ def test_trace_sandwich_matches_trace_product(shape, data):
     x = PolyMatrix((d, d), draw(d * d, 12))
     y = PolyMatrix((d, d), draw(d * d, 12))
     mid = PolyMatrix(mid_layout, draw(d ** (1 + extra), 30))
-    blocks = aux_blocks(mid)
-    assert sorted(blocks) == [(b, c) for b in range(d) for c in range(d)]
-    got = trace_sandwich(x, blocks, y)
+    got = trace_sandwich(x, mid, y)
     last = len(layout) - 1
     want = (embed(x, (0, last), layout) * embed(mid, range(last), layout)
             * embed(y, (0, last), layout)).partial_trace_first()
@@ -487,16 +485,18 @@ def test_trace_sandwich_matches_trace_product(shape, data):
     assert got.layout == layout[1:]
     # the windowed contraction forms the terms of degree lo..hi only
     lo, hi = data.draw(_bounds), data.draw(_bounds)
-    assert _to_ref(trace_sandwich(x, blocks, y, lo=lo, hi=hi)) == _ref_band(_to_ref(got), lo, hi)
+    assert _to_ref(trace_sandwich(x, mid, y, lo=lo, hi=hi)) == _ref_band(_to_ref(got), lo, hi)
 
 
 def test_trace_sandwich_rejects_mismatched_parts():
     x = PolyMatrix.identity((2, 2))
-    blocks = aux_blocks(PolyMatrix.identity((2, 2)))
     with pytest.raises(DimensionMismatch):
-        trace_sandwich(x, blocks, PolyMatrix.identity((2, 3)))
-    with pytest.raises(DimensionMismatch):
-        trace_sandwich(x, aux_blocks(PolyMatrix.identity((3, 2))), x)
+        trace_sandwich(x, PolyMatrix.identity((2, 2)), PolyMatrix.identity((2, 3)))
+    # the middle's factor 0 is the auxiliary space of x and y, whatever follows
+    for layout in ((3, 2), (3,), (1, 2, 2)):
+        with pytest.raises(DimensionMismatch, match="auxiliary factor"):
+            trace_sandwich(x, PolyMatrix.identity(layout), x)
+    assert trace_sandwich(x, PolyMatrix.identity((2, 3)), x).layout == (3, 2)
 
 
 @st.composite

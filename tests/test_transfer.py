@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from heckeverify import build_glN_rep, build_kit
-from heckeverify.baxter import _pencil, check_condition2, k_minus_hat
+from heckeverify.baxter import check_condition2
 from heckeverify.errors import DimensionMismatch
 from heckeverify.hecke import murphy, murphy_tower, scalar_right
 from heckeverify.params import sample_params
@@ -20,7 +20,8 @@ from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   t_two_boundary_factorized, trace_edges,
                                   verify_murphy_two_boundary)
 
-from conftest import FIXED, SEEDS, chain_edges, kron, murphy_inv, ref_rref
+from conftest import (FIXED, SEEDS, chain_edges, k_minus_at, kron, murphy_inv, pencil_at,
+                      ref_rref, zero_aux_block)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +78,7 @@ def test_zero_twist_is_no_proportionality(rep22):
 
 def test_one_boundary_n1(rep22):
     res = build_t_one_boundary(rep22, 1)
-    expected = embed(k_minus_hat(rep22, LaurentPoly.unit(1)), (0,), rep22.layout)
+    expected = embed(k_minus_at(rep22, LaurentPoly.unit(1)), (0,), rep22.layout)
     assert res.matrix == expected
     assert res.internal_ratio is not None
 
@@ -128,7 +129,7 @@ def _open_sandwich(rep, n, trivial_k):
     """The factors ``R_n-1..R_1 K- R_1..R_n-1`` of the bulk sandwich on the
     site space, formed by arithmetic, ``K-`` the identity with ``trivial_k``."""
     u = LaurentPoly.unit(1)
-    middle = rep.identity() if trivial_k else embed(k_minus_hat(rep, u), (0,), rep.layout)
+    middle = rep.identity() if trivial_k else embed(k_minus_at(rep, u), (0,), rep.layout)
     bulk = [rep.braid[i] - rep.braid_inv[i].scale(u) for i in range(1, n)]
     return [*reversed(bulk), middle, *bulk]
 
@@ -138,9 +139,9 @@ def _full_layout_factors(rep, kit, p):
     formed by arithmetic on the full (auxiliary, site_1..site_N) layout."""
     n, v = rep.sites, LaurentPoly.unit
     layout = (rep.local_dim,) * (n + 1)
-    return [embed(_pencil(kit, v(p)), (0,), layout),
+    return [embed(pencil_at(kit, v(p)), (0,), layout),
             *(_pair_factor(rep, k, v(p + k), layout, True) for k in range(n, 0, -1)),
-            embed(k_minus_hat(rep, v(p)), (0,), layout),
+            embed(k_minus_at(rep, v(p)), (0,), layout),
             *(_pair_factor(rep, k, v(p - k), layout, False) for k in range(1, n + 1))]
 
 
@@ -157,9 +158,9 @@ def test_lattice_factors_match_arithmetic_factors(dim, sites):
     pair = (dim, dim)
     v = LaurentPoly.unit
     for p in [*range(1, sites + 1), *range(-sites, 0)]:
-        want = [embed(_pencil(kit, v(p)), (0,), pair),
+        want = [embed(pencil_at(kit, v(p)), (0,), pair),
                 _pair_factor(rep, 1, v(p + sites), pair, True),
-                k_minus_hat(rep, v(p)),
+                k_minus_at(rep, v(p)),
                 _pair_factor(rep, 1, v(p - sites), pair, False)]
         for k in range(1, sites):
             layout = (dim,) * (k + 1)
@@ -179,10 +180,10 @@ def test_grown_double_rows_match_full_products(dim, sites, trivial_k):
     for n in range(1, sites + 1):
         layout = (dim,) * (n + 1)
         inner = (PolyMatrix.identity(layout) if trivial_k
-                 else embed(k_minus_hat(rep, u), (0,), layout))
+                 else embed(k_minus_at(rep, u), (0,), layout))
         full = reduce(mul, [*(_pair_factor(rep, k, u, layout, True) for k in range(n - 1, 0, -1)),
                             inner, *(_pair_factor(rep, k, u, layout, False) for k in range(1, n))])
-        middle = OneBoundaryChain(rep, n, trivial_k).middle()
+        middle = OneBoundaryChain(rep, n, trivial_k).middle
         assert middle.layout == (dim,) * n
         assert embed(middle, range(n), layout) == full
         assert transfer.t_open_factorized(rep, n, trivial_k=trivial_k) == reduce(
@@ -190,12 +191,12 @@ def test_grown_double_rows_match_full_products(dim, sites, trivial_k):
 
 
 def _drop_block(b, c):
-    """``trace_sandwich`` with the ``(b, c)`` term of its contraction left out."""
+    """``trace_sandwich`` with the ``(b, c)`` term of its contraction left
+    out: the auxiliary block ``(b, c)`` of its middle zeroed."""
     trace_sandwich = transfer.trace_sandwich
 
-    def corrupted(x, blocks, y):
-        zero = PolyMatrix(blocks[b, c].layout)
-        return trace_sandwich(x, {**blocks, (b, c): zero}, y)
+    def corrupted(x, mid, y, **kw):
+        return trace_sandwich(x, zero_aux_block(mid, b, c), y, **kw)
     return corrupted
 
 
