@@ -4,7 +4,12 @@ consistency identities (Yang-Baxter, reflection, unitarity, crossing).
 Every baxterized bulk matrix is ``r_local``, ``g - a g^{-1}`` on two
 factors, embedded where it acts: the site pairs of ``r_hat``, the
 three-factor Yang-Baxter space, the reflection and crossing spaces, and the
-(auxiliary, site) pair of every auxiliary trace.
+(auxiliary, site) pair of every auxiliary trace, where ``R = P r_local``
+is a product with the flip matrix ``P`` (``_flip``).
+
+Every calibration is one exact nullspace of the identity it serves, which
+is linear in its unknowns: the crossing unit (``calibrate_crossing``) and
+the dual boundary pencils (``calibrate_dual``).
 
 Every other R and K (``r_hat``, ``k_minus_hat``, ``k_bar_plus_hat``,
 ``_pencil``, ``_aux_kernel``) is built once in the formal ``u``; a caller
@@ -26,8 +31,8 @@ from .errors import CalibrationFailure
 from .hecke import HeckeRep, _echo, twist_matrix
 from .rings import LaurentPoly, Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import (PolyMatrix, embed, flip_indices, mat_proportional, nullspace,
-                     numerator_rows, trace_sandwich)
+from .tensor import (PolyMatrix, embed, mat_proportional, nullspace, numerator_rows,
+                     trace_sandwich)
 
 
 def r_local(rep: HeckeRep, a: LaurentPoly) -> PolyMatrix:
@@ -68,14 +73,17 @@ def _aux_kernel(rep: HeckeRep) -> PolyMatrix:
     return embed(r_local(rep, LaurentPoly.unit(1)), (1, 0), (rep.local_dim,) * 2)
 
 
+def _flip(d: int) -> PolyMatrix:
+    """The flip ``P = sum_ab E_ab (x) E_ba`` on the pair ``(d, d)``."""
+    return PolyMatrix((d, d), {(a * d + b, b * d + a): 1 for a in range(d) for b in range(d)})
+
+
 def _r_aux(rep: HeckeRep, w: LaurentPoly, left: bool) -> PolyMatrix:
-    """``R_0k(w)`` on the (auxiliary, site) pair: the flip times
-    ``g - w g^-1`` left of the middle (``left``), ``g - w g^-1`` times the
-    flip right of it."""
-    d = rep.local_dim
-    flip = flip_indices(0, 1, (d, d))
+    """``R_0k(w)`` on the (auxiliary, site) pair: ``P (g - w g^-1)`` left of
+    the middle (``left``), ``(g - w g^-1) P`` right of it, ``P`` the flip."""
+    flip = _flip(rep.local_dim)
     pair = r_local(rep, w)
-    return pair.relabel(rows=flip) if left else pair.relabel(cols=flip)
+    return flip * pair if left else pair * flip
 
 
 def _aux_trace(x: PolyMatrix, kernel: PolyMatrix) -> PolyMatrix:
@@ -186,35 +194,31 @@ def check_unitarity(rep: HeckeRep) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 def calibrate_crossing(rep: HeckeRep) -> tuple[Rational, LaurentPoly]:
-    """Find the unique signed power of q making the crossing identity hold.
-
-    The candidate substitution is ``u -> chi * u^{-1}``; the identity is
-    checked with both partial transposes on a local two-factor space.  A
-    unique winner is required.
+    """The crossing unit ``chi`` and ratio ``r`` of
+    ``R(u)^t0 M1 (u R(chi/u))^t1 M1^-1 = r(u) I`` on a local two-factor
+    space.  With ``u R(chi/u) = u P g - chi P g^-1`` it reads
+    ``A - chi B = (r0 + r1 u + r2 u^2) I`` (``R(u)`` has degrees 0..1), which
+    is linear: one exact nullspace of the images ``A, -B, -I, -u I, -u^2 I``,
+    read as in ``calibrate_dual``, solves it.  ``chi`` is unique exactly when
+    the nullspace is one-dimensional and its ``A`` entry is nonzero; ``r``
+    must be nonzero too.
     """
     d = rep.local_dim
-    q = rep.params.q
     layout = (d, d)
     m1 = embed(rep.m_local, (0,), layout)
-    m1_inv = embed(twist_matrix(d, rat(1) / q), (0,), layout)
+    m1_inv = embed(twist_matrix(d, rat(1) / rep.params.q), (0,), layout)
     ident = PolyMatrix.identity(layout)
     lhs = _r_aux(rep, LaurentPoly.unit(1), True).partial_transpose(0) * m1
-
-    winners = []
-    for sign in (1, -1):
-        for k in range(-2 * d, 2 * d + 1):
-            chi = q**k * sign
-            # u R(chi / u) = u g - chi g^-1
-            crossed = _r_aux(rep, LaurentPoly.unit(-1, chi), True).shift(1)
-            full = lhs * crossed.partial_transpose(1) * m1_inv
-            ratio = mat_proportional(full, ident)
-            if ratio is not None:
-                winners.append((chi, ratio))
-    if len(winners) != 1:
+    flip = _flip(d)
+    a = lhs * (flip * rep.g_local).shift(1).partial_transpose(1) * m1_inv
+    b = lhs * (flip * rep.g_inv_local).partial_transpose(1) * m1_inv
+    basis = nullspace(numerator_rows([a, -b, *(-ident.shift(k) for k in range(3))]))
+    if len(basis) != 1 or basis[0][0] == 0 or all(x == 0 for x in basis[0][2:]):
         raise CalibrationFailure(
-            f"crossing calibration found {len(winners)} candidates: "
-            + ", ".join(rat_str(c) for c, _ in winners))
-    return winners[0]
+            f"crossing calibration nullspace has dimension {len(basis)}")
+    y = basis[0]
+    chi = y[1] * b.den / (y[0] * a.den)
+    return chi, mat_proportional(a - b.scale(chi), ident)
 
 
 def _dual_condition(rep: HeckeRep, end: str) -> tuple[PolyMatrix, PolyMatrix]:

@@ -76,6 +76,10 @@ class RunConfig:
         for name in self.suites:
             if name not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {name!r}")
+        # an empty list would verify nothing; a repeat would echo a suite run once
+        if not self.suites or len(set(self.suites)) != len(self.suites):
+            raise ConfigError(f"suites must be a non-empty list of distinct suite names, "
+                              f"got {self.suites!r}")
         # reject overrides off the locus at any specialization, with a clear message
         for idx in range(SPECIALIZATIONS):
             sample_params(self.spec_seed(idx), self.overrides)

@@ -118,9 +118,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        return NotImplemented
+        # a scalar is not silently unequal: compare it as ``LaurentPoly.const``
+        if not isinstance(other, LaurentPoly):
+            raise TypeError(f"cannot compare LaurentPoly with {type(other).__name__}")
+        return self.terms == other.terms
 
     # -- specific operations -------------------------------------------
     def compose_power(self, k: int) -> "LaurentPoly":

@@ -272,16 +272,6 @@ class PolyMatrix:
         """Multiply by ``u^k``: every degree re-keyed ``d -> d + k``."""
         return self._like({d + k: m for d, m in self.mats.items()})
 
-    def relabel(self, rows=None, cols=None) -> "PolyMatrix":
-        """Move entry ``(r, c)`` to ``(rows[r], cols[c])`` (a map left out is
-        the identity).  For an involutive index permutation ``s`` with matrix
-        ``P``, ``relabel(rows=s)`` is ``P * self`` and ``relabel(cols=s)`` is
-        ``self * P``."""
-        def move(m):
-            return {rows[r] if rows else r: ({cols[c]: v for c, v in row.items()}
-                                             if cols else row) for r, row in m.items()}
-        return self._like(_per_degree(self.mats, move))
-
     def __eq__(self, other):
         # both sides canonical: equal values have equal denominators and mats
         if not isinstance(other, PolyMatrix):
@@ -468,21 +458,6 @@ def embed(op: PolyMatrix, factors, layout) -> PolyMatrix:
         return {base + r: {base + c: v for c, v in row} for base in bases for r, row in ops}
     out = PolyMatrix(layout)
     out.mats, out.den = _per_degree(op.mats, spread), op.den
-    return out
-
-
-def flip_indices(i: int, j: int, layout) -> list[int]:
-    """The index permutation exchanging the digits of factors ``i`` and ``j``
-    (of equal dimension): entry ``idx`` is the flipped index."""
-    layout = tuple(layout)
-    d = layout[i]
-    if layout[j] != d:
-        raise DimensionMismatch("can only flip equal-dimension factors")
-    st = _strides(layout)
-    out = []
-    for idx in range(_prod(layout)):
-        shift = ((idx // st[j]) % d - (idx // st[i]) % d) * (st[i] - st[j])
-        out.append(idx + shift)
     return out
 
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -56,6 +58,17 @@ def kron(a, b):
     ``b`` on the last, each placed by ``embed``."""
     layout, k = a.layout + b.layout, len(a.layout)
     return embed(a, range(k), layout) * embed(b, range(k, len(layout)), layout)
+
+
+def flip_matrix(i, j, layout):
+    """The permutation matrix of the flip ``P_ij``: it exchanges the digits
+    of factors ``i`` and ``j`` (of equal dimension) of ``layout``."""
+    strides = [reduce(mul, layout[k + 1:], 1) for k in range(len(layout))]
+    entries = {}
+    for idx in range(reduce(mul, layout, 1)):
+        a, b = (idx // strides[i]) % layout[i], (idx // strides[j]) % layout[j]
+        entries[idx + (b - a) * strides[i] + (a - b) * strides[j], idx] = 1
+    return PolyMatrix(layout, entries)
 
 
 def pencil_at(coeffs, w):

@@ -1,5 +1,6 @@
-"""No exported-but-unused API: every public function, class, method and
-property of the package has a reader in the package besides its definition."""
+"""No dead definitions: every public function, class, method and property
+of the package, and every private one, has a reader in the package besides
+its definition."""
 
 import ast
 import pathlib
@@ -17,20 +18,25 @@ READ_ONLY_BY_PERFBENCH = {
 }
 
 
-def _unread_public_names(package: pathlib.Path) -> set[str]:
-    """``module.name`` and ``module.Class.name`` of every public definition
-    whose name no ``Name``, attribute or ``from`` import in ``package``
-    reads."""
+def _unread_names(package: pathlib.Path, private: bool) -> set[str]:
+    """``module.name`` and ``module.Class.name`` of every public (or, with
+    ``private``, every ``_``-prefixed) module-level function or class and
+    method whose name no ``Name``, attribute or ``from`` import in
+    ``package`` reads.  Dunder methods are called by the language."""
+    def counted(name):
+        return not (name.startswith("__") and name.endswith("__")) and \
+            name.startswith("_") == private
+
     defined, read = {}, set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and counted(node.name):
                 defined[f"{path.stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
                 defined.update((f"{path.stem}.{node.name}.{item.name}", item.name)
                                for item in node.body if isinstance(item, ast.FunctionDef)
-                               and not item.name.startswith("_"))
+                               and counted(item.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -42,6 +48,17 @@ def _unread_public_names(package: pathlib.Path) -> set[str]:
 
 
 def test_no_exported_but_unused_api():
-    assert _unread_public_names(ROOT / "src" / "heckeverify") == READ_ONLY_BY_PERFBENCH
+    assert _unread_names(ROOT / "src" / "heckeverify", private=False) == READ_ONLY_BY_PERFBENCH
     perfbench = "".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     assert all(key.rsplit(".", 1)[1] in perfbench for key in READ_ONLY_BY_PERFBENCH)
+    # a private helper left behind by a deletion is dead code too
+    assert _unread_names(ROOT / "src" / "heckeverify", private=True) == set()
+
+
+def test_orphan_guard_finds_unread_private_definitions(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def _used():\n    pass\n\n\ndef _orphan():\n    _used()\n\n\n"
+        "class _Box:\n    def __init__(self):\n        pass\n\n"
+        "    def _lost(self):\n        pass\n")
+    assert _unread_names(tmp_path, private=True) == {"mod._orphan", "mod._Box", "mod._Box._lost"}
+    assert _unread_names(tmp_path, private=False) == set()

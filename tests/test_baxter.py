@@ -3,11 +3,13 @@ import dataclasses
 
 import pytest
 
-from heckeverify import baxter, build_glN_rep, build_kit
+from heckeverify import baxter, build_glN_rep, build_kit, hecke
 from heckeverify.baxter import (calibrate_crossing, calibrate_dual, check_condition2,
                                 check_re, check_unitarity, check_ybe, k_bar_plus_hat,
                                 k_minus_hat, r_hat)
+from heckeverify.cli import config_from_dict, run_suite
 from heckeverify.errors import CalibrationFailure
+from heckeverify.hecke import twist_matrix
 from heckeverify.params import Params, sample_params
 from heckeverify.rings import LaurentPoly, rat, rat_str
 from heckeverify.tensor import PolyMatrix, embed, mat_proportional
@@ -167,8 +169,37 @@ def test_crossing_degenerate_fails(rep22):
     rep = copy.copy(rep22)
     rep.g_local = PolyMatrix.identity((2, 2)).scale(FIXED.q)
     rep.g_inv_local = PolyMatrix.identity((2, 2)).scale(1 / FIXED.q)
-    with pytest.raises(CalibrationFailure):
+    with pytest.raises(CalibrationFailure, match="crossing calibration nullspace has dimension"):
         calibrate_crossing(rep)
+
+
+def _crossing_mutant(rep, mutant):
+    """``rep`` with its twist ``M`` or its bulk generator corrupted."""
+    d = rep.local_dim
+    rep = copy.copy(rep)
+    if mutant == "twist-q2":
+        rep.m_local = twist_matrix(d, rep.params.q ** 2)
+    elif mutant == "twist-identity":
+        rep.m_local = PolyMatrix.identity((d,))
+    else:
+        entries = {(r, c): v for r, c, v in rep.g_local.entries()}
+        rep.g_local = PolyMatrix((d, d), {**entries, (1, d): rat(2)})
+    return rep
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mutant", ["twist-q2", "twist-identity", "bulk-entry"])
+def test_crossing_corrupted_twist_or_bulk_fails(monkeypatch, dim, mutant):
+    # the unit is solved, not searched: a wrong twist or bulk matrix leaves
+    # no unique unit, both to the calibration and to the suite's report
+    with pytest.raises(CalibrationFailure, match="nullspace has dimension"):
+        calibrate_crossing(_crossing_mutant(build_glN_rep(dim, 2, FIXED), mutant))
+    build = hecke.build_glN_rep
+    monkeypatch.setattr(hecke, "build_glN_rep",
+                        lambda *args: _crossing_mutant(build(*args), mutant))
+    reports = run_suite(config_from_dict({"local_dim": dim, "sites": 2, "suites": ["crossing"]}))
+    assert [(r.check_name, r.status) for r in reports] == [("baxter/crossing", "fail")] * 3
+    assert all("nullspace has dimension" in r.first_failure["relation"] for r in reports)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

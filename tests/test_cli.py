@@ -95,11 +95,13 @@ def test_config_rejects_malformed_integers(name, tmp_path):
 
 @pytest.mark.parametrize("data", [
     {"out": 5}, {"out": 1}, {"suites": "prop1"}, {"suites": {"ybe": 1}},
-    {"suites": ["ybe", 3]}, {"family": 3}, {"family": ["C"]},
+    {"suites": ["ybe", 3]}, {"suites": []}, {"suites": ["re", "re"]}, {"family": 3},
+    {"family": ["C"]},
 ], ids=["out-fd", "out-stdout", "suites-string", "suites-table", "suites-non-string",
-        "family-int", "family-list"])
+        "suites-empty", "suites-repeated", "family-int", "family-list"])
 def test_config_rejects_malformed_types(data, tmp_path, capsys):
-    # an integer out is not a file descriptor; a string is not a list of names
+    # an integer out is not a file descriptor; a string is not a list of
+    # names; an empty list verifies nothing and a repeated name runs once
     with pytest.raises(ConfigError, match="must be a"):
         config_from_dict(data)
     cfgfile = tmp_path / "cfg.json"
@@ -246,7 +248,7 @@ def test_one_factorized_build_per_check(monkeypatch):
     grown = _count_growths(monkeypatch)
     cfg = config_from_dict({"sites": 3, "suites": ["prop1", "corollary"]})
     assert not [r for r in run_suite(cfg) if r.status == "fail"]
-    # one bulk sandwich per specialization and suite; the middle is its relabel
+    # one bulk sandwich per specialization and suite; the middle is its factor cycle
     assert len(grown) == 3 * 2
     assert _all_distinct(grown)
 

@@ -29,6 +29,16 @@ def test_product_with_zero():
     assert p * LaurentPoly.zero() == LaurentPoly.zero()
 
 
+@pytest.mark.parametrize("scalar", [0, rat(0), rat(3, 5)])
+def test_comparison_with_a_scalar_raises(scalar):
+    # a scalar is not silently unequal to the polynomial of its value
+    with pytest.raises(TypeError):
+        LaurentPoly.const(scalar) == scalar
+    with pytest.raises(TypeError):
+        LaurentPoly.const(scalar) != scalar
+    assert LaurentPoly.const(scalar) == LaurentPoly.const(scalar)
+
+
 def test_invert_unit_examples():
     assert lp({3: 2}).invert_unit() == lp({-3: rat(1, 2)})
     assert LaurentPoly.const(1).invert_unit() == LaurentPoly.const(1)

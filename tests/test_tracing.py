@@ -57,9 +57,9 @@ def test_traced_run_matches_untraced_and_covers_metrics():
 # are not.
 @pytest.mark.parametrize("suites,counts", [
     (["relations", "tl", "murphy-commute", "central", "ybe", "re", "unitarity", "crossing",
-      "prop1", "corollary", "hamiltonian", "commuting-family"], (21302, 576, 20)),
-    (["prop2", "explore-generic"], (2793, 159, 14)),
-    (["condition2", "factorized", "degeneration"], (3567, 162, 14)),
+      "prop1", "corollary", "hamiltonian", "commuting-family"], (19556, 513, 20)),
+    (["prop2", "explore-generic"], (2853, 165, 14)),
+    (["condition2", "factorized", "degeneration"], (3627, 168, 14)),
 ], ids=["other-suites", "lattice-suites", "claim-suites"])
 def test_traced_counts_pinned(suites, counts):
     config = cli.config_from_dict({"local_dim": 2, "sites": 2, "suites": suites})

@@ -12,7 +12,7 @@ from heckeverify.hecke import murphy, murphy_tower, scalar_right
 from heckeverify.params import sample_params
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify import transfer
-from heckeverify.tensor import PolyMatrix, embed, flip_indices, mat_proportional
+from heckeverify.tensor import PolyMatrix, embed, mat_proportional
 from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   build_t_one_boundary, check_degeneration,
                                   check_factorized, explore_generic,
@@ -20,8 +20,8 @@ from heckeverify.transfer import (OneBoundaryChain, TwoBoundaryLattice,
                                   t_two_boundary_factorized, trace_edges,
                                   verify_murphy_two_boundary)
 
-from conftest import (FIXED, SEEDS, chain_edges, k_minus_at, kron, murphy_inv, pencil_at,
-                      ref_rref, zero_aux_block)
+from conftest import (FIXED, SEEDS, chain_edges, flip_matrix, k_minus_at, kron, murphy_inv,
+                      pencil_at, ref_rref, zero_aux_block)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +118,11 @@ def test_one_boundary_hierarchy_sub_n(rep23):
 
 def _pair_factor(rep, k, w, layout, left):
     """The pair ``g - w g^-1`` at factors (0, k) of ``layout``, formed by
-    arithmetic, with the flip on its rows (``left``) or its columns."""
+    arithmetic, the flip ``P_0k`` left of it (``left``) or right of it."""
     pair = (embed(rep.g_local, (0, k), layout)
             - embed(rep.g_inv_local, (0, k), layout).scale(w))
-    flip = flip_indices(0, k, layout)
-    return pair.relabel(rows=flip) if left else pair.relabel(cols=flip)
+    flip = flip_matrix(0, k, layout)
+    return flip * pair if left else pair * flip
 
 
 def _open_sandwich(rep, n, trivial_k):
@@ -217,7 +217,7 @@ def _misflip(mutant):
                                     "flip-skipped", "flip-reversed"])
 def test_corrupted_contraction_fails_prop1(rep23, monkeypatch, mutant):
     # the direct-vs-factorized cross-check reaches the contraction that
-    # closes the direct trace and the relabel that gives its middle: a lost
+    # closes the direct trace and the factor cycle that gives its middle: a lost
     # term, x without the twist M, or a flip skipped or out of order fails it
     chain = OneBoundaryChain(rep23, 3)
     if mutant == "no-twist":
