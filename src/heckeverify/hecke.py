@@ -21,7 +21,7 @@ from .errors import ConstraintViolation, IndexOutOfRange, NotInvertible
 from .params import Params
 from .rings import Rational, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
-from .tensor import PolyMatrix, commutes, embed, mat_proportional
+from .tensor import PolyMatrix, commutes, embed, mat_proportional, mat_sum
 
 FAMILIES = ("A", "B", "C")
 
@@ -393,7 +393,7 @@ def check_symmetric_commutant(rep: HeckeRep, family: str,
     echo = _echo(rep)
     gens = [*_family_indices(rep, family), *([rep.sites] if family == "C" else [])]
     for m in (1, 2):
-        total = sum((reduce(mul, [e] * m) for e in elements), PolyMatrix(rep.layout))
+        total = mat_sum([PolyMatrix(rep.layout), *(reduce(mul, [e] * m) for e in elements)])
         for gidx in gens:
             gmat = rep.generator(gidx)
             if not commutes(total, gmat):

@@ -10,15 +10,15 @@ denominator.
 
 Storage: a matrix is one matrix polynomial ``sum_d u^d C_d / den``: one
 positive ``int`` common denominator ``den`` and ``mats = {d: C_d}``, each
-``C_d`` a sparse integer matrix ``{row: {col: int}}``.  The form is
-canonical: no empty degree or row, no stored zero, and ``den`` is the least
-common denominator (its gcd with every stored integer is 1), so equal
-matrices have equal ``den`` and equal ``mats``.  The constructor brings an
-entry map to that form in one pass.  Every kernel works degree by degree on
-the integers and normalizes once per result; a constant matrix is the
-one-key case, so its products are plain integer products.  A product may be
-given a degree window ``[lo, hi]``: the degree pairs whose sum falls outside
-it are skipped, so a truncated product forms only the terms it keeps.
+``C_d`` a sparse integer matrix ``{row: {col: int}}``, with no empty degree
+or row and no stored zero.  ``den`` is a common denominator, not necessarily
+the least: values are reduced where they are read, and equality compares
+values.  Every kernel works degree by degree on the integers and drops the
+zeros of a result once; a sum of many terms (``mat_sum``) is accumulated
+once; a constant matrix is the one-key case, so its products are plain
+integer products.  A product may be given a degree window ``[lo, hi]``: the
+degree pairs whose sum falls outside it are skipped, so a truncated product
+forms only the terms it keeps.
 Rationals are formed only where an entry is read (``get``, ``entries``,
 ``to_dump_dict``); ``rows`` is a read-only entry-wise view built on demand.
 Stored integer matrices are never mutated, so results share them.
@@ -31,9 +31,7 @@ commutation claim goes through ``commutes``, one zero test of ``a b - b a``.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd, lcm
-from operator import add
 
 from .errors import DimensionMismatch
 from .rings import LaurentPoly, Rational, lp_ratio, rat
@@ -80,11 +78,10 @@ def _add_into(acc: dict, m: dict, f: int) -> None:
                 arow[c] = arow.get(c, 0) + v * f
 
 
-def _canonical(mats: dict, den: int) -> tuple[dict, int]:
-    """Drop the zeros, empty rows and empty degrees a sum can leave, and
-    divide ``mats`` and ``den`` by their common content (usually 1)."""
+def _canonical(mats: dict) -> dict:
+    """Drop the zeros, empty rows and empty degrees a sum can leave: the
+    degree readers (``is_zero``, ``min_degree``, ``max_degree``) need that."""
     out = {}
-    g = den
     for d, m in mats.items():
         rows = {}
         for r, row in m.items():
@@ -92,22 +89,8 @@ def _canonical(mats: dict, den: int) -> tuple[dict, int]:
                 row = {c: v for c, v in row.items() if v}
             if row:
                 rows[r] = row
-                if g != 1:
-                    g = gcd(g, *row.values())
         if rows:
             out[d] = rows
-    if g == 1:
-        return out, den
-    return ({d: {r: {c: v // g for c, v in row.items()} for r, row in m.items()}
-             for d, m in out.items()}, den // g)
-
-
-def _times_poly(mats: dict, terms: dict) -> dict:
-    """The matrix polynomial ``mats`` times the integer polynomial ``terms``."""
-    out: dict = {}
-    for k, t in terms.items():
-        for d, m in mats.items():
-            _add_into(out.setdefault(d + k, {}), m, t)
     return out
 
 
@@ -149,7 +132,8 @@ class PolyMatrix:
 
     def __init__(self, layout, entries=None):
         """The matrix with ``entries``, a map ``(r, c) -> value`` of rational
-        scalars or LaurentPolys (zero values allowed), in canonical form."""
+        scalars or LaurentPolys (zero values allowed), over their least
+        common denominator."""
         self.layout = tuple(int(d) for d in layout)
         self.dim = _prod(self.layout)
         self.mats: dict[int, dict[int, dict[int, int]]] = {}
@@ -165,20 +149,18 @@ class PolyMatrix:
             for (r, c), (terms, d) in split.items():
                 for k, v in terms.items():
                     mats.setdefault(k, {}).setdefault(r, {})[c] = v * (den // d)
-            self.mats, self.den = _canonical(mats, den)
+            self.mats, self.den = mats, den
 
     @classmethod
-    def _make(cls, layout, mats: dict, den: int) -> "PolyMatrix":
-        """A matrix from integer ``mats`` over ``den``, brought to canonical form."""
-        out = cls(layout)
-        out.mats, out.den = _canonical(mats, den)
+    def _make(cls, layout: tuple, dim: int, mats: dict, den: int) -> "PolyMatrix":
+        """The matrix of integer ``mats``, no zero stored, over ``den``."""
+        out = cls.__new__(cls)
+        out.layout, out.dim, out.mats, out.den = layout, dim, mats, den
         return out
 
-    def _like(self, mats: dict) -> "PolyMatrix":
-        """Same layout and denominator, ``mats`` already canonical over it."""
-        out = PolyMatrix(self.layout)
-        out.mats, out.den = mats, self.den
-        return out
+    def _like(self, mats: dict, den: int | None = None) -> "PolyMatrix":
+        """Same layout, ``mats`` over ``den`` (by default this denominator)."""
+        return self._make(self.layout, self.dim, mats, self.den if den is None else den)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -225,14 +207,7 @@ class PolyMatrix:
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch("matrix addition needs equal dims")
-        den = lcm(self.den, other.den)
-        out: dict = {}
-        for x in (self, other):
-            for d, m in x.mats.items():
-                _add_into(out.setdefault(d, {}), m, den // x.den)
-        return PolyMatrix._make(self.layout, out, den)
+        return mat_sum((self, other))
 
     def __neg__(self) -> "PolyMatrix":
         return self._like(_per_degree(self.mats, lambda m: {
@@ -248,8 +223,12 @@ class PolyMatrix:
         return self._matmul(other)
 
     def scale(self, s) -> "PolyMatrix":
-        terms, d = _split(s)
-        return PolyMatrix._make(self.layout, _times_poly(self.mats, terms), self.den * d)
+        terms, den = _split(s)
+        out: dict = {}
+        for k, t in terms.items():
+            for d, m in self.mats.items():
+                _add_into(out.setdefault(d + k, {}), m, t)
+        return self._like(_canonical(out), self.den * den)
 
     def _matmul(self, other: "PolyMatrix", *, lo: int | None = None,
                 hi: int | None = None) -> "PolyMatrix":
@@ -257,8 +236,8 @@ class PolyMatrix:
         is open), formed from those degree pairs only."""
         if self.dim != other.dim:
             raise DimensionMismatch("matrix product needs equal dims")
-        return PolyMatrix._make(self.layout, _product(self.mats, other.mats, {}, lo, hi),
-                                self.den * other.den)
+        return self._like(_canonical(_product(self.mats, other.mats, {}, lo, hi)),
+                          self.den * other.den)
 
     def compose_power(self, k: int) -> "PolyMatrix":
         """Substitute ``u -> u^k``: for ``k != 0`` the degrees are re-keyed
@@ -273,10 +252,27 @@ class PolyMatrix:
         return self._like({d + k: m for d, m in self.mats.items()})
 
     def __eq__(self, other):
-        # both sides canonical: equal values have equal denominators and mats
+        """Equality of values: no zero is stored, so equal values have equal
+        supports, and numerators over other denominators agree crosswise."""
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.den == other.den and self.mats == other.mats
+        if self.dim != other.dim:
+            return False
+        a, b = self.den, other.den
+        if a == b:
+            return self.mats == other.mats
+        if self.mats.keys() != other.mats.keys():
+            return False
+        for d, m in self.mats.items():
+            n = other.mats[d]
+            if m.keys() != n.keys():
+                return False
+            for r, row in m.items():
+                nrow = n[r]
+                if row.keys() != nrow.keys() or any(v * b != nrow[c] * a
+                                                    for c, v in row.items()):
+                    return False
+        return True
 
     # -- structural operations ---------------------------------------------
     def partial_transpose(self, factor: int) -> "PolyMatrix":
@@ -301,7 +297,7 @@ class PolyMatrix:
         """Trace out factor 0: the sum of the diagonal ``aux_blocks``, on the
         remaining factors."""
         blocks = aux_blocks(self)
-        return reduce(add, (blocks[b, b] for b in range(self.layout[0])))
+        return mat_sum(blocks[b, b] for b in range(self.layout[0]))
 
     def _weighted(self, weight: dict, den: int) -> "PolyMatrix":
         """The constant matrix ``sum_d weight[d] * C_d / den``."""
@@ -309,7 +305,7 @@ class PolyMatrix:
         for d, m in self.mats.items():
             if weight[d]:
                 _add_into(out, m, weight[d])
-        return PolyMatrix._make(self.layout, {0: out}, den)
+        return self._like(_canonical({0: out}), den)
 
     def derivative_at_one(self) -> "PolyMatrix":
         """Entrywise derivative in ``lam`` at ``lam = 0`` for ``u = exp(-2 lam)``:
@@ -338,8 +334,7 @@ class PolyMatrix:
 
     def coefficient(self, deg: int) -> "PolyMatrix":
         """Constant matrix of the ``u^deg`` coefficients."""
-        return PolyMatrix._make(self.layout,
-                                {0: self.mats[deg]} if deg in self.mats else {}, self.den)
+        return self._like({0: self.mats[deg]} if deg in self.mats else {})
 
     def to_dump_dict(self) -> dict:
         """Canonical dump form: entries sorted by (row, col), degrees ascending."""
@@ -377,7 +372,8 @@ def aux_blocks(m: PolyMatrix) -> dict[tuple[int, int], PolyMatrix]:
     (factor 0 auxiliary, zero blocks included), each on the other factors."""
     split = _split_aux(m)
     aux = range(m.layout[0])
-    return {(b, c): PolyMatrix._make(m.layout[1:], split.get((b, c), {}), m.den)
+    layout, dim = m.layout[1:], m.dim // m.layout[0]
+    return {(b, c): PolyMatrix._make(layout, dim, split.get((b, c), {}), m.den)
             for b in aux for c in aux}
 
 
@@ -425,7 +421,8 @@ def trace_sandwich(x: PolyMatrix, mid: PolyMatrix, y: PolyMatrix, *,
                             for col, w in mrow.items():
                                 key = col * site + t
                                 orow[key] = get(key, 0) + w * v
-    return PolyMatrix._make(mid.layout[1:] + (site,), out, mid.den * x.den * y.den)
+    return PolyMatrix._make(mid.layout[1:] + (site,), mid.dim // aux * site,
+                            _canonical(out), mid.den * x.den * y.den)
 
 
 def _offsets(layout, st, factors) -> list[int]:
@@ -456,9 +453,21 @@ def embed(op: PolyMatrix, factors, layout) -> PolyMatrix:
     def spread(m):
         ops = [(off[r], [(off[c], v) for c, v in row.items()]) for r, row in m.items()]
         return {base + r: {base + c: v for c, v in row} for base in bases for r, row in ops}
-    out = PolyMatrix(layout)
-    out.mats, out.den = _per_degree(op.mats, spread), op.den
-    return out
+    return PolyMatrix._make(layout, _prod(layout), _per_degree(op.mats, spread), op.den)
+
+
+def mat_sum(terms) -> PolyMatrix:
+    """The sum of the matrices ``terms`` (at least one), each added once into
+    one accumulator over the lcm of their denominators."""
+    terms = list(terms)
+    if len({t.dim for t in terms}) > 1:
+        raise DimensionMismatch("matrix addition needs equal dims")
+    den = lcm(*(t.den for t in terms))
+    out: dict = {}
+    for t in terms:
+        for d, m in t.mats.items():
+            _add_into(out.setdefault(d, {}), m, den // t.den)
+    return terms[0]._like(_canonical(out), den)
 
 
 def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
@@ -467,8 +476,8 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
     This is the one place that decides proportionality: a zero side is
     proportional to nothing, and a quotient that is not a Laurent polynomial
     is no ratio.  The ratio is seeded from the first entry of ``b`` (in
-    ``(r, c)`` order) and verified on the whole matrix: both sides are
-    canonical, so ``a == r*b`` is an equality of their forms.
+    ``(r, c)`` order) and verified on the whole matrix: ``a == r*b``
+    compares values, whatever common denominator either side carries.
     """
     if a.dim != b.dim:
         raise DimensionMismatch("proportionality needs equal dims")
@@ -483,7 +492,7 @@ def mat_proportional(a: PolyMatrix, b: PolyMatrix) -> LaurentPoly | None:
 
 
 def commutes(a: PolyMatrix, b: PolyMatrix) -> bool:
-    """``a * b == b * a``, with neither product brought to canonical form:
+    """``a * b == b * a``, with neither product built as a matrix:
     both are integer matrix polynomials over ``a.den * b.den``, so
     ``a b - b a`` is accumulated into one ``_product`` output, the operand
     with fewer stored integers negated, and tested for zero exactly."""

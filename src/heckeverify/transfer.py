@@ -47,7 +47,7 @@ from .baxter import (Pencil, _aux_kernel, _aux_trace, _pencil, _r_aux, k_bar_plu
                      k_minus_hat, r_hat, r_local)
 from .errors import DimensionMismatch
 from .hecke import HeckeRep, _echo
-from .rings import LaurentPoly, Rational, rat, rat_str
+from .rings import LaurentPoly, Rational, lp_ratio, rat, rat_str
 from .reporting import CheckReport, entry_failure, failed, passed, ratio_report
 from .tensor import (PolyMatrix, commutes, embed, mat_proportional, nullspace, numerator_rows,
                      trace_sandwich)
@@ -196,7 +196,8 @@ class OneBoundaryChain:
         direct = self.direct(LaurentPoly.unit(1))
         if self.n < self.rep.sites:   # the factorized form is the identity on the other sites
             direct = embed(direct, range(self.n), self.rep.layout)
-        return mat_proportional(direct, self.factorized.scale(f.compose_power(2)))
+        full = mat_proportional(direct, self.factorized)
+        return None if full is None else lp_ratio(full, f.compose_power(2))
 
     def murphy_edges(self, element: PolyMatrix, element_inv: PolyMatrix) -> list[CheckReport]:
         """Edge coefficients of the expansion against ``element``, the Murphy

@@ -435,6 +435,23 @@ def test_largest_default_reports_pinned(local_dim, sites, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+
+
+@pytest.mark.parametrize("workload,digest", [
+    ("two-boundary", "457384cab82574651317e47b163ea608b78b4ba69dc43d194d0f63af5bd0569b"),
+    ("one-boundary", "35a1142fdf5c36f42b1fdcf030f72d093d8860a96a21c2a13cf94e5a2371cc8d"),
+    ("algebra", "d3f20119f63a353691cfd7b58528c6ddfaa5d89b3f3e7fb030ff0e765c060ef2"),
+])
+def test_workload_reports_pinned(workload, digest):
+    # the report the benchmark's worker renders for a workload at suite seed
+    # 101 (the golden report covers suite-default)
+    cfg = config_from_dict(cli.load_config(str(WORKLOADS / f"{workload}.json")),
+                           seed_override=101)
+    text = render_report(run_suite(cfg), cfg.echo())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from heckeverify.errors import DimensionMismatch
 from heckeverify.rings import LaurentPoly, rat
 from heckeverify.tensor import (PolyMatrix, _rref, commutes, embed, mat_proportional,
-                                nullspace, trace_sandwich)
+                                mat_sum, nullspace, trace_sandwich)
 
 from conftest import flip_matrix, kron, lp_sum, ref_rref
 
@@ -353,18 +353,15 @@ def _to_ref(m):
     for poly in out.values():
         for c in poly.values():
             assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
-    # the stored form is canonical: no empty degree or row, no stored zero,
-    # and a positive denominator prime to the content of all entries
+    # the stored form: no empty degree or row, no stored zero, and a positive
+    # common denominator, not necessarily the least
     assert type(m.den) is int and m.den > 0
-    content = m.den
     for mat in m.mats.values():
         assert mat
         for row in mat.values():
             assert row
             for v in row.values():
                 assert type(v) is int and v != 0
-                content = gcd(content, v)
-    assert content == 1
     # the entry-wise view holds the integer numerators over den
     assert {(r, c): {d: Fraction(v, m.den) for d, v in p.terms.items()}
             for r, row in m.rows.items() for c, p in row.items()} == out
@@ -430,6 +427,55 @@ def test_integer_layer_matches_fraction_reference(pair, s, x, deg, shift, lo, hi
     assert _to_ref(rest) == _ref_add(_ref_band(a, None, deg - 1), _ref_band(a, deg + 1, None))
     assert (ma == mb) == (a == b)
     assert ma * mb - ma * mb == PolyMatrix(LAYOUT)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairs(), st.integers(2, 30), st.data())
+def test_equality_compares_values(pair, k, data):
+    a, b = pair
+    m = _from_ref(a) * _from_ref(b)
+    # a product over a denominator that is not always the least equals its
+    # value rebuilt from the entries
+    rebuilt = PolyMatrix(LAYOUT, {(r, c): v for r, c, v in m.entries()})
+    assert m == rebuilt and rebuilt == m
+    # the same numerators and denominator times k: the same values
+    scaled = PolyMatrix(LAYOUT)
+    scaled.mats = {d: {r: {c: k * v for c, v in row.items()} for r, row in mat.items()}
+                   for d, mat in m.mats.items()}
+    scaled.den = k * m.den
+    assert scaled == m and m == scaled
+    # one changed entry compares unequal, on either side
+    key = (data.draw(st.integers(0, DIM - 1)), data.draw(st.integers(0, DIM - 1)))
+    bump = data.draw(_coeffs.filter(bool))
+    deg = data.draw(st.integers(-4, 4))
+    changed = m + PolyMatrix(LAYOUT, {key: LaurentPoly({deg: bump})})
+    assert changed != m and m != changed and changed != scaled
+
+
+_terms = st.lists(st.tuples(_refs, st.sampled_from((1, 2, 3, 5, 12))), min_size=1,
+                  max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_terms, st.booleans())
+def test_mat_sum_matches_fraction_reference(terms, cancel):
+    # each reference scaled by 1/k to mix the denominators
+    refs = [_ref_scale(ref, {0: Fraction(1, k)}) for ref, k in terms]
+    if cancel:
+        refs.append(_ref_scale(reduce(_ref_add, refs), {0: Fraction(-1)}))
+    got = mat_sum(_from_ref(ref) for ref in refs)
+    want = reduce(_ref_add, refs)
+    assert _to_ref(got) == want
+    assert got.is_zero == (not want)
+    if cancel:
+        assert got.is_zero
+
+
+def test_mat_sum_rejects_unequal_dims():
+    with pytest.raises(DimensionMismatch):
+        mat_sum([PolyMatrix.identity((2,)), PolyMatrix.identity((3,))])
+    with pytest.raises(DimensionMismatch):
+        PolyMatrix.identity((2,)) + PolyMatrix.identity((2, 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -524,12 +570,14 @@ def test_commutes_matches_products(pair):
 
 
 def test_commutes_without_content_division():
-    # the canonical products divide out a content of 6 that the accumulation
-    # of a b - b a never divides
+    # the products keep a content that the accumulation of a b - b a never
+    # divides either
     y = PolyMatrix((3,), {(0, 0): 1, (0, 1): 2, (1, 2): -1, (2, 0): 3, (2, 2): 1})
     a = y.scale(rat(2, 3))
     b = (y * y).scale(rat(3, 2)) + y.scale(LaurentPoly({1: rat(3, 4)}))
-    assert (a * b).den < a.den * b.den
+    ab = a * b
+    assert gcd(ab.den, *(v for m in ab.mats.values() for row in m.values()
+                         for v in row.values())) > 1
     assert commutes(a, b) and commutes(b, a)
     # a pair differing in one entry from a commuting one
     e = PolyMatrix((3,), {(1, 0): 1})
